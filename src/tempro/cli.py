@@ -14,9 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import os
 import sys
+
+import numpy as np
 
 from .acquisition import (
     UnknownClassError,
@@ -25,7 +28,7 @@ from .acquisition import (
     parse_observations,
     save_state_file,
 )
-from .core import TimeGrid, auto_mesh_factor
+from .core import GridError, TimeGrid, auto_mesh_factor
 from .projection import project
 from .refinement import CyclicOpenTokens, refine
 from .simulator import generate, parse_scenario, run_convergence
@@ -74,27 +77,38 @@ def _resolve_mesh(delta: float, mesh: str, window_widths: list[float]) -> int:
     return factor
 
 
+def _csv_head(*fields: object) -> str:
+    """``fields`` as the start of a ``csv.writer`` row, quoted the same way."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(fields)
+    return buffer.getvalue()[:-1] + ","
+
+
 def _write_projection_csv(
     handle, store: TokenStore, grid: TimeGrid, metadata: dict[str, object]
 ) -> None:
+    """Write the dense projection CSV to ``handle``, one token at a time.
+
+    Each row is ``head + cell prefix + value``: the cell prefix is formatted
+    once per cell, the ``token_id,type,kind,`` head once per token, and only
+    non-zero values go through ``_fmt``.
+    """
     for key, value in metadata.items():
         handle.write(f"# {key}={value}\n")
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["token_id", "type", "kind", "cell", "time", "value"])
-    for event in store.events:
-        values = event.density.values
-        for i in range(grid.omega):
-            writer.writerow(
-                [event.tid, str(event.event_type), "density", i + 1,
-                 _fmt(grid.cell_start(i + 1)), _fmt(values[i])]
-            )
-    for fact in store.facts:
-        values = fact.mass.values
-        for i in range(grid.omega):
-            writer.writerow(
-                [fact.tid, str(fact.fact_type), "mass", i + 1,
-                 _fmt(grid.cell_start(i + 1)), _fmt(values[i])]
-            )
+    handle.write("token_id,type,kind,cell,time,value\n")
+    prefixes = [f"{i},{_fmt(grid.cell_start(i))}," for i in range(1, grid.omega + 1)]
+    zero_rows = [prefix + "0" for prefix in prefixes]
+    curves = [(e.tid, str(e.event_type), "density", e.density.values) for e in store.events]
+    curves += [(f.tid, str(f.fact_type), "mass", f.mass.values) for f in store.facts]
+    for tid, token_type, kind, values in curves:
+        rows = zero_rows.copy()
+        for i in np.flatnonzero(np.signbit(values)).tolist():
+            rows[i] = prefixes[i] + "-0"  # negative zero, as _fmt prints it
+        listed = values.tolist()
+        for i in np.flatnonzero(values).tolist():
+            rows[i] = prefixes[i] + _fmt(listed[i])
+        head = _csv_head(tid, token_type, kind)
+        handle.write(head + ("\n" + head).join(rows) + "\n")
 
 
 def _write_plot_script(path: str, csv_path: str, store: TokenStore) -> None:
@@ -120,11 +134,17 @@ def _write_plot_script(path: str, csv_path: str, store: TokenStore) -> None:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
+    try:
+        coarse = TimeGrid(args.origin, args.delta, args.omega)
+    except GridError as exc:
+        raise _UsageError(str(exc)) from None
+    if not args.epsilon >= 0:  # also rejects nan
+        raise _UsageError(f"epsilon must be >= 0, got {args.epsilon!r}")
     theory = parse_theory(_read(args.theory))
     facts_text = _read(args.facts)
     specs = parse_basic_facts(facts_text)
     factor = _resolve_mesh(args.delta, args.mesh, [s.lst - s.est for s in specs])
-    grid = TimeGrid(args.origin, args.delta, args.omega).refined(factor)
+    grid = coarse.refined(factor)
     store = TokenStore()
     load_basic_facts(store, facts_text, grid)
     project(theory, store, grid)
@@ -140,31 +160,99 @@ def cmd_project(args: argparse.Namespace) -> int:
         "cells": grid.omega,
         "epsilon": _fmt(args.epsilon),
     }
-    buffer = io.StringIO()
-    _write_projection_csv(buffer, store, grid, metadata)
     with open(args.out, "w") as handle:
-        handle.write(buffer.getvalue())
+        _write_projection_csv(handle, store, grid, metadata)
     if args.plot:
         _write_plot_script(args.out + ".gp", args.out, store)
     return 0
 
 
-def _load_projection_csv(path: str) -> tuple[dict[str, str], list[dict[str, str]]]:
-    metadata: dict[str, str] = {}
-    rows: list[dict[str, str]] = []
+class _CsvRows:
+    """The data rows of a projection CSV: its lines that are neither blank
+    nor ``#`` lines, less the first, which is the header.  Iterating parses
+    them with ``csv.reader``."""
+
+    def __init__(self, lines: list[str]) -> None:
+        self._lines = lines  # the whole file, to name the line of a bad row
+        self._rows = [line for line in lines if not line.isspace() and line[:1] != "#"]
+        self.header = next(csv.reader(self._rows[:1]), None)
+        del self._rows[:1]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        return csv.reader(self._rows)
+
+    def line_of(self, row: int) -> int:
+        """File line number of data row ``row`` (1-based; 0 is the header)."""
+        numbers = (
+            n for n, line in enumerate(self._lines, 1)
+            if not line.isspace() and line[:1] != "#"
+        )
+        return next(itertools.islice(numbers, row, None), len(self._lines))
+
+    def column(self, name: str) -> int:
+        """Index of the header column ``name``."""
+        if self.header is None:
+            raise ParseError("projection CSV has no header line", 1, 1)
+        try:
+            return self.header.index(name)
+        except ValueError:
+            raise ParseError(
+                f"projection CSV header lacks the {name!r} column", self.line_of(0), 1
+            ) from None
+
+
+def _load_projection_csv(path: str) -> tuple[dict[str, str], _CsvRows]:
+    """The ``# key=value`` metadata and the data rows of a projection CSV."""
     with open(path, "r") as handle:
-        data_lines = []
-        for line in handle:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value.strip()
-            elif line.strip():
-                data_lines.append(line)
-    reader = csv.DictReader(data_lines)
-    rows.extend(reader)
-    return metadata, rows
+        lines = handle.readlines()
+    metadata: dict[str, str] = {}
+    for line in [line for line in lines if line.startswith("#")]:
+        body = line[1:].strip()
+        if "=" in body:
+            key, _, value = body.partition("=")
+            metadata[key.strip()] = value.strip()
+    return metadata, _CsvRows(lines)
+
+
+def _masses_at(rows: _CsvRows, pattern: Pattern, cell: int) -> dict[str, list[float]]:
+    """The mass values at ``cell`` of every type matching ``pattern``, by
+    type text in row order.  Rows are filtered on ``kind`` and ``cell``
+    first; each distinct cell and type text is parsed once."""
+    kind_at, cell_at, type_at, value_at = (
+        rows.column(name) for name in ("kind", "cell", "type", "value")
+    )
+    at_cell: dict[str, bool] = {}
+    matches: dict[str, bool] = {}
+    masses: dict[str, list[float]] = {}
+    reader = iter(rows)
+    try:
+        for row in reader:
+            if row[kind_at] != "mass":
+                continue
+            cell_text = row[cell_at]
+            in_cell = at_cell.get(cell_text)
+            if in_cell is None:
+                in_cell = at_cell[cell_text] = int(cell_text) == cell
+            if not in_cell:
+                continue
+            type_text = row[type_at]
+            matched = matches.get(type_text)
+            if matched is None:
+                ground = parse_pattern_text(type_text)
+                matched = matches[type_text] = unify(pattern, ground) is not None
+            if matched:
+                masses.setdefault(type_text, []).append(float(row[value_at]))
+    except ParseError:
+        raise
+    except (IndexError, ValueError) as exc:
+        problem = "too few fields" if isinstance(exc, IndexError) else str(exc)
+        raise ParseError(
+            f"bad projection CSV row: {problem}", rows.line_of(reader.line_num), 1
+        ) from None
+    return masses
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -181,14 +269,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
     cell = grid.time_to_cell(args.time)
     pattern = parse_pattern_text(args.fact)
-    masses: dict[str, list[float]] = {}
-    for row in rows:
-        if row["kind"] != "mass" or int(row["cell"]) != cell:
-            continue
-        row_type = parse_pattern_text(row["type"])
-        if unify(pattern, row_type) is None:
-            continue
-        masses.setdefault(row["type"], []).append(float(row["value"]))
+    masses = _masses_at(rows, pattern, cell)
     if not masses:
         print(f"warning: no fact matching {pattern} in {args.csv}", file=sys.stderr)
         if pattern.is_ground:

@@ -214,13 +214,20 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
     z = _norm_cdf((lst - mu) / sigma) - _norm_cdf((est - mu) / sigma)
     first = max(1, grid.time_to_cell(est))
     last = min(grid.omega, grid.time_to_cell(lst))
+    # Cell i covers [lo, hi] = its edges clipped to the window.  Clipping is
+    # monotone and cell_end(i) is the same float as cell_start(i + 1), so one
+    # CDF value per clipped boundary serves both cells that share it; a cell
+    # is skipped exactly when its clipped edges coincide.
+    lo = min(lst, max(est, grid.cell_start(first)))
+    cdf_lo = _norm_cdf((lo - mu) / sigma)
     for i in range(first, last + 1):
-        lo = max(est, grid.cell_start(i))
-        hi = min(lst, grid.cell_end(i))
+        hi = min(lst, max(est, grid.cell_end(i)))
         if hi <= lo:
             continue
-        weight = (_norm_cdf((hi - mu) / sigma) - _norm_cdf((lo - mu) / sigma)) / z
+        cdf_hi = _norm_cdf((hi - mu) / sigma)
+        weight = (cdf_hi - cdf_lo) / z
         values[i - 1] = kappa * weight / grid.delta
+        lo, cdf_lo = hi, cdf_hi
     return StepSeries(grid, values)
 
 
@@ -251,13 +258,15 @@ def add_basic_event(
 def init_vectors(store: TokenStore, grid: TimeGrid) -> None:
     """(Re)allocate every token's curve on ``grid``.
 
-    User event densities are recomputed from their windows; the ALWAYS mass
-    is constant 1; everything else starts at zero for the refinement sweep
-    to fill in.
+    User event densities are kept when already on ``grid`` (as
+    :func:`add_basic_event` builds them) and recomputed from their windows
+    otherwise; the ALWAYS mass is constant 1; everything else starts at zero
+    for the refinement sweep to fill in.
     """
     for event in store.events:
         if event.is_user:
-            event.density = _window_density(grid, event.est, event.lst, event.kappa)
+            if event.density is None or event.density.grid != grid:
+                event.density = _window_density(grid, event.est, event.lst, event.kappa)
         else:
             event.density = StepSeries.zeros(grid)
     for fact in store.facts:

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,13 +14,16 @@ from tempro import (
     TimeGrid,
     TokenStore,
     add_basic_event,
+    load_basic_facts,
     load_state,
+    parse_pattern_text,
     parse_theory,
     project,
     rate,
     refine,
+    unify,
 )
-from tempro.cli import main
+from tempro.cli import _load_projection_csv, _write_projection_csv, main
 
 
 def _run(capsys, *argv):
@@ -234,6 +239,224 @@ class TestQuery:
             capsys, "query", "--csv", str(bad), "--fact", "F(X)", "--time", "0",
         )
         assert code == 2
+
+
+def _fmt(x):
+    return format(x, ".12g")
+
+
+def _oracle_csv(store, grid, metadata):
+    """The projection CSV written row by row through ``csv.writer``."""
+    handle = io.StringIO()
+    for key, value in metadata.items():
+        handle.write(f"# {key}={value}\n")
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["token_id", "type", "kind", "cell", "time", "value"])
+    curves = [(e.tid, e.event_type, "density", e.density.values) for e in store.events]
+    curves += [(f.tid, f.fact_type, "mass", f.mass.values) for f in store.facts]
+    for tid, token_type, kind, values in curves:
+        for i in range(grid.omega):
+            writer.writerow(
+                [tid, str(token_type), kind, i + 1, _fmt(grid.cell_start(i + 1)), _fmt(values[i])]
+            )
+    return handle.getvalue()
+
+
+def _oracle_query(path, fact, time):
+    """Standard output of ``query``, from a ``DictReader`` scan of every row."""
+    metadata, rows = _read_csv(path)
+    grid = TimeGrid(float(metadata["origin"]), float(metadata["mesh"]), int(metadata["cells"]))
+    cell = grid.time_to_cell(time)
+    pattern = parse_pattern_text(fact)
+    masses = {}
+    for row in rows:
+        if row["kind"] != "mass" or int(row["cell"]) != cell:
+            continue
+        if unify(pattern, parse_pattern_text(row["type"])) is None:
+            continue
+        masses.setdefault(row["type"], []).append(float(row["value"]))
+    if not masses:
+        return _fmt(0.0) + "\n" if pattern.is_ground else ""
+    out = []
+    for type_text in sorted(masses):
+        survived = 1.0
+        for m in masses[type_text]:
+            survived *= 1.0 - m
+        combined = 1.0 - survived
+        out.append(_fmt(combined) if pattern.is_ground else f"{type_text} {_fmt(combined)}")
+    return "".join(line + "\n" for line in out)
+
+
+YARD_RULES = (
+    "persist AT(?t,?d) exp 0.3\n"
+    "persist LOADED(?t) lin 0.05\n"
+    "project ALWAYS, ARRIVE(?t,?d) => AT(?t,?d) @ 0.9\n"
+    "project AT(?t,?d), LOAD(?t) => LOADED(?t) @ 0.8\n"
+)
+
+
+def _yard_facts(seed, count):
+    """Arrivals with two-argument types, loads, point events and ``kappa -0``."""
+    rng = random.Random(seed)
+    lines = []
+    for k in range(count):
+        est = rng.choice([0, 1.5, 4, rng.uniform(0, 20)])
+        width = rng.choice([0, 0.5, 3, rng.uniform(0.1, 8)])
+        kappa = rng.choice(["1.0", "0.5", "-0", "0", repr(rng.random())])
+        lines.append(f"event ARRIVE(T{k},D{k % 3}) est {est!r} lst {est + width!r} kappa {kappa}")
+        if rng.random() < 0.5:
+            load = est + rng.uniform(0, 10)
+            lines.append(f"event LOAD(T{k}) est {load!r} lst {load + 2.0!r} kappa 0.7")
+    lines.append("event ARRIVE(T0,D0) est 2 lst 6 kappa -0")
+    return "\n".join(lines) + "\n"
+
+
+def _yard_store(seed, grid, epsilon=1e-3, count=12):
+    theory = parse_theory(YARD_RULES)
+    store = TokenStore()
+    load_basic_facts(store, _yard_facts(seed, count), grid)
+    project(theory, store, grid)
+    refine(store, theory, grid, epsilon)
+    return store
+
+
+class TestCsvOracles:
+    """The projection CSV and ``query`` against the row-at-a-time forms."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [TimeGrid(0.0, 0.5, 80), TimeGrid(-1.0, 0.1, 300)])
+    def test_csv_bytes_match_csv_writer(self, seed, grid):
+        store = _yard_store(seed, grid)
+        metadata = {"generator": "tempro project", "origin": _fmt(grid.origin), "cells": grid.omega}
+        expected = _oracle_csv(store, grid, metadata)
+        handle = io.StringIO()
+        _write_projection_csv(handle, store, grid, metadata)
+        assert handle.getvalue() == expected
+        # the cases this store is built to cover
+        assert '"AT(T1,D1)",mass,' in expected  # quoted multi-argument type
+        assert ",ALWAYS,mass,1," in expected
+        assert ",-0\n" in expected  # kappa -0 densities
+        assert any(f.closed for f in store.facts)
+
+    def test_query_matches_dict_reader_scan(self, tmp_path, capsys):
+        rules = tmp_path / "yard.rules"
+        rules.write_text(YARD_RULES)
+        facts = tmp_path / "yard.facts"
+        facts.write_text(_yard_facts(7, 15))
+        out = tmp_path / "yard.csv"
+        code, _, err = _run(
+            capsys, "project", "--theory", str(rules), "--facts", str(facts),
+            "--delta", "0.5", "--omega", "60", "--epsilon", "1e-3", "--out", str(out),
+        )
+        assert code == 0, err
+        facts_asked = ["AT(T1,D1)", "AT(?t,?d)", "AT(?t,D1)", "LOADED(?x)", "LOADED(T3)",
+                       "ALWAYS", "AT(T0,D0)", "AT(T99,D1)", "ARRIVE(?t,?d)"]
+        for fact in facts_asked:
+            for time in [0.0, 0.25, 1.5, 3.0, 7.75, 12.5, 29.9]:
+                code, got, _ = _run(
+                    capsys, "query", "--csv", str(out), "--fact", fact, "--time", repr(time)
+                )
+                assert code == 0
+                assert got == _oracle_query(out, fact, time), (fact, time)
+
+    def test_reordered_columns_and_comment_after_header(self, tmp_path, capsys):
+        path = tmp_path / "hand.csv"
+        path.write_text(
+            "# origin=0\n# mesh=1\n"
+            "value,cell,type,time,kind,token_id\n"
+            "# cells=3\n"
+            '0.5,1,"F(A,B)",0,mass,0\n'
+            "0.25,1,F(X),0,mass,1\n"
+            "\n"
+            "# a remark between rows\n"
+            "0.5,01,F(X),0,mass,2\n"
+            "0.9,1,F(X),0,density,3\n"
+            "-0,2,F(X),1,mass,1\n"
+            '0.125,2,"F(A,B)",1,mass,0\n'
+        )
+        for fact in ["F(X)", "F(A,B)", "F(?x)", "F(?x,?y)", "F(A,?y)", "G(X)"]:
+            for time in [0.0, 1.5, 2.0]:
+                code, got, _ = _run(
+                    capsys, "query", "--csv", str(path), "--fact", fact, "--time", repr(time)
+                )
+                assert code == 0
+                assert got == _oracle_query(path, fact, time), (fact, time)
+        code, got, _ = _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", "--time", "0")
+        assert float(got) == pytest.approx(1 - 0.75 * 0.5)
+
+    def test_rows_exclude_header_and_comment_lines(self, tmp_path):
+        path = tmp_path / "hand.csv"
+        path.write_text(
+            "# origin=0\ntoken_id,type,kind,cell,time,value\n# mesh=1\n"
+            "0,F(X),mass,1,0,0.5\n\n0,F(X),mass,2,1,0.25\n"
+        )
+        metadata, rows = _load_projection_csv(str(path))
+        assert metadata == {"origin": "0", "mesh": "1"}
+        assert len(rows) == 2
+        assert [row[-1] for row in rows] == ["0.5", "0.25"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "flag,value,word",
+        [
+            ("--delta", "0", "delta"),
+            ("--omega", "0", "omega"),
+            ("--epsilon", "-1", "epsilon"),
+            ("--delta", "nan", "delta"),
+            ("--origin", "inf", "origin"),
+        ],
+    )
+    def test_bad_grid_argument_is_usage_error(self, tmp_path, data_dir, capsys, flag, value, word):
+        argv = {"--delta": "1", "--omega": "10", "--epsilon": "1e-4"}
+        argv[flag] = value
+        code, _, err = _run(
+            capsys, "project",
+            "--theory", str(data_dir / "dock.rules"),
+            "--facts", str(data_dir / "dock.facts"),
+            *[item for pair in argv.items() for item in pair],
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert word in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def _query(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        return _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", "--time", "0")
+
+    def test_header_without_kind_is_parse_error(self, tmp_path, capsys):
+        code, _, err = self._query(
+            capsys, tmp_path,
+            "# origin=0\n# mesh=1\n# cells=2\n"
+            "token_id,type,cell,time,value\n0,F(X),1,0,0.5\n",
+        )
+        assert code == 2
+        assert err == "error: line 4, column 1: projection CSV header lacks the 'kind' column\n"
+
+    def test_missing_header_is_parse_error(self, tmp_path, capsys):
+        code, _, err = self._query(capsys, tmp_path, "# origin=0\n# mesh=1\n# cells=2\n")
+        assert code == 2
+        assert "no header" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "row,problem",
+        [
+            ("1,F(X)", "too few fields"),
+            ("1,F(X),mass,1,0,high", "could not convert string to float: 'high'"),
+            ("1,F(X),mass,one,0,0.5", "invalid literal for int() with base 10: 'one'"),
+        ],
+    )
+    def test_bad_row_is_parse_error_at_its_line(self, tmp_path, capsys, row, problem):
+        code, _, err = self._query(
+            capsys, tmp_path,
+            "# origin=0\n# mesh=1\n# cells=2\n"
+            f"token_id,type,kind,cell,time,value\n0,F(X),mass,1,0,0.5\n# note\n{row}\n",
+        )
+        assert code == 2
+        assert err == f"error: line 7, column 1: bad projection CSV row: {problem}\n"
 
 
 class TestAcquire:

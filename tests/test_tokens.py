@@ -1,6 +1,7 @@
 """Token store, basic-event densities, and the observed-facts file format."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -49,6 +50,24 @@ def _oracle_window_masses(grid: TimeGrid, est: float, lst: float, kappa: float):
         hi = min(grid.cell_end(k), lst)
         out.append(kappa * (_phi(z(hi)) - _phi(z(lo))) / total if hi > lo else 0.0)
     return out
+
+
+def _two_cdf_window_density(grid: TimeGrid, est: float, lst: float, kappa: float):
+    """The window density with both CDF ends evaluated anew for every cell,
+    in the same floating-point operation order as the library."""
+    values = np.zeros(grid.omega)
+    mu = 0.5 * (est + lst)
+    sigma = (lst - est) / 6.0
+    z = _phi((lst - mu) / sigma) - _phi((est - mu) / sigma)
+    first = max(1, grid.time_to_cell(est))
+    last = min(grid.omega, grid.time_to_cell(lst))
+    for i in range(first, last + 1):
+        lo = max(est, grid.cell_start(i))
+        hi = min(lst, grid.cell_end(i))
+        if hi > lo:
+            weight = (_phi((hi - mu) / sigma) - _phi((lo - mu) / sigma)) / z
+            values[i - 1] = kappa * weight / grid.delta
+    return values
 
 
 class TestTokenStore:
@@ -197,6 +216,43 @@ class TestWindowDensity:
             assert total == pytest.approx(kappa, rel=1e-9, abs=1e-12)
 
 
+class TestWindowDensityCdfOnce:
+    @given(
+        st.sampled_from([0.0, -3.7, 12.25]),
+        st.sampled_from([1.0, 0.1, 0.3, 2.5]),
+        st.integers(1, 60),
+        st.floats(-20.0, 80.0, allow_nan=False),
+        st.floats(1e-6, 40.0, allow_nan=False),
+        st.sampled_from([1.0, 0.37, 0.0, -0.0]),
+    )
+    def test_bitwise_equal_to_two_cdfs_per_cell(self, origin, delta, omega, est, width, kappa):
+        g = TimeGrid(origin, delta, omega)
+        lst = est + width
+        if est >= g.end or lst < g.origin:
+            return
+        got = add_basic_event(TokenStore(), ARRIVE_T14, est, lst, kappa, g).density.values
+        # tobytes also tells -0.0 from 0.0
+        assert got.tobytes() == _two_cdf_window_density(g, est, lst, kappa).tobytes()
+
+    def test_boundaries_on_cell_edges_match_bitwise(self):
+        g = TimeGrid(0.0, 0.1, 50)
+        windows = [(0.3, 0.7), (0.0, 5.0), (0.25, 0.30000000000000004), (1.0, 9.0)]
+        for (est, lst), kappa in itertools.product(windows, [1.0, -0.0]):
+            got = add_basic_event(TokenStore(), ARRIVE_T14, est, lst, kappa, g).density.values
+            assert got.tobytes() == _two_cdf_window_density(g, est, lst, kappa).tobytes()
+
+    def test_one_cdf_per_cell_boundary(self, monkeypatch):
+        import tempro.tokens as tokens
+
+        calls = []
+        cdf = tokens._norm_cdf
+        monkeypatch.setattr(tokens, "_norm_cdf", lambda x: calls.append(x) or cdf(x))
+        g = TimeGrid(0.0, 1.0, 30)
+        add_basic_event(TokenStore(), ARRIVE_T14, 2.5, 12.5, 1.0, g)
+        # two for the normaliser, then n + 1 boundaries for the n = 11 cells
+        assert len(calls) == 2 + 11 + 1
+
+
 class TestInitVectors:
     def test_roles(self):
         g = TimeGrid(0.0, 1.0, 10)
@@ -211,6 +267,14 @@ class TestInitVectors:
         assert np.all(onset.density.values == 0.0)
         assert np.all(fact.mass.values == 0.0)
         assert series_integral(user.density) == pytest.approx(1.0)
+
+    def test_reuses_user_density_on_same_grid(self):
+        g = TimeGrid(0.0, 1.0, 10)
+        store = TokenStore()
+        user = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, g)
+        built = user.density
+        init_vectors(store, TimeGrid(0.0, 1.0, 10))  # equal grid, another object
+        assert user.density is built
 
     def test_regrids_existing_vectors(self):
         g = TimeGrid(0.0, 1.0, 10)
