@@ -141,12 +141,11 @@ def cmd_project(args: argparse.Namespace) -> int:
     if not args.epsilon >= 0:  # also rejects nan
         raise _UsageError(f"epsilon must be >= 0, got {args.epsilon!r}")
     theory = parse_theory(_read(args.theory))
-    facts_text = _read(args.facts)
-    specs = parse_basic_facts(facts_text)
+    specs = parse_basic_facts(_read(args.facts))
     factor = _resolve_mesh(args.delta, args.mesh, [s.lst - s.est for s in specs])
     grid = coarse.refined(factor)
     store = TokenStore()
-    load_basic_facts(store, facts_text, grid)
+    load_basic_facts(store, specs, grid)
     project(theory, store, grid)
     refine(store, theory, grid, args.epsilon)
     metadata = {

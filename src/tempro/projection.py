@@ -16,6 +16,18 @@ chain by naming a derived fact in trigger position.  All numbers are filled
 in later by the refinement sweep; projection only decides *which* tokens
 exist.
 
+Antecedents are joined left to right, each under the binding the trigger and
+the antecedents before it made.  The candidates for an antecedent come from
+the store's argument index: of the lists of facts holding each of its bound
+argument values, the shortest.  Only an antecedent with no bound argument
+scans every fact of its type.  Every candidate is still checked with
+``unify`` and against the trigger's latest start.  An index list keeps the
+facts of its type that agree on one argument, in creation order, so the
+projector meets the same combinations in the same order as a scan of the
+whole type would, and every token id stays the same.  Each fixpoint round
+re-enumerates every instantiation; ``derivation_keys`` skips those already
+made.
+
 Termination and idempotence:
 
 * no token is created whose start would lie beyond the grid horizon;
@@ -52,7 +64,7 @@ def _antecedent_matches(
     if pattern.name == "ALWAYS" and not pattern.args:
         candidates: list[FactToken] = [store.ensure_always()]
     else:
-        candidates = store.facts_of_type(pattern.key)
+        candidates = store.fact_candidates(pattern)
     for fact in candidates:
         if fact.est > trigger_lst:  # not yet established when the trigger can fire
             continue

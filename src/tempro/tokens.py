@@ -28,6 +28,7 @@ from .theory import (
     Survivor,
     TokenCursor,
     TypeKey,
+    is_variable,
     parse_pattern,
 )
 
@@ -101,6 +102,10 @@ class TokenStore:
     one of the two partitions.  ``ancestry`` maps each token to the set of
     ground types its derivation passes through (including its own), which the
     projector uses to cut self-supporting derivation chains.
+
+    Fact ids are also indexed by ``(name, arity, argument position, value)``,
+    each list in creation order, so the projector can look up the facts that
+    agree with an antecedent's bound arguments without scanning its type.
     """
 
     def __init__(self) -> None:
@@ -109,6 +114,7 @@ class TokenStore:
         self._by_id: dict[int, Token] = {}
         self._events_by_key: dict[TypeKey, list[int]] = {}
         self._facts_by_key: dict[TypeKey, list[int]] = {}
+        self._facts_by_arg: dict[tuple[str, int, int, str], list[int]] = {}
         self.ancestry: dict[int, frozenset[GroundKey]] = {}
         self.derivation_keys: set[tuple] = set()
         self.always_tid: int | None = None
@@ -152,6 +158,9 @@ class TokenStore:
         self.facts.append(token)
         self._by_id[token.tid] = token
         self._facts_by_key.setdefault(fact_type.key, []).append(token.tid)
+        name, arity = fact_type.key
+        for position, value in enumerate(fact_type.args):
+            self._facts_by_arg.setdefault((name, arity, position, value), []).append(token.tid)
         self._record_ancestry(token.tid, fact_type, derivation)
         return token
 
@@ -183,6 +192,26 @@ class TokenStore:
 
     def facts_of_type(self, key: TypeKey) -> list[FactToken]:
         return [self._by_id[t] for t in self._facts_by_key.get(key, [])]  # type: ignore[misc]
+
+    def fact_candidates(self, pattern: Pattern) -> list[FactToken]:
+        """The facts that could unify with ``pattern``, in creation order.
+
+        This is the smallest index list among ``pattern``'s constant
+        arguments, or every fact of its type when no argument is constant.
+        Each such list is a subset of :meth:`facts_of_type` in the same
+        order that holds every fact agreeing with that argument, so filtering
+        it with ``unify`` gives the same facts in the same order as filtering
+        the whole type.
+        """
+        name, arity = pattern.key
+        bound = [
+            self._facts_by_arg.get((name, arity, position, value), [])
+            for position, value in enumerate(pattern.args)
+            if not is_variable(value)
+        ]
+        if not bound:
+            return self.facts_of_type(pattern.key)
+        return [self._by_id[t] for t in min(bound, key=len)]  # type: ignore[misc]
 
     def reset_sweep(self) -> None:
         """Forget closure state from a previous refinement sweep."""
@@ -323,10 +352,15 @@ def parse_basic_facts(text: str) -> list[BasicEventSpec]:
     return specs
 
 
-def load_basic_facts(store: TokenStore, text: str, grid: TimeGrid) -> list[EventToken]:
-    """Parse and add every basic event in ``text``; returns the new tokens."""
+def load_basic_facts(
+    store: TokenStore, facts: str | list[BasicEventSpec], grid: TimeGrid
+) -> list[EventToken]:
+    """Add every basic event in ``facts``, a basic-facts text or the list
+    :func:`parse_basic_facts` made of one; returns the new tokens.  A window
+    the grid cannot hold is a :class:`ParseError` at its file line."""
+    specs = parse_basic_facts(facts) if isinstance(facts, str) else facts
     out = []
-    for spec in parse_basic_facts(text):
+    for spec in specs:
         try:
             out.append(add_basic_event(store, spec.event_type, spec.est, spec.lst, spec.kappa, grid))
         except ValueError as exc:

@@ -458,6 +458,82 @@ class TestBadInput:
         assert code == 2
         assert err == f"error: line 7, column 1: bad projection CSV row: {problem}\n"
 
+    def test_window_outside_horizon_is_parse_error_at_its_line(self, tmp_path, data_dir, capsys):
+        facts = tmp_path / "facts.txt"
+        facts.write_text("event A(X) est 0 lst 1 kappa 1.0\nevent B(Y) est 90 lst 99 kappa 1.0\n")
+        code, _, err = _run(
+            capsys, "project",
+            "--theory", str(data_dir / "dock.rules"), "--facts", str(facts),
+            "--delta", "1", "--omega", "10", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error: line 2, column 1: window [90.0, 99.0] lies entirely")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    STATE = "class T(?x) exponential insts 0 sum 0.0 lambda inf\n"
+    STAY = "observe T(A) arrival 0 departure 5\n"
+
+    @pytest.mark.parametrize(
+        "state,observations,message",
+        [
+            (STATE, "observe T(A) arrival 10 departure 5\n",
+             "line 1, column 35: invalid stay [10.0, 5.0]"),
+            (STATE, "observe T(A) arrival 0 departure inf\n",
+             "line 1, column 34: invalid stay [0.0, inf]"),
+            (STATE, "observe T(A) arrival nan departure 5\n",
+             "line 1, column 22: expected an arrival time, got 'nan'"),
+            ("class T(?x) exponential insts -3 sum 0.0 lambda inf\n", STAY,
+             "line 1, column 31: insts must be a non-negative integer, got -3.0"),
+            ("class T(?x) exponential insts 0 sum nan lambda inf\n", STAY,
+             "line 1, column 37: expected a duration sum, got 'nan'"),
+        ],
+    )
+    def test_bad_acquire_input_is_parse_error(
+        self, tmp_path, capsys, state, observations, message
+    ):
+        state_path, obs_path = tmp_path / "s.state", tmp_path / "o.txt"
+        state_path.write_text(state)
+        obs_path.write_text(observations)
+        code, out, err = _run(
+            capsys, "acquire", "--state", str(state_path), "--observations", str(obs_path),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert state_path.read_text() == state
+
+    @pytest.mark.parametrize(
+        "arrivals,lifetime,message",
+        [
+            ("poisson 0", "exp 0.2", "line 1, column 54: arrival rate must be finite and > 0, got 0.0"),
+            ("poisson 1", "exp -1", "line 1, column 33: rate must be finite and > 0, got -1.0"),
+        ],
+    )
+    def test_bad_scenario_is_parse_error(self, tmp_path, capsys, arrivals, lifetime, message):
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text(
+            f"scenario seed 5 class T(?x) {lifetime} arrivals {arrivals} count 20 horizon 100\n"
+        )
+        outdir = tmp_path / "sim"
+        code, out, err = _run(
+            capsys, "simulate", "--scenario", str(scenario), "--outdir", str(outdir),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not outdir.exists()
+
+    def test_simulate_outdir_naming_a_file_is_io_error(self, tmp_path, capsys):
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text(
+            "scenario seed 5 class T(?x) exp 0.2 arrivals poisson 1 count 20 horizon 1000\n"
+        )
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = _run(
+            capsys, "simulate", "--scenario", str(scenario), "--outdir", str(taken),
+        )
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert taken.read_text() == ""
+
 
 class TestAcquire:
     def test_updates_state_in_place(self, tmp_path, capsys):

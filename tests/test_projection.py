@@ -2,12 +2,19 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
+import tempro.projection
 from tempro import (
+    CausalTheory,
     Exponential,
     Pattern,
+    PersistenceRule,
+    ProjectionRule,
     RuleDerived,
     TimeGrid,
     TokenStore,
@@ -16,6 +23,7 @@ from tempro import (
     parse_theory,
     project,
 )
+from tempro.theory import unify
 
 
 def _store_with(grid, *events):
@@ -257,3 +265,221 @@ class TestChainingAndTermination:
         project(theory, store, grid)
         for e in store.events:
             assert math.isfinite(e.est) and math.isfinite(e.lst)
+
+
+def _oracle_matches(store, patterns, index, binding, trigger_lst, chosen):
+    """The nested-loop antecedent join: every fact of the type is a candidate."""
+    if index == len(patterns):
+        yield tuple(chosen), binding
+        return
+    pattern = patterns[index].substitute(binding)
+    if pattern.name == "ALWAYS" and not pattern.args:
+        candidates = [store.ensure_always()]
+    else:
+        candidates = store.facts_of_type(pattern.key)
+    for fact in candidates:
+        if fact.est > trigger_lst:
+            continue
+        extended = unify(pattern, fact.fact_type, binding)
+        if extended is None:
+            continue
+        chosen.append(fact.tid)
+        yield from _oracle_matches(store, patterns, index + 1, extended, trigger_lst, chosen)
+        chosen.pop()
+
+
+def _oracle_project(theory, store, grid):
+    """Reference projector: fixpoint rounds over a nested-loop join."""
+    if any(
+        p.name == "ALWAYS" and not p.args
+        for rule in theory.projection_rules
+        for p in rule.antecedents
+    ):
+        store.ensure_always()
+    created = True
+    while created:
+        created = False
+        for rule_index, rule in enumerate(theory.projection_rules):
+            for trigger in list(store.events_of_type(rule.trigger.key)):
+                if grid.time_to_cell(trigger.est) > grid.omega:
+                    continue
+                binding = unify(rule.trigger, trigger.event_type)
+                if binding is None:
+                    continue
+                matches = list(
+                    _oracle_matches(store, rule.antecedents, 0, binding, trigger.lst, [])
+                )
+                for antecedent_ids, full_binding in matches:
+                    key = (rule_index, trigger.tid, antecedent_ids)
+                    if key in store.derivation_keys:
+                        continue
+                    store.derivation_keys.add(key)
+                    consequent = rule.consequent.substitute(full_binding)
+                    ancestry = store.ancestry[trigger.tid].union(
+                        *(store.ancestry[a] for a in antecedent_ids)
+                    )
+                    if consequent.ground_key in ancestry:
+                        continue
+                    derivation = RuleDerived(rule_index, trigger.tid, antecedent_ids)
+                    onset = store.add_event(
+                        consequent, est=trigger.est, lst=trigger.lst,
+                        kappa=rule.kappa, derivation=derivation,
+                    )
+                    store.add_fact(
+                        consequent, initiating_event=onset.tid,
+                        persistence=theory.persistence_for(consequent),
+                        est=trigger.est, derivation=derivation,
+                    )
+                    created = True
+    return store
+
+
+# One name with two arities: type keys, not names, must keep facts apart, and
+# rules deriving A/1 from A/2 and back are mutually recursive.
+_TYPES = [("A", 1), ("A", 2)]
+_CONSTANTS = ["X", "Y"]
+_VARIABLES = ["?x", "?y", "?z"]
+
+
+@st.composite
+def _patterns(draw, terms):
+    name, arity = draw(st.sampled_from(_TYPES))
+    return Pattern(name, tuple(draw(st.sampled_from(terms)) for _ in range(arity)))
+
+
+@st.composite
+def _rules(draw):
+    """A rule with 0-3 antecedents (ALWAYS among them at times), constants and
+    repeated variables; the consequent uses only variables bound before it."""
+    antecedents = tuple(
+        draw(st.one_of(st.just(Pattern("ALWAYS")), _patterns(_VARIABLES + _CONSTANTS)))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    trigger = draw(_patterns(_VARIABLES + _CONSTANTS))
+    bound = sorted(trigger.variables().union(*(p.variables() for p in antecedents)))
+    consequent = draw(_patterns(bound + _CONSTANTS))
+    return ProjectionRule(antecedents, trigger, consequent, 0.5)
+
+
+@st.composite
+def _windows(draw):
+    """A ground type and window; some start past the 20-cell horizon, and
+    some facts start after the window of a trigger that needs them."""
+    ground = draw(_patterns(_CONSTANTS))
+    est = draw(st.integers(0, 24))
+    return ground, float(est), float(est + draw(st.integers(0, 6)))
+
+
+def _token_rows(store):
+    """``(tid, kind, type, est, lst, kappa, derivation)`` in tid order; a fact
+    carries its initiating event and survivor in the ``lst`` and ``kappa``
+    places."""
+    rows = [(e.tid, "event", str(e.event_type), e.est, e.lst, e.kappa, e.derivation)
+            for e in store.events]
+    rows += [(f.tid, "fact", str(f.fact_type), f.est, f.initiating_event, f.persistence,
+              f.derivation) for f in store.facts]
+    return sorted(rows, key=lambda row: row[0])
+
+
+class _TooLarge(Exception):
+    pass
+
+
+class _BoundedStore(TokenStore):
+    """A store that refuses to grow past ``LIMIT`` tokens.  Some random
+    theories derive combinatorially many tokens before the ancestry guard
+    stops them; such an example is rejected rather than projected."""
+
+    LIMIT = 200
+
+    def add_event(self, *args, **kwargs):
+        if len(self) >= self.LIMIT:
+            raise _TooLarge
+        return super().add_event(*args, **kwargs)
+
+
+def _projected_by_both(theory, events, facts):
+    """Stores holding ``events`` and ``facts`` (each fact with its own
+    initiating event), projected by ``project`` and by the oracle."""
+    grid = TimeGrid(0.0, 1.0, 20)
+    stores = [_BoundedStore(), _BoundedStore()]
+    for store in stores:
+        for event_type, est, lst in events:
+            store.add_event(event_type, est, lst, 1.0, UserSupplied())
+        for fact_type, est, lst in facts:
+            onset = store.add_event(fact_type, est, lst, 1.0, UserSupplied())
+            store.add_fact(fact_type, onset.tid, Exponential(0.1), est, UserSupplied())
+    try:
+        project(theory, stores[0], grid)
+    except _TooLarge:
+        reject()
+    _oracle_project(theory, stores[1], grid)
+    return stores
+
+
+class TestIndexedJoinMatchesNestedLoop:
+    PERSIST = [PersistenceRule(Pattern("A", ("?p",)), Exponential(0.1)),
+               PersistenceRule(Pattern("A", ("?p", "?q")), Exponential(0.1))]
+
+    @given(
+        st.lists(_rules(), min_size=1, max_size=3),
+        st.lists(_windows(), max_size=5),
+        st.lists(_windows(), max_size=8),
+    )
+    def test_same_tokens_in_same_order(self, rules, events, facts):
+        indexed, oracle = _projected_by_both(CausalTheory(rules, self.PERSIST), events, facts)
+        assert _token_rows(indexed) == _token_rows(oracle)
+        assert indexed.derivation_keys == oracle.derivation_keys
+
+    def test_bound_antecedent_with_several_facts_keeps_their_order(self):
+        # Two A(X,?) facts agree on the bound first argument; the join must
+        # meet them, and so create the consequents, in creation order.
+        rules = [ProjectionRule((Pattern("A", ("?x", "?y")),), Pattern("A", ("?x",)),
+                                Pattern("A", ("?y",)), 0.5)]
+        windows = [(Pattern("A", ("X", "Y")), 0.0, 1.0), (Pattern("A", ("Y", "X")), 0.0, 1.0),
+                   (Pattern("A", ("X", "Z")), 0.0, 1.0)]
+        indexed, oracle = _projected_by_both(
+            CausalTheory(rules, self.PERSIST), [(Pattern("A", ("X",)), 2.0, 3.0)], windows
+        )
+        derived = [str(f.fact_type) for f in indexed.facts if isinstance(f.derivation, RuleDerived)]
+        assert derived == ["A(Y)", "A(Z)"]
+        assert _token_rows(indexed) == _token_rows(oracle)
+
+
+JOIN_THEORY = """\
+persist ATDOCK(?t) exp 0.0034195529591700387
+persist LOADED(?t) lin 0.004
+project ALWAYS, ARRIVE(?t) => ATDOCK(?t) @ 1.0
+project ATDOCK(?t), LOAD(?t) => LOADED(?t) @ 0.9
+"""
+
+
+def _join_unify_calls(monkeypatch, count):
+    """``unify`` calls made projecting ``count`` dock arrivals and loads."""
+    rng = random.Random(count)
+    grid = TimeGrid(0.0, 20.0, 50)
+    store = TokenStore()
+    for k in range(count):
+        a = rng.uniform(0.0, 800.0)
+        b = a + rng.uniform(5.0, 30.0)
+        add_basic_event(store, Pattern("ARRIVE", (f"T{k}",)), a, a + 40.0, 1.0, grid)
+        add_basic_event(store, Pattern("LOAD", (f"T{k}",)), b, b + 40.0, 0.8, grid)
+    calls = 0
+
+    def counting_unify(*args):
+        nonlocal calls
+        calls += 1
+        return unify(*args)
+
+    monkeypatch.setattr(tempro.projection, "unify", counting_unify)
+    project(parse_theory(JOIN_THEORY), store, grid)
+    assert len(store.facts_of_type(("LOADED", 1))) == count
+    return calls
+
+
+def test_join_work_grows_linearly_with_entities(monkeypatch):
+    # Each LOAD(Tk) can only join ATDOCK(Tk); a scan of every ATDOCK fact
+    # would make the count grow about fourfold when the entities double.
+    small = _join_unify_calls(monkeypatch, 100)
+    large = _join_unify_calls(monkeypatch, 200)
+    assert large <= 2.2 * small
