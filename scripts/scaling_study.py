@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Measure how refinement wall time grows with the number of live facts.
 
-Builds a one-rule theory, seeds it with N independent arrival events (so the
-sweep carries N facts plus their onset events), times ``refine`` for each N,
-and fits a log-log slope.  The sweep visits every live token once per cell,
-so the slope should sit close to 1.
+Builds a one-rule theory, seeds it with N independent arrival events (so
+refinement carries N facts plus their onset events), times ``refine`` for
+each N, and fits a log-log slope.  Refinement computes each token's curve
+once, so the slope should sit close to 1.
 """
 from __future__ import annotations
 

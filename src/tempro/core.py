@@ -102,9 +102,12 @@ class StepSeries:
             raise GridError(
                 f"series length {self.values.shape} does not match omega={self.grid.omega}"
             )
-        if not np.all(np.isfinite(self.values)):
+        # min and max propagate NaN, so these two reductions check both rules.
+        lo = float(self.values.min())
+        hi = float(self.values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("series values must be finite")
-        if np.any(self.values < 0):
+        if lo < 0:
             raise ValueError("series values must be non-negative")
 
     @classmethod

@@ -1,36 +1,34 @@
-"""Probability refinement: the per-cell sweep that fills in every curve.
+"""Probability refinement: fill in every token's curve, one token at a time.
 
-After projection has decided which tokens exist, refinement walks the grid
-cell by cell and computes, for cell ``i``:
+After projection has decided which tokens exist, refinement computes each
+token's whole curve in one step, in token-id order.  A rule-derived token
+refers only to tokens with smaller ids (its trigger, its antecedents, a fact's
+initiating event), so every curve a token reads is complete before the token
+is computed:
 
-* the density of each derived onset event,
-  ``density[i] = kappa * density[i](trigger) * prod_j mass[i](antecedent_j)``
-  (independence of the enabling conditions), and
-* the mass of each fact token from its initiating event's density and its
-  persistence survivor.
+* a derived onset event's density over its window cells ``[first, last]`` is
+  ``kappa * density(trigger) * prod_j mass(antecedent_j)``, taken cell by
+  cell (independence of the enabling conditions), and zero elsewhere;
+* an exponentially persisting fact's mass obeys the exact recurrence
+  ``mass[i] = exp(-r*delta) * mass[i-1] + density[i] * delta * c`` where
+  ``c = (1 - exp(-r*delta)) / (r*delta)`` accounts for decay between an
+  occurrence inside cell ``i`` and the cell's end (``c = 1`` when ``r = 0``);
+* a linearly persisting fact's mass is the direct convolution sum of its
+  initiating density with the survivor, which has no such recurrence.
 
-For an exponential survivor with rate ``r`` the mass obeys the exact
-recurrence ``mass[i] = exp(-r*delta) * mass[i-1] + density[i] * delta * c``
-where ``c = (1 - exp(-r*delta)) / (r*delta)`` accounts for decay between an
-occurrence inside cell ``i`` and the cell's end (``c = 1`` when ``r = 0``).
-Linear survivors have no such recurrence and are evaluated by the direct
-convolution sum instead.
-
-Within one cell, antecedent masses must be computed before the densities
-that consume them; the sweep recurses through each token's derivation to
-enforce that, or (``order="topological"``) sorts the cell's open tokens
-up front.  Both orders perform identical arithmetic per token.  When the
-fact types open at a cell form a cycle in the theory's dependency relation,
-no such order exists and :class:`CyclicOpenTokens` is raised.
-
-A fact token *closes* at the first cell where its mass falls below
-``epsilon`` after having reached ``epsilon``; from then on its mass is
-pinned to zero and downstream products see 0.  ``epsilon=0`` disables
+A fact's mass is clipped to 1.  The fact *closes* at the first cell where its
+mass falls below ``epsilon`` after having reached ``epsilon``; from then on
+its mass is zero and downstream products see 0.  ``epsilon=0`` disables
 closure.
+
+A fact is open from its first cell through its close cell.  The theory's
+dependency relation must have no cycle among the fact types open at one
+cell; the check runs at each cell where a fact opens, and a cycle raises
+:class:`CyclicOpenTokens` naming that cell and the cycle.
 """
 from __future__ import annotations
 
-import heapq
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -38,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StepSeries, TimeGrid
-from .theory import CausalTheory, Exponential, Linear, Survivor, TypeKey, dependency_graph
-from .tokens import FactToken, RuleDerived, TokenStore, init_vectors
+from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
+from .tokens import EventToken, FactToken, RuleDerived, TokenStore, user_density
 
 logger = logging.getLogger(__name__)
 
@@ -109,7 +107,7 @@ def convolve_direct(f: StepSeries, survivor: Survivor) -> StepSeries:
     exponential survivors the exact per-cell kernel of the incremental
     recurrence, for linear survivors the midpoint weight
     ``max(0, 1 - slope*(k-j)*delta)``.  Serves as the independent reference
-    for the sweep's fast path.
+    for the recurrence in :func:`refine`.
     """
     grid = f.grid
     if isinstance(survivor, Exponential):
@@ -155,8 +153,8 @@ def clip(f: StepSeries, rate: float, g: StepSeries) -> StepSeries:
 def density_update(store: TokenStore, token, i: int) -> float:
     """One cell of the derived-event density product; returns the new value.
 
-    Reference implementation over token curves; the sweep inlines the same
-    arithmetic.  Callers must have updated the trigger and antecedents at
+    Reference for one cell of what :func:`refine` computes over the event's
+    whole window.  Callers must have updated the trigger and antecedents at
     cell ``i`` already.
     """
     derivation = token.derivation
@@ -173,8 +171,8 @@ def density_update(store: TokenStore, token, i: int) -> float:
 def mass_update_exp(store: TokenStore, token: FactToken, i: int) -> float:
     """One cell of the exponential-survivor mass recurrence; returns the value.
 
-    Reference implementation over token curves; the sweep inlines the same
-    arithmetic (without the clamp bookkeeping).
+    Reference for one cell of what :func:`refine` computes over the fact's
+    whole live span (without the clamp bookkeeping).
     """
     survivor = token.persistence
     if not isinstance(survivor, Exponential):
@@ -191,251 +189,165 @@ def mass_update_exp(store: TokenStore, token: FactToken, i: int) -> float:
     return value
 
 
+def _exponential_span(
+    density: np.ndarray, rate: float, delta: float, epsilon: float
+) -> tuple[list[float], int, bool]:
+    """Clamped recurrence masses from a fact's first cell through its close
+    cell (or the last cell), the number of clamped cells, and whether the
+    last value closed the fact."""
+    decay = 0.0 if math.isinf(rate) else math.exp(-rate * delta)
+    coef = delta * within_cell_factor(rate, delta)
+    out: list[float] = []
+    prev = 0.0
+    clamped = 0
+    supported = False
+    for d in density.tolist():
+        value = decay * prev + d * coef
+        if value > 1.0:
+            value = 1.0
+            clamped += 1
+        out.append(value)
+        # Masses are never negative, so epsilon = 0 never closes.
+        if value >= epsilon:
+            supported = True
+        elif supported:
+            return out, clamped, True
+        prev = value
+    return out, clamped, False
+
+
+def _linear_span(
+    density: np.ndarray, slope: float, delta: float, epsilon: float
+) -> tuple[np.ndarray, int, bool]:
+    """Clamped convolution masses from a fact's first cell through its close
+    cell (or the last cell), the number of clamped cells, and whether the
+    last value closed the fact.
+
+    Lags are added in descending order starting from 0.0, which for every
+    cell is the order of ascending source cells.
+    """
+    n = len(density)
+    scaled = density * delta
+    if slope <= 0.0:
+        cutoff = n  # never expires within the grid
+    elif math.isinf(slope):
+        cutoff = 0
+    else:
+        cutoff = int(math.floor(1.0 / (slope * delta))) + 1
+    out = np.zeros(n)
+    for lag in range(min(cutoff, n - 1), -1, -1):
+        weight = 1.0 - slope * lag * delta
+        if weight > 0.0:
+            out[lag:] += scaled[: n - lag] * weight
+    over = out > 1.0
+    out[over] = 1.0
+    reached = out >= epsilon  # all true for epsilon = 0: no closure
+    closed = False
+    if reached.any():
+        start = int(reached.argmax())
+        below = ~reached[start:]
+        closed = bool(below.any())
+        if closed:
+            out = out[: start + int(below.argmax()) + 1]
+    return out, int(np.count_nonzero(over[: len(out)])), closed
+
+
+def _check_open_types(theory: CausalTheory, opened: list[tuple[int, int | None, TypeKey]]) -> None:
+    """Raise :class:`CyclicOpenTokens` at the first cell where a fact opens
+    and the open fact types form a dependency cycle.
+
+    ``opened`` holds ``(first cell, close cell, type)`` per fact in tid
+    order.  A fact closing at cell ``c`` is still open at ``c``.  Closures
+    only shrink the open set, so only a cell where a type joins it can fail.
+    """
+    graph = dependency_graph(theory)
+    closes = sorted((close, key) for _, close, key in opened if close is not None)
+    counts: dict[TypeKey, int] = {}
+    done = 0
+    for cell, group in itertools.groupby(sorted(opened, key=lambda o: o[0]), key=lambda o: o[0]):
+        while done < len(closes) and closes[done][0] < cell:
+            counts[closes[done][1]] -= 1
+            done += 1
+        grew = False
+        for _, _, key in group:
+            grew = grew or counts.get(key, 0) == 0
+            counts[key] = counts.get(key, 0) + 1
+        if grew:
+            cycle = graph.find_cycle(within={key for key, n in counts.items() if n > 0})
+            if cycle is not None:
+                raise CyclicOpenTokens(cell, cycle)
+
+
 def refine(
     store: TokenStore,
     theory: CausalTheory,
     grid: TimeGrid,
     epsilon: float = 1e-4,
-    *,
-    order: str = "recursive",
-    trace: bool = False,
 ) -> TokenStore:
-    """Run the full sweep over all cells, filling every token's curve.
+    """Fill every token's curve on ``grid``, one token at a time in tid order.
 
-    The store must already be projected.  Curves are (re)initialized on
-    ``grid``, so refining twice is idempotent.  ``order`` selects how the
-    within-cell dependencies are satisfied: ``"recursive"`` descends through
-    each token's derivation on demand, ``"topological"`` pre-sorts the open
-    tokens; both produce bit-identical curves on acyclic instances.
+    The store must already be projected.  User event densities are kept when
+    already on ``grid``; every other curve is recomputed, so refining twice
+    is idempotent.  Each fact's first cell, close cell, peak mass and clamps
+    are logged at DEBUG level.  :class:`CyclicOpenTokens` is raised after
+    every curve and the stats are in place.
     """
-    if order not in ("recursive", "topological"):
-        raise ValueError(f"unknown update order {order!r}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    store.reset_sweep()
-    init_vectors(store, grid)
     omega = grid.omega
     delta = grid.delta
-    stats = SweepStats()
-    graph = dependency_graph(theory)
-
-    total = len(store.events) + len(store.facts)
-    dens: list[list[float] | None] = [None] * total
-    mass: list[list[float] | None] = [None] * total
-    # Event metadata: None for user tokens (prefilled); else
-    # (first_cell, last_cell, kappa, trigger_tid, antecedent_tids).
-    emeta: list[tuple | None] = [None] * total
-    # Fact metadata: None for the built-in token; else
-    # (first_cell, init_tid, exponential?, decay, coef, slope, cutoff, type_key).
-    fmeta: list[tuple | None] = [None] * total
-    stamp = [0] * total
-    in_progress = [False] * total
-    had_support = [False] * total
-    closed = [False] * total
-    close_cell: list[int | None] = [None] * total
-
-    event_ids = []
-    for event in store.events:
-        tid = event.tid
-        dens[tid] = event.density.values.tolist()
-        event_ids.append(tid)
-        if isinstance(event.derivation, RuleDerived):
-            first = max(1, grid.time_to_cell(event.est))
-            last = min(omega, grid.time_to_cell(event.lst))
-            emeta[tid] = (
-                first,
-                last,
-                event.kappa,
-                event.derivation.trigger,
-                event.derivation.antecedents,
-            )
-
-    fact_ids = []
-    opens_at: dict[int, list[int]] = {}
-    for fact in store.facts:
-        tid = fact.tid
-        mass[tid] = fact.mass.values.tolist()
-        fact_ids.append(tid)
-        if fact.is_builtin:
+    debug = logger.isEnabledFor(logging.DEBUG)
+    stats = SweepStats(cells=omega)
+    opened: list[tuple[int, int | None, TypeKey]] = []
+    curves: list[np.ndarray] = []  # indexed by tid
+    for tid in range(len(store)):
+        token = store.token(tid)
+        if isinstance(token, EventToken):
+            if token.is_user:
+                curves.append(user_density(token, grid).values)
+                continue
+            derivation = token.derivation
+            values = np.zeros(omega)
+            first = max(1, grid.time_to_cell(token.est))
+            last = min(omega, grid.time_to_cell(token.lst))
+            if first <= last:
+                span = token.kappa * curves[derivation.trigger][first - 1 : last]
+                for ant in derivation.antecedents:
+                    span *= curves[ant][first - 1 : last]
+                values[first - 1 : last] = span
+            token.density = StepSeries(grid, values)
+            curves.append(values)
             continue
-        first = max(1, grid.time_to_cell(fact.est))
-        survivor = fact.persistence
-        if isinstance(survivor, Exponential):
-            rate = survivor.rate
-            decay = 0.0 if math.isinf(rate) else math.exp(-rate * delta)
-            coef = delta * within_cell_factor(rate, delta)
-            fmeta[tid] = (first, fact.initiating_event, True, decay, coef, 0.0, 0, fact.fact_type.key)
-        else:
-            slope = survivor.slope
-            if slope <= 0.0:
-                cutoff = omega  # never expires within the grid
-            elif math.isinf(slope):
-                cutoff = 0
-            else:
-                cutoff = min(omega, int(math.floor(1.0 / (slope * delta))) + 1)
-            fmeta[tid] = (first, fact.initiating_event, False, 0.0, 0.0, slope, cutoff, fact.fact_type.key)
+        token.closed = False
+        token.close_cell = None
+        if token.is_builtin:
+            token.mass = StepSeries.ones(grid)
+            curves.append(token.mass.values)
+            continue
+        values = np.zeros(omega)
+        first = max(1, grid.time_to_cell(token.est))
         if first <= omega:
-            opens_at.setdefault(first, []).append(tid)
-
-    open_counts: dict[TypeKey, int] = {}
-    open_set_changed = False
-
-    def check_open_types(cell: int) -> None:
-        open_keys = {key for key, count in open_counts.items() if count > 0}
-        cycle = graph.find_cycle(within=open_keys)
-        if cycle is not None:
-            raise CyclicOpenTokens(cell, cycle)
-
-    def update_event(tid: int, i: int, meta: tuple) -> None:
-        first, last, kappa, trig, ants = meta
-        if i < first or i > last:
-            return
-        value = kappa * dens[trig][i - 1]
-        for ant in ants:
-            value *= mass[ant][i - 1]
-        dens[tid][i - 1] = value
-        if trace:
-            logger.debug("cell %d: density[%d] = %.12g", i, tid, value)
-
-    def update_fact(tid: int, i: int, meta: tuple) -> None:
-        nonlocal open_set_changed
-        first, init_tid, is_exp, decay, coef, slope, cutoff, key = meta
-        if closed[tid] or i < first:
-            return
-        arr = mass[tid]
-        if is_exp:
-            prev = arr[i - 2] if i >= 2 else 0.0
-            value = decay * prev + dens[init_tid][i - 1] * coef
-        else:
-            src = dens[init_tid]
-            lo = max(first, i - cutoff)
-            value = 0.0
-            for j in range(lo, i + 1):
-                weight = 1.0 - slope * (i - j) * delta
-                if weight > 0.0:
-                    value += src[j - 1] * delta * weight
-        if value > 1.0:
-            value = 1.0
-            stats.clamped += 1
-        arr[i - 1] = value
-        if trace:
-            logger.debug("cell %d: mass[%d] = %.12g", i, tid, value)
-        if epsilon > 0.0:
-            if value >= epsilon:
-                had_support[tid] = True
-            elif had_support[tid]:
-                closed[tid] = True
-                close_cell[tid] = i
-                stats.closures += 1
-                open_counts[key] -= 1
-                open_set_changed = True
-                if trace:
-                    logger.debug("cell %d: token %d closed", i, tid)
-
-    def ensure_event(tid: int, i: int) -> None:
-        if stamp[tid] == i:
-            return
-        stamp[tid] = i
-        meta = emeta[tid]
-        if meta is None:
-            return  # user-supplied density is prefilled
-        if in_progress[tid]:
-            raise CyclicOpenTokens(i, [store.token(tid).event_type.key])
-        in_progress[tid] = True
-        ensure_event(meta[3], i)
-        for ant in meta[4]:
-            ensure_fact(ant, i)
-        in_progress[tid] = False
-        update_event(tid, i, meta)
-
-    def ensure_fact(tid: int, i: int) -> None:
-        if stamp[tid] == i:
-            return
-        stamp[tid] = i
-        meta = fmeta[tid]
-        if meta is None:
-            return  # built-in ALWAYS mass is prefilled
-        if in_progress[tid]:
-            raise CyclicOpenTokens(i, [store.token(tid).fact_type.key])
-        in_progress[tid] = True
-        ensure_event(meta[1], i)
-        in_progress[tid] = False
-        update_fact(tid, i, meta)
-
-    def topological_cell(i: int) -> None:
-        """Update the cell's open tokens in a dependency-sorted order."""
-        nodes: list[int] = []
-        for tid in event_ids:
-            meta = emeta[tid]
-            if meta is not None and meta[0] <= i <= meta[1]:
-                nodes.append(tid)
-        for tid in fact_ids:
-            meta = fmeta[tid]
-            if meta is not None and meta[0] <= i and not closed[tid]:
-                nodes.append(tid)
-        node_set = set(nodes)
-        deps: dict[int, list[int]] = {}
-        indegree = {tid: 0 for tid in nodes}
-        for tid in nodes:
-            meta = emeta[tid]
-            wanted = [meta[3], *meta[4]] if meta is not None else [fmeta[tid][1]]
-            for dep in wanted:
-                if dep in node_set:
-                    deps.setdefault(dep, []).append(tid)
-                    indegree[tid] += 1
-        ready = [tid for tid in nodes if indegree[tid] == 0]
-        heapq.heapify(ready)
-        done = 0
-        while ready:
-            tid = heapq.heappop(ready)
-            done += 1
-            stamp[tid] = i
-            meta = emeta[tid]
-            if meta is not None:
-                update_event(tid, i, meta)
+            density = curves[token.initiating_event][first - 1 :]
+            survivor = token.persistence
+            if isinstance(survivor, Exponential):
+                span, clamped, closed = _exponential_span(density, survivor.rate, delta, epsilon)
             else:
-                update_fact(tid, i, fmeta[tid])
-            for succ in deps.get(tid, ()):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    heapq.heappush(ready, succ)
-        if done != len(nodes):
-            keys = []
-            for tid in nodes:
-                if stamp[tid] != i:
-                    token = store.token(tid)
-                    keys.append(
-                        token.event_type.key
-                        if emeta[tid] is not None
-                        else token.fact_type.key
-                    )
-            raise CyclicOpenTokens(i, keys)
-
-    recursive = order == "recursive"
-    for i in range(1, omega + 1):
-        stats.cells += 1
-        for tid in opens_at.get(i, ()):
-            key = fmeta[tid][7]
-            open_counts[key] = open_counts.get(key, 0) + 1
-            open_set_changed = True
-        if open_set_changed:
-            open_set_changed = False
-            check_open_types(i)
-        if recursive:
-            for tid in event_ids:
-                ensure_event(tid, i)
-            for tid in fact_ids:
-                ensure_fact(tid, i)
-        else:
-            topological_cell(i)
-
-    for event in store.events:
-        if not event.is_user:
-            event.density = StepSeries(grid, np.asarray(dens[event.tid]))
-    for fact in store.facts:
-        if not fact.is_builtin:
-            fact.mass = StepSeries(grid, np.asarray(mass[fact.tid]))
-        fact.closed = closed[fact.tid]
-        fact.close_cell = close_cell[fact.tid]
+                span, clamped, closed = _linear_span(density, survivor.slope, delta, epsilon)
+            end = first - 1 + len(span)
+            values[first - 1 : end] = span
+            stats.clamped += clamped
+            if closed:
+                token.closed = True
+                token.close_cell = end
+                stats.closures += 1
+            opened.append((first, token.close_cell, token.fact_type.key))
+            if debug:
+                logger.debug(
+                    "fact %d %s: first cell %d, close cell %s, peak mass %.12g, clamps %d",
+                    tid, token.fact_type, first, token.close_cell, values.max(), clamped,
+                )
+        token.mass = StepSeries(grid, values)
+        curves.append(values)
     store.sweep_stats = stats
+    _check_open_types(theory, opened)
     return store

@@ -137,6 +137,7 @@ class TokenStore:
     ) -> EventToken:
         if not event_type.is_ground:
             raise ValueError(f"event token type must be ground, got {event_type}")
+        self._check_derivation(derivation)
         token = EventToken(len(self._by_id), event_type, est, lst, kappa, derivation, density)
         self.events.append(token)
         self._by_id[token.tid] = token
@@ -154,6 +155,9 @@ class TokenStore:
     ) -> FactToken:
         if not fact_type.is_ground:
             raise ValueError(f"fact token type must be ground, got {fact_type}")
+        if not (isinstance(derivation, BuiltIn) or self._is_event(initiating_event)):
+            raise ValueError(f"initiating event {initiating_event} names no event token")
+        self._check_derivation(derivation)
         token = FactToken(len(self._by_id), fact_type, initiating_event, persistence, est, derivation)
         self.facts.append(token)
         self._by_id[token.tid] = token
@@ -163,6 +167,20 @@ class TokenStore:
             self._facts_by_arg.setdefault((name, arity, position, value), []).append(token.tid)
         self._record_ancestry(token.tid, fact_type, derivation)
         return token
+
+    def _is_event(self, tid: int) -> bool:
+        return isinstance(self._by_id.get(tid), EventToken)
+
+    def _check_derivation(self, derivation: Derivation) -> None:
+        """A rule derivation may name only existing tokens of the right kind,
+        which therefore have smaller ids than the token being added."""
+        if not isinstance(derivation, RuleDerived):
+            return
+        if not self._is_event(derivation.trigger):
+            raise ValueError(f"trigger {derivation.trigger} names no event token")
+        for ant in derivation.antecedents:
+            if not isinstance(self._by_id.get(ant), FactToken):
+                raise ValueError(f"antecedent {ant} names no fact token")
 
     def _record_ancestry(self, tid: int, ground: Pattern, derivation: Derivation) -> None:
         own = {ground.ground_key}
@@ -212,12 +230,6 @@ class TokenStore:
         if not bound:
             return self.facts_of_type(pattern.key)
         return [self._by_id[t] for t in min(bound, key=len)]  # type: ignore[misc]
-
-    def reset_sweep(self) -> None:
-        """Forget closure state from a previous refinement sweep."""
-        for fact in self.facts:
-            fact.closed = False
-            fact.close_cell = None
 
 
 def _norm_cdf(x: float) -> float:
@@ -284,18 +296,24 @@ def add_basic_event(
     return store.add_event(event_type, est, lst, kappa, UserSupplied(), density)
 
 
+def user_density(event: EventToken, grid: TimeGrid) -> StepSeries:
+    """The window density of user event ``event`` on ``grid``: kept when
+    already on ``grid`` (as :func:`add_basic_event` builds it) and recomputed
+    from the window otherwise."""
+    if event.density is None or event.density.grid != grid:
+        event.density = _window_density(grid, event.est, event.lst, event.kappa)
+    return event.density
+
+
 def init_vectors(store: TokenStore, grid: TimeGrid) -> None:
     """(Re)allocate every token's curve on ``grid``.
 
-    User event densities are kept when already on ``grid`` (as
-    :func:`add_basic_event` builds them) and recomputed from their windows
-    otherwise; the ALWAYS mass is constant 1; everything else starts at zero
-    for the refinement sweep to fill in.
+    User event densities come from :func:`user_density`; the ALWAYS mass is
+    constant 1; everything else starts at zero.
     """
     for event in store.events:
         if event.is_user:
-            if event.density is None or event.density.grid != grid:
-                event.density = _window_density(grid, event.est, event.lst, event.kappa)
+            user_density(event, grid)
         else:
             event.density = StepSeries.zeros(grid)
     for fact in store.facts:

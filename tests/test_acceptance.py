@@ -35,6 +35,7 @@ from tempro import (
     survivor_eval,
 )
 from tempro.cli import main as cli_main
+from test_refinement import _layered_store, _oracle_refine, _random_layered_setup
 
 HALF_PER_15 = -math.log(0.95) / 15.0
 
@@ -298,79 +299,25 @@ def test_c08_refine_time_scales_linearly():
     )
 
 
-def _random_layered_setup(rng: random.Random):
-    """A random acyclic rule set plus matching basic events.
-
-    Types are organised in layers; rules only point upward, so the type
-    dependency graph cannot contain a cycle.  Trigger windows move later as
-    the layers go up so every rule actually fires.
-    """
-    n_layers = rng.randint(2, 4)
-    names = [
-        [f"T{layer}X{i}" for i in range(rng.randint(1, 2))]
-        for layer in range(n_layers)
-    ]
-    lines = []
-    events = []
-    for layer in range(n_layers):
-        for t in names[layer]:
-            if rng.random() < 0.5:
-                lines.append(f"persist {t}(?x) exp {round(rng.uniform(0.0, 0.4), 3)}")
-            else:
-                lines.append(f"persist {t}(?x) lin {round(rng.uniform(0.01, 0.2), 3)}")
-    counter = 0
-    for layer in range(n_layers):
-        lower = [t for lv in names[:layer] for t in lv]
-        for t in names[layer]:
-            trigger = f"EV{counter}"
-            counter += 1
-            if layer == 0:
-                ants = ["ALWAYS"]
-            else:
-                ants = rng.sample(lower, k=min(len(lower), rng.randint(1, 2)))
-            kappa = round(rng.uniform(0.2, 1.0), 3)
-            head = ", ".join(f"{a}(?x)" if a != "ALWAYS" else a for a in ants)
-            lines.append(f"project {head}, {trigger}(?x) => {t}(?x) @ {kappa!r}")
-            start = 4.0 * layer + rng.uniform(0.0, 2.0)
-            events.append((trigger, start, start + rng.uniform(0.0, 3.0)))
-    theory = parse_theory("\n".join(lines) + "\n")
-    delta = rng.choice([0.25, 0.5, 1.0])
-    horizon = 4.0 * n_layers + 20.0
-    grid = TimeGrid(0.0, delta, int(horizon / delta))
-    epsilon = rng.choice([0.0, 1e-4, 1e-3])
-    return theory, grid, events, epsilon
-
-
 def test_c09_evaluation_orders_bit_identical():
-    """Dependency-chasing and queue-based cell sweeps agree bit for bit."""
+    """Token-major refine and the per-cell oracle sweep agree bit for bit."""
     rng = random.Random(909)
     compared = 0
     for trial in range(24):
         theory, grid, events, epsilon = _random_layered_setup(rng)
-        curves = []
-        for order in ("recursive", "topological"):
-            store = TokenStore()
-            for name, est, lst in events:
-                add_basic_event(store, Pattern(name, ("X",)), est, lst, 1.0, grid)
-            project(theory, store, grid)
-            refine(store, theory, grid, epsilon, order=order)
-            curves.append(
-                (
-                    [t.density.values.copy() for t in store.events],
-                    [t.mass.values.copy() for t in store.facts],
-                    [t.close_cell for t in store.facts],
-                )
-            )
-        (dens_a, mass_a, close_a), (dens_b, mass_b, close_b) = curves
-        assert len(mass_a) == len(mass_b) and len(mass_a) >= 2
-        for a, b in zip(dens_a, dens_b):
-            assert np.array_equal(a, b), f"trial {trial}: densities differ"
-        for a, b in zip(mass_a, mass_b):
-            assert np.array_equal(a, b), f"trial {trial}: masses differ"
-        assert close_a == close_b
+        got = _layered_store(theory, grid, events)
+        refine(got, theory, grid, epsilon)
+        want = _oracle_refine(_layered_store(theory, grid, events), theory, grid, epsilon)
+        assert len(got.facts) == len(want.facts) and len(got.facts) >= 2
+        for a, b in zip(got.events, want.events):
+            assert np.array_equal(a.density.values, b.density.values), f"trial {trial}: densities differ"
+        for a, b in zip(got.facts, want.facts):
+            assert np.array_equal(a.mass.values, b.mass.values), f"trial {trial}: masses differ"
+        assert [f.close_cell for f in got.facts] == [f.close_cell for f in want.facts]
+        assert got.sweep_stats == want.sweep_stats
         compared += 1
     assert compared >= 20
-    _report(9, f"{compared} random acyclic rule sets identical under both orders")
+    _report(9, f"{compared} random acyclic rule sets identical to the per-cell sweep")
 
 
 def test_c10_mesh_halving_converges(data_dir):

@@ -127,6 +127,30 @@ class TestStepSeries:
         with pytest.raises(ValueError):
             StepSeries(g, np.array([0.0, -0.25, 0.0]))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (math.nan, "series values must be finite"),
+            (math.inf, "series values must be finite"),
+            (-math.inf, "series values must be finite"),
+            (-1e-300, "series values must be non-negative"),
+            (-0.0, None),
+        ],
+    )
+    def test_validation_message(self, bad, message):
+        g = TimeGrid(0.0, 1.0, 3)
+        values = np.array([0.5, bad, 1.0])
+        if message is None:
+            assert np.signbit(StepSeries(g, values).values[1])
+            return
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StepSeries(g, values)
+
+    def test_non_finite_reported_before_negative(self):
+        g = TimeGrid(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="finite"):
+            StepSeries(g, np.array([-1.0, math.nan, 0.0]))
+
     def test_constructors(self):
         g = TimeGrid(0.0, 1.0, 4)
         assert np.array_equal(StepSeries.zeros(g).values, np.zeros(4))

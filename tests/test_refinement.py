@@ -8,7 +8,9 @@ integrals rather than against the code's own recurrence.
 """
 from __future__ import annotations
 
+import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,16 +19,19 @@ from hypothesis import strategies as st
 
 from tempro import (
     CyclicOpenTokens,
+    EventToken,
     Exponential,
     Linear,
     Pattern,
     StepSeries,
+    SweepStats,
     TimeGrid,
     TokenStore,
     add_basic_event,
     clip,
     convolve_direct,
     density_update,
+    dependency_graph,
     init_vectors,
     mass_update_exp,
     parse_theory,
@@ -61,6 +66,199 @@ def _oracle_convolve(f: StepSeries, survivor) -> list[float]:
                 total += float(f.values[j - 1]) * d * max(0.0, 1.0 - survivor.slope * (k - j) * d)
         out.append(total)
     return out
+
+
+def _mass_update_lin(store: TokenStore, token, i: int, first: int) -> float:
+    """One cell of the linear-survivor convolution, unclamped: the twin of
+    ``mass_update_exp`` (summed over source cells ``first..i`` in order)."""
+    delta = token.mass.grid.delta
+    slope = token.persistence.slope
+    if slope <= 0.0:
+        cutoff = token.mass.grid.omega
+    elif math.isinf(slope):
+        cutoff = 0
+    else:
+        cutoff = min(token.mass.grid.omega, int(math.floor(1.0 / (slope * delta))) + 1)
+    src = store.token(token.initiating_event).density.values
+    value = 0.0
+    for j in range(max(first, i - cutoff), i + 1):
+        weight = 1.0 - slope * (i - j) * delta
+        if weight > 0.0:
+            value += float(src[j - 1]) * delta * weight
+    return value
+
+
+def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) -> TokenStore:
+    """Per-cell reference sweep for ``refine``.
+
+    Every cell, every token: each token's inputs at the cell are brought up
+    to date first by recursive descent, then its value at the cell is
+    computed with ``density_update``, ``mass_update_exp`` or the linear twin.
+    The open-type cycle check runs at every cell where a fact opened or
+    closed since the last cell.
+    """
+    init_vectors(store, grid)
+    omega = grid.omega
+    graph = dependency_graph(theory)
+    stats = SweepStats()
+    spans = {}  # derived tid -> (first, last cell it is updated in)
+    for event in store.events:
+        if not event.is_user:
+            spans[event.tid] = (
+                max(1, grid.time_to_cell(event.est)),
+                min(omega, grid.time_to_cell(event.lst)),
+            )
+    opens_at = {}
+    for fact in store.facts:
+        fact.closed = False
+        fact.close_cell = None
+        if not fact.is_builtin:
+            first = max(1, grid.time_to_cell(fact.est))
+            spans[fact.tid] = (first, omega)
+            opens_at.setdefault(first, []).append(fact)
+    supported = set()
+    stamp = {}
+    open_counts = {}
+    changed = False
+
+    def update_fact(fact, i, first):
+        nonlocal changed
+        survivor = fact.persistence
+        if isinstance(survivor, Exponential):
+            rate, delta = survivor.rate, grid.delta
+            decay = 0.0 if math.isinf(rate) else math.exp(-rate * delta)
+            prev = float(fact.mass.values[i - 2]) if i >= 2 else 0.0
+            density = float(store.token(fact.initiating_event).density.values[i - 1])
+            raw = decay * prev + density * (delta * within_cell_factor(rate, delta))
+            value = mass_update_exp(store, fact, i)
+        else:
+            raw = _mass_update_lin(store, fact, i, first)
+            value = min(1.0, raw)
+            fact.mass.values[i - 1] = value
+        stats.clamped += raw > 1.0
+        if epsilon > 0.0:
+            if value >= epsilon:
+                supported.add(fact.tid)
+            elif fact.tid in supported:
+                fact.closed = True
+                fact.close_cell = i
+                stats.closures += 1
+                open_counts[fact.fact_type.key] -= 1
+                changed = True
+
+    def ensure(tid, i):
+        if stamp.get(tid) == i:
+            return
+        stamp[tid] = i
+        if tid not in spans:
+            return  # user density or ALWAYS mass: prefilled
+        token = store.token(tid)
+        first, last = spans[tid]
+        if isinstance(token, EventToken):
+            ensure(token.derivation.trigger, i)
+            for ant in token.derivation.antecedents:
+                ensure(ant, i)
+            if first <= i <= last:
+                density_update(store, token, i)
+        else:
+            ensure(token.initiating_event, i)
+            if first <= i and not token.closed:
+                update_fact(token, i, first)
+
+    for i in range(1, omega + 1):
+        stats.cells += 1
+        for fact in opens_at.get(i, ()):
+            key = fact.fact_type.key
+            open_counts[key] = open_counts.get(key, 0) + 1
+            changed = True
+        if changed:
+            changed = False
+            cycle = graph.find_cycle(within={k for k, n in open_counts.items() if n > 0})
+            if cycle is not None:
+                raise CyclicOpenTokens(i, cycle)
+        for tid in range(len(store)):
+            ensure(tid, i)
+    store.sweep_stats = stats
+    return store
+
+
+def _assert_same_as_oracle(build, epsilon: float) -> None:
+    """``refine`` and ``_oracle_refine`` agree bit for bit, sign of zero
+    included, on two stores from ``build() -> (theory, grid, store)``."""
+    theory, grid, store = build()
+    refine(store, theory, grid, epsilon)
+    _, _, want = build()
+    _oracle_refine(want, theory, grid, epsilon)
+    assert len(store.events) == len(want.events) and len(store.facts) == len(want.facts)
+    for got, exp in zip(store.events, want.events):
+        assert np.array_equal(got.density.values, exp.density.values), f"density of {got.tid}"
+        assert np.array_equal(np.signbit(got.density.values), np.signbit(exp.density.values))
+    for got, exp in zip(store.facts, want.facts):
+        assert np.array_equal(got.mass.values, exp.mass.values), f"mass of {got.tid}"
+        assert np.array_equal(np.signbit(got.mass.values), np.signbit(exp.mass.values))
+        assert (got.closed, got.close_cell) == (exp.closed, exp.close_cell)
+    assert store.sweep_stats == want.sweep_stats
+
+
+def _random_layered_setup(rng: random.Random, negative_zero: bool = False):
+    """A random acyclic rule set plus matching basic events.
+
+    Types are organised in layers; rules only point upward, so the type
+    dependency graph cannot contain a cycle.  Trigger windows move later as
+    the layers go up so every rule actually fires.  ``negative_zero`` adds a
+    ``kappa -0`` rule and a rule triggered by its onsets, whose densities are
+    then negative zeros.
+    """
+    n_layers = rng.randint(2, 4)
+    names = [
+        [f"T{layer}X{i}" for i in range(rng.randint(1, 2))]
+        for layer in range(n_layers)
+    ]
+    lines = []
+    events = []
+    for layer in range(n_layers):
+        for t in names[layer]:
+            if rng.random() < 0.5:
+                lines.append(f"persist {t}(?x) exp {round(rng.uniform(0.0, 0.4), 3)}")
+            else:
+                lines.append(f"persist {t}(?x) lin {round(rng.uniform(0.01, 0.2), 3)}")
+    counter = 0
+    for layer in range(n_layers):
+        lower = [t for lv in names[:layer] for t in lv]
+        for t in names[layer]:
+            trigger = f"EV{counter}"
+            counter += 1
+            if layer == 0:
+                ants = ["ALWAYS"]
+            else:
+                ants = rng.sample(lower, k=min(len(lower), rng.randint(1, 2)))
+            kappa = round(rng.uniform(0.2, 1.0), 3)
+            head = ", ".join(f"{a}(?x)" if a != "ALWAYS" else a for a in ants)
+            lines.append(f"project {head}, {trigger}(?x) => {t}(?x) @ {kappa!r}")
+            start = 4.0 * layer + rng.uniform(0.0, 2.0)
+            events.append((trigger, start, start + rng.uniform(0.0, 3.0)))
+    if negative_zero:
+        lines += [
+            "persist NZ(?x) exp 0.1",
+            "persist NZD(?x) lin 0.05",
+            "project ALWAYS, EVNZ(?x) => NZ(?x) @ -0",
+            f"project {names[0][0]}(?x), NZ(?x) => NZD(?x) @ 0.5",
+        ]
+        events.append(("EVNZ", 1.0, 5.0))
+    theory = parse_theory("\n".join(lines) + "\n")
+    delta = rng.choice([0.25, 0.5, 1.0])
+    horizon = 4.0 * n_layers + 20.0
+    grid = TimeGrid(0.0, delta, int(horizon / delta))
+    epsilon = rng.choice([0.0, 1e-4, 1e-3])
+    return theory, grid, events, epsilon
+
+
+def _layered_store(theory, grid: TimeGrid, events) -> TokenStore:
+    store = TokenStore()
+    for name, est, lst in events:
+        add_basic_event(store, Pattern(name, ("X",)), est, lst, 1.0, grid)
+    project(theory, store, grid)
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +567,6 @@ class TestRefineSweep:
         theory, grid, store = _dock_setup()
         with pytest.raises(ValueError):
             refine(store, theory, grid, epsilon=-0.1)
-        with pytest.raises(ValueError):
-            refine(store, theory, grid, order="sideways")
 
     def test_rerefine_is_idempotent(self):
         theory, grid, store = _dock_setup()
@@ -475,35 +671,65 @@ class TestCycleDetection:
         assert {("A", 1), ("B", 1)} <= set(err.cycle)
         assert "A/1" in str(err)
 
-    def test_cycle_applies_to_both_orders(self):
+    def test_cycle_same_as_oracle(self):
         grid = TimeGrid(0.0, 1.0, 20)
-        for order in ("recursive", "topological"):
-            theory, store = self._cyclic_store(grid)
-            with pytest.raises(CyclicOpenTokens):
-                refine(store, theory, grid, order=order)
+        theory, store = self._cyclic_store(grid)
+        with pytest.raises(CyclicOpenTokens) as got:
+            refine(store, theory, grid)
+        theory, store = self._cyclic_store(grid)
+        with pytest.raises(CyclicOpenTokens) as want:
+            _oracle_refine(store, theory, grid, 1e-4)
+        assert (got.value.cell, got.value.cycle) == (want.value.cell, want.value.cycle)
 
-    def test_acyclic_instance_of_cyclic_types_is_fine_once_closed(self):
-        # same rule set, but the B trigger never matches: only A is ever
-        # open, so the B->A arc never completes a live cycle
-        theory = parse_theory(self.CYCLIC)
-        grid = TimeGrid(0.0, 1.0, 20)
-        store = TokenStore()
-        add_basic_event(store, Pattern("E0", ("X",)), 0.0, 1.0, 1.0, grid)
-        project(theory, store, grid)
-        refine(store, theory, grid)
-        assert len(store.facts_of_type(("A", 1))) == 1
+    @pytest.mark.parametrize(
+        "b_offset, second_a_offset, raise_offset",
+        [(0, None, 0), (1, None, None), (1, 5, 5)],
+        ids=["b-opens-as-a-closes", "a-closed-before-b-opens", "second-a-opens-later"],
+    )
+    def test_closure_before_opening_removes_cycle(self, b_offset, second_a_offset, raise_offset):
+        # A (fast decay) closes at cell c.  A fact closing at c is still
+        # open at c, so B opening at c completes the cycle; B opening at c+1
+        # does not.  B's mass never reaches epsilon, so B stays open, and a
+        # second A token opening later completes the cycle at its own cell.
+        theory = parse_theory(
+            "persist A(?x) exp 2.0\npersist B(?x) exp 0.1\n"
+            "project B(?x), EA(?x) => A(?x) @ 1.0\n"
+            "project A(?x), EB(?x) => B(?x) @ 1.0\n"
+            "project ALWAYS, E0(?x) => A(?x) @ 1.0\n"
+        )
+        grid = TimeGrid(0.0, 1.0, 30)
+
+        def build(*cells):
+            store = TokenStore()
+            for name, cell in zip(("E0", "EB", "E0"), cells):
+                if cell is not None:
+                    t = grid.cell_start(cell)
+                    add_basic_event(store, Pattern(name, ("X",)), t, t, 1.0, grid)
+            project(theory, store, grid)
+            return theory, grid, store
+
+        _, _, alone = build(1)
+        refine(alone, theory, grid)
+        close = alone.facts_of_type(("A", 1))[0].close_cell
+        cells = (1, close + b_offset, None if second_a_offset is None else close + second_a_offset)
+        if raise_offset is None:
+            _assert_same_as_oracle(lambda: build(*cells), 1e-4)
+            return
+        _, _, store = build(*cells)
+        with pytest.raises(CyclicOpenTokens) as got:
+            refine(store, theory, grid)
+        _, _, store = build(*cells)
+        with pytest.raises(CyclicOpenTokens) as want:
+            _oracle_refine(store, theory, grid, 1e-4)
+        assert got.value.cell == want.value.cell == close + raise_offset
+        assert got.value.cycle == want.value.cycle
 
 
 class TestOrderEquivalence:
+    """``refine`` against the per-cell ``_oracle_refine``, bit for bit."""
+
     def test_dock_bitwise_identical(self):
-        theory, grid, store1 = _dock_setup()
-        refine(store1, theory, grid, order="recursive")
-        _, _, store2 = _dock_setup()
-        refine(store2, theory, grid, order="topological")
-        for t1, t2 in zip(store1.facts, store2.facts):
-            assert np.array_equal(t1.mass.values, t2.mass.values)
-        for t1, t2 in zip(store1.events, store2.events):
-            assert np.array_equal(t1.density.values, t2.density.values)
+        _assert_same_as_oracle(_dock_setup, 1e-4)
 
     def test_chain_bitwise_identical(self):
         text = (
@@ -514,17 +740,71 @@ class TestOrderEquivalence:
         )
         theory = parse_theory(text)
         grid = TimeGrid(0.0, 0.5, 80)
-        results = []
-        for order in ("recursive", "topological"):
+
+        def build():
             store = TokenStore()
             add_basic_event(store, Pattern("E", ("X",)), 0.0, 3.0, 1.0, grid)
             add_basic_event(store, Pattern("F", ("X",)), 4.0, 9.0, 0.8, grid)
             add_basic_event(store, Pattern("G", ("X",)), 10.0, 18.0, 0.6, grid)
             project(theory, store, grid)
-            refine(store, theory, grid, order=order)
-            results.append(
-                [t.mass.values.copy() for t in store.facts]
-                + [t.density.values.copy() for t in store.events]
-            )
-        for a, b in zip(*results):
-            assert np.array_equal(a, b)
+            return theory, grid, store
+
+        _assert_same_as_oracle(build, 1e-4)
+
+    def test_clamps_counted_up_to_close_cell(self):
+        # A hand-set user density integrating to 3 twice over: masses pass 1
+        # and are clamped, the facts close between the bursts, and the second
+        # burst must neither reopen them nor count as clamps.
+        theory = parse_theory(
+            "persist A(?x) exp 0.5\npersist L(?x) lin 0.2\n"
+            "project ALWAYS, E(?x) => A(?x) @ 1.0\n"
+            "project ALWAYS, E(?x) => L(?x) @ 1.0\n"
+        )
+        grid = TimeGrid(0.0, 1.0, 40)
+
+        def build():
+            store = TokenStore()
+            event = add_basic_event(store, Pattern("E", ("X",)), 0.0, 30.0, 1.0, grid)
+            values = np.zeros(grid.omega)
+            values[[0, 1, 2, 25, 26, 27]] = 1.0
+            event.density = StepSeries(grid, values)
+            project(theory, store, grid)
+            return theory, grid, store
+
+        _assert_same_as_oracle(build, 1e-4)
+        _, _, store = build()
+        refine(store, theory, grid, 1e-4)
+        assert store.sweep_stats.clamped >= 2
+        assert all(f.close_cell is not None and f.close_cell < 26 for f in store.facts[1:])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-4, 1e-3]))
+    def test_random_layered_rule_sets(self, seed, epsilon):
+        theory, grid, events, _ = _random_layered_setup(random.Random(seed), negative_zero=True)
+        _assert_same_as_oracle(lambda: (theory, grid, _layered_store(theory, grid, events)), epsilon)
+
+    def test_negative_zero_kappa_reaches_densities(self):
+        theory, grid, events, _ = _random_layered_setup(random.Random(3), negative_zero=True)
+        store = _layered_store(theory, grid, events)
+        refine(store, theory, grid, 1e-4)
+        (onset,) = store.events_of_type(("NZD", 1))
+        assert np.any(np.signbit(onset.density.values))
+
+
+class TestDebugSummary:
+    def test_one_line_per_fact(self, caplog):
+        theory, grid, store = _dock_setup(delta=2.0, omega=1440)
+        with caplog.at_level(logging.DEBUG, logger="tempro.refinement"):
+            refine(store, theory, grid, epsilon=1e-4)
+        (dock,) = store.facts_of_type(("ATDOCK", 1))
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert message.startswith(f"fact {dock.tid} ATDOCK(TRUCK14): first cell 1, ")
+        assert f"close cell {dock.close_cell}," in message
+        assert f"peak mass {dock.mass.values.max():.12g}," in message
+        assert message.endswith("clamps 0")
+
+    def test_silent_when_debug_is_off(self, caplog):
+        theory, grid, store = _dock_setup()
+        with caplog.at_level(logging.INFO, logger="tempro.refinement"):
+            refine(store, theory, grid)
+        assert caplog.records == []

@@ -106,6 +106,35 @@ class TestTokenStore:
         with pytest.raises(ValueError):
             add_basic_event(store, Pattern("ARRIVE", ("?t",)), 0.0, 5.0, 1.0, g)
 
+    @pytest.mark.parametrize(
+        "add, message",
+        [
+            (lambda s, e, f: s.add_fact(ARRIVE_T14, 99, None, 0.0, UserSupplied()),
+             "initiating event 99 names no event token"),
+            (lambda s, e, f: s.add_fact(ARRIVE_T14, f.tid, None, 0.0, UserSupplied()),
+             "initiating event 1 names no event token"),
+            (lambda s, e, f: s.add_event(ARRIVE_T14, 0.0, 1.0, 1.0, RuleDerived(0, 99, ())),
+             "trigger 99 names no event token"),
+            (lambda s, e, f: s.add_event(ARRIVE_T14, 0.0, 1.0, 1.0, RuleDerived(0, f.tid, ())),
+             "trigger 1 names no event token"),
+            (lambda s, e, f: s.add_event(ARRIVE_T14, 0.0, 1.0, 1.0, RuleDerived(0, e.tid, (99,))),
+             "antecedent 99 names no fact token"),
+            (lambda s, e, f: s.add_fact(ARRIVE_T14, e.tid, None, 0.0, RuleDerived(0, e.tid, (e.tid,))),
+             "antecedent 0 names no fact token"),
+        ],
+        ids=[
+            "fact-missing-event", "fact-event-is-fact", "missing-trigger",
+            "trigger-is-fact", "missing-antecedent", "antecedent-is-event",
+        ],
+    )
+    def test_dangling_reference_rejected(self, add, message):
+        store = TokenStore()
+        e = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, TimeGrid(0.0, 1.0, 10))
+        f = store.ensure_always()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            add(store, e, f)
+        assert len(store) == 2
+
     def test_ancestry_accumulates_along_derivations(self):
         g = TimeGrid(0.0, 1.0, 10)
         store = TokenStore()
