@@ -309,7 +309,9 @@ def init_vectors(store: TokenStore, grid: TimeGrid) -> None:
     """(Re)allocate every token's curve on ``grid``.
 
     User event densities come from :func:`user_density`; the ALWAYS mass is
-    constant 1; everything else starts at zero.
+    constant 1; everything else starts at zero.  ``refine`` does not call
+    this: it builds every curve itself.  It stays public for callers that
+    want a store's curves allocated on a grid without refining it.
     """
     for event in store.events:
         if event.is_user:

@@ -681,6 +681,17 @@ class TestCycleDetection:
             _oracle_refine(store, theory, grid, 1e-4)
         assert (got.value.cell, got.value.cycle) == (want.value.cell, want.value.cycle)
 
+    def test_acyclic_instance_of_cyclic_types_is_fine_once_closed(self):
+        # same rule set, but the B trigger never matches: only A is ever
+        # open, so the B->A arc never completes a live cycle
+        theory = parse_theory(self.CYCLIC)
+        grid = TimeGrid(0.0, 1.0, 20)
+        store = TokenStore()
+        add_basic_event(store, Pattern("E0", ("X",)), 0.0, 1.0, 1.0, grid)
+        project(theory, store, grid)
+        refine(store, theory, grid)
+        assert len(store.facts_of_type(("A", 1))) == 1
+
     @pytest.mark.parametrize(
         "b_offset, second_a_offset, raise_offset",
         [(0, None, 0), (1, None, None), (1, 5, 5)],
