@@ -27,7 +27,7 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 
-from .theory import LineLexer, ParseError, Pattern, TokenCursor, parse_pattern, unify
+from .theory import Pattern, parse_ground_pattern, parse_pattern, statements, unify
 
 FAMILIES = ("linear", "exponential")
 
@@ -104,9 +104,6 @@ class AcquisitionStore:
                 return index
         raise UnknownClassError(key, [c.key for c in self.classes])
 
-    def class_for(self, key: Pattern) -> AcquisitionClass:
-        return self.classes[self.route(key)]
-
 
 def observe_lifetime(
     store: AcquisitionStore, class_key: Pattern, arrival: float, departure: float
@@ -138,39 +135,21 @@ def save_state(store: AcquisitionStore) -> str:
 
 
 def load_state(text: str) -> AcquisitionStore:
-    lexer = LineLexer(text)
     classes: list[AcquisitionClass] = []
-    for lineno in range(1, len(lexer.lines) + 1):
-        tokens = lexer.tokenize(lineno)
-        if not tokens:
-            continue
-        cur = TokenCursor(tokens, lineno, len(lexer.lines[lineno - 1]))
+    for cur in statements(text):
         cur.take_keyword("class")
         key = parse_pattern(cur)
-        family_tok = cur.peek()
-        if family_tok is None or family_tok.kind != "name" or family_tok.text not in FAMILIES:
-            raise cur.error("expected 'linear' or 'exponential'")
-        cur.pos += 1
+        family = cur.take_word(FAMILIES).text
         cur.take_keyword("insts")
-        insts_tok = cur.peek()
-        insts = cur.take_number("an observation count")
-        if insts != int(insts) or insts < 0:
-            raise ParseError(
-                f"insts must be a non-negative integer, got {insts}",
-                insts_tok.line,
-                insts_tok.col,
-            )
+        insts = cur.take_count("insts", "an observation count")
         cur.take_keyword("sum")
-        total_tok = cur.peek()
-        total = cur.take_number("a duration sum")
-        if math.isinf(total) or total < 0:
-            raise ParseError(
-                f"sum must be finite and >= 0, got {total}", total_tok.line, total_tok.col
-            )
+        total = cur.take_number(
+            "a duration sum", "sum must be finite and >= 0", lambda v: 0 <= v < math.inf
+        )
         cur.take_keyword("lambda")
         cur.take_number("a decay parameter")  # informational; recomputed
         cur.expect_end()
-        classes.append(AcquisitionClass(key, family_tok.text, int(insts), total))
+        classes.append(AcquisitionClass(key, family, insts, total))
     return AcquisitionStore(classes)
 
 
@@ -203,27 +182,16 @@ def parse_observations(text: str) -> list[Observation]:
 
         observe TRUCK(ACME) arrival 0 departure 12.5
     """
-    lexer = LineLexer(text)
     out: list[Observation] = []
-    for lineno in range(1, len(lexer.lines) + 1):
-        tokens = lexer.tokenize(lineno)
-        if not tokens:
-            continue
-        cur = TokenCursor(tokens, lineno, len(lexer.lines[lineno - 1]))
+    for cur in statements(text):
         cur.take_keyword("observe")
-        key_tok = cur.peek()
-        key = parse_pattern(cur)
-        if not key.is_ground:
-            raise ParseError(f"observation key {key} must be ground", key_tok.line, key_tok.col)
+        key = parse_ground_pattern(cur, "observation key")
         cur.take_keyword("arrival")
         arrival = cur.take_number("an arrival time")
         cur.take_keyword("departure")
-        departure_tok = cur.peek()
         departure = cur.take_number("a departure time")
-        cur.expect_end()
         if not (math.isfinite(arrival) and math.isfinite(departure)) or departure < arrival:
-            raise ParseError(
-                f"invalid stay [{arrival}, {departure}]", departure_tok.line, departure_tok.col
-            )
-        out.append(Observation(key, arrival, departure, lineno))
+            raise cur.error(f"invalid stay [{arrival}, {departure}]", back=1)
+        cur.expect_end()
+        out.append(Observation(key, arrival, departure, cur.lineno))
     return out

@@ -58,10 +58,6 @@ class TimeGrid:
     def cell_end(self, i: int) -> float:
         return self.origin + i * self.delta
 
-    def cell_starts(self) -> np.ndarray:
-        """Left edges of all cells, in cell order."""
-        return self.origin + self.delta * np.arange(self.omega, dtype=float)
-
     def time_to_cell(self, t: float) -> int:
         """Index of the cell containing ``t`` (cells are left-closed).
 
@@ -125,11 +121,6 @@ class StepSeries:
         """Check the per-cell probability-mass reading: every value in [0, 1]."""
         if np.any(self.values > 1.0 + tol):
             raise ValueError("mass series has values above 1")
-
-    def validate_as_density(self, tol: float = 1e-9) -> None:
-        """Check the density reading: total discrete integral at most 1."""
-        if series_integral(self) > 1.0 + tol:
-            raise ValueError("density series integrates to more than 1")
 
 
 def series_integral(s: StepSeries, from_cell: int = 1, to_cell: int | None = None) -> float:

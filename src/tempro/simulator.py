@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .acquisition import rate
-from .theory import LineLexer, ParseError, Pattern, TokenCursor, parse_pattern
+from .theory import ParseError, Pattern, parse_pattern, statements
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,30 @@ class SimulationOutput:
     observations_text: str
 
 
+def _stays(scenario: Scenario) -> Iterator[tuple[int, int, Pattern, float, float]]:
+    """Sample every entity in order as ``(k, class index, key, arrival,
+    departure)``; entity ``k`` (1-based) belongs to class ``(k-1) mod n``."""
+    rng = random.Random(scenario.seed)
+    if isinstance(scenario.arrivals, ScheduledArrivals):
+        if len(scenario.arrivals.times) != scenario.count:
+            raise ValueError(
+                f"schedule lists {len(scenario.arrivals.times)} arrivals "
+                f"but count is {scenario.count}"
+            )
+    clock = 0.0
+    for k in range(1, scenario.count + 1):
+        if isinstance(scenario.arrivals, ScheduledArrivals):
+            arrival = scenario.arrivals.times[k - 1]
+        else:
+            clock += -math.log(1.0 - rng.random()) / scenario.arrivals.rate
+            arrival = clock
+        index = (k - 1) % len(scenario.classes)
+        pattern, lifetime = scenario.classes[index]
+        departure = arrival + lifetime.sample(rng)
+        key = pattern.substitute({v: f"E{k}" for v in pattern.variables()})
+        yield k, index, key, arrival, departure
+
+
 def generate(scenario: Scenario) -> SimulationOutput:
     """Sample the scenario into a basic-facts file and completed stays.
 
@@ -106,30 +131,12 @@ def generate(scenario: Scenario) -> SimulationOutput:
     * an ``ARRIVE(E<k>)`` point event if it arrives before the horizon, and
     * an ``observe`` record if its stay completes by the horizon.
     """
-    rng = random.Random(scenario.seed)
-    if isinstance(scenario.arrivals, ScheduledArrivals):
-        if len(scenario.arrivals.times) != scenario.count:
-            raise ValueError(
-                f"schedule lists {len(scenario.arrivals.times)} arrivals "
-                f"but count is {scenario.count}"
-            )
     fact_lines: list[str] = []
     observation_lines: list[str] = []
     observations: list[tuple[Pattern, float, float]] = []
-    clock = 0.0
-    for k in range(1, scenario.count + 1):
-        if isinstance(scenario.arrivals, ScheduledArrivals):
-            arrival = scenario.arrivals.times[k - 1]
-        else:
-            clock += -math.log(1.0 - rng.random()) / scenario.arrivals.rate
-            arrival = clock
-        pattern, lifetime = scenario.classes[(k - 1) % len(scenario.classes)]
-        duration = lifetime.sample(rng)
-        departure = arrival + duration
-        entity = f"E{k}"
-        key = pattern.substitute({v: entity for v in pattern.variables()})
+    for k, _, key, arrival, departure in _stays(scenario):
         if arrival < scenario.horizon:
-            fact_lines.append(f"event ARRIVE({entity}) est {arrival!r} lst {arrival!r} kappa 1.0")
+            fact_lines.append(f"event ARRIVE(E{k}) est {arrival!r} lst {arrival!r} kappa 1.0")
         if departure <= scenario.horizon:
             observations.append((key, arrival, departure))
             observation_lines.append(f"observe {key} arrival {arrival!r} departure {departure!r}")
@@ -161,14 +168,12 @@ def run_convergence(scenario: Scenario, family: str) -> list[ConvergenceRow]:
     """
     from .acquisition import AcquisitionClass, acquire
 
-    output = generate(scenario)
+    durations_by_class: list[list[float]] = [[] for _ in scenario.classes]
+    for _, index, _, arrival, departure in _stays(scenario):
+        if departure <= scenario.horizon:
+            durations_by_class[index].append(departure - arrival)
     rows: list[ConvergenceRow] = []
-    for pattern, lifetime in scenario.classes:
-        durations = [
-            departure - arrival
-            for key, arrival, departure in output.observations
-            if key.name == pattern.name and len(key.args) == len(pattern.args)
-        ]
+    for (pattern, lifetime), durations in zip(scenario.classes, durations_by_class):
         reference = rate(family, lifetime.mean)
         checkpoints = [c for c in _CHECKPOINTS if c <= len(durations)]
         if not checkpoints and durations:
@@ -187,121 +192,64 @@ def run_convergence(scenario: Scenario, family: str) -> list[ConvergenceRow]:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario file; exactly one ``scenario`` statement allowed."""
-    lexer = LineLexer(text)
     scenario: Scenario | None = None
-    for lineno in range(1, len(lexer.lines) + 1):
-        tokens = lexer.tokenize(lineno)
-        if not tokens:
-            continue
+    for cur in statements(text):
         if scenario is not None:
-            raise ParseError("expected a single scenario statement", lineno, tokens[0].col)
-        cur = TokenCursor(tokens, lineno, len(lexer.lines[lineno - 1]))
+            raise cur.error("expected a single scenario statement")
         cur.take_keyword("scenario")
         cur.take_keyword("seed")
-        seed_tok = cur.peek()
-        seed = cur.take_number("a seed")
-        if seed != int(seed) or seed < 0:
-            raise ParseError(
-                f"seed must be a non-negative integer, got {seed}", seed_tok.line, seed_tok.col
-            )
+        seed = cur.take_count("seed", "a seed")
         classes: list[tuple[Pattern, Lifetime]] = []
-        while cur.peek() is not None and cur.peek().kind == "name" and cur.peek().text == "class":
-            cur.take_keyword("class")
+        while cur.accept("name", "class"):
             pattern = parse_pattern(cur)
-            dist_tok = cur.peek()
-            if dist_tok is None or dist_tok.kind != "name":
-                raise cur.error("expected 'exp', 'uniform' or 'fixed'")
-            cur.pos += 1
-            if dist_tok.text == "exp":
-                value_tok = cur.peek()
-                value = cur.take_number("a rate")
-                if not (value > 0 and math.isfinite(value)):
-                    raise ParseError(
-                        f"rate must be finite and > 0, got {value}", value_tok.line, value_tok.col
-                    )
+            dist = cur.take_word(("exp", "uniform", "fixed"), "lifetime distribution").text
+            if dist == "exp":
+                value = cur.take_number("a rate", "rate must be finite and > 0", _finite_positive)
                 lifetime: Lifetime = ExponentialLifetime(value)
-            elif dist_tok.text == "uniform":
-                lo_tok = cur.peek()
+            elif dist == "uniform":
                 lo = cur.take_number("a lower bound")
-                hi_tok = cur.peek()
                 hi = cur.take_number("an upper bound")
                 if not (0 <= lo <= hi and math.isfinite(hi)):
-                    raise ParseError(
-                        f"bounds must satisfy 0 <= lo <= hi, got [{lo}, {hi}]",
-                        (hi_tok or lo_tok).line,
-                        (hi_tok or lo_tok).col,
-                    )
+                    raise cur.error(f"bounds must satisfy 0 <= lo <= hi, got [{lo}, {hi}]", back=1)
                 lifetime = UniformLifetime(lo, hi)
-            elif dist_tok.text == "fixed":
-                d_tok = cur.peek()
-                d = cur.take_number("a duration")
-                if not (d >= 0 and math.isfinite(d)):
-                    raise ParseError(
-                        f"duration must be finite and >= 0, got {d}", d_tok.line, d_tok.col
-                    )
-                lifetime = FixedLifetime(d)
             else:
-                raise ParseError(
-                    f"unknown lifetime distribution {dist_tok.text!r}",
-                    dist_tok.line,
-                    dist_tok.col,
-                )
+                d = cur.take_number("a duration", "duration must be finite and >= 0", _finite_nonneg)
+                lifetime = FixedLifetime(d)
             classes.append((pattern, lifetime))
         if not classes:
             raise cur.error("expected at least one 'class' clause")
         cur.take_keyword("arrivals")
-        spec_tok = cur.peek()
-        if spec_tok is None or spec_tok.kind != "name":
-            raise cur.error("expected 'poisson' or 'at'")
-        cur.pos += 1
-        if spec_tok.text == "poisson":
-            rate_tok = cur.peek()
-            value = cur.take_number("an arrival rate")
-            if not (value > 0 and math.isfinite(value)):
-                raise ParseError(
-                    f"arrival rate must be finite and > 0, got {value}",
-                    rate_tok.line,
-                    rate_tok.col,
-                )
+        process = cur.take_word(("poisson", "at"), "arrival process")
+        if process.text == "poisson":
+            value = cur.take_number(
+                "an arrival rate", "arrival rate must be finite and > 0", _finite_positive
+            )
             arrivals: PoissonArrivals | ScheduledArrivals = PoissonArrivals(value)
-        elif spec_tok.text == "at":
+        else:
             times = [cur.take_number("an arrival time")]
-            while cur.peek() is not None and cur.peek().kind == "comma":
-                cur.take("comma")
+            while cur.accept("comma"):
                 times.append(cur.take_number("an arrival time"))
             if any(t < 0 or not math.isfinite(t) for t in times):
-                raise ParseError("arrival times must be finite and >= 0", lineno, spec_tok.col)
+                raise ParseError("arrival times must be finite and >= 0", cur.lineno, process.col)
             arrivals = ScheduledArrivals(tuple(times))
-        else:
-            raise ParseError(
-                f"unknown arrival process {spec_tok.text!r}", spec_tok.line, spec_tok.col
-            )
         cur.take_keyword("count")
-        count_tok = cur.peek()
-        count = cur.take_number("an entity count")
-        if count != int(count) or count < 0:
-            raise ParseError(
-                f"count must be a non-negative integer, got {count}",
-                count_tok.line,
-                count_tok.col,
+        count = cur.take_count("count", "an entity count")
+        if isinstance(arrivals, ScheduledArrivals) and len(arrivals.times) != count:
+            raise cur.error(
+                f"schedule lists {len(arrivals.times)} arrivals but count is {count}", back=1
             )
         cur.take_keyword("horizon")
-        horizon_tok = cur.peek()
-        horizon = cur.take_number("a horizon")
-        if not (math.isfinite(horizon) and horizon >= 0):
-            raise ParseError(
-                f"horizon must be finite and >= 0, got {horizon}",
-                horizon_tok.line,
-                horizon_tok.col,
-            )
+        horizon = cur.take_number("a horizon", "horizon must be finite and >= 0", _finite_nonneg)
         cur.expect_end()
-        if isinstance(arrivals, ScheduledArrivals) and len(arrivals.times) != int(count):
-            raise ParseError(
-                f"schedule lists {len(arrivals.times)} arrivals but count is {int(count)}",
-                count_tok.line,
-                count_tok.col,
-            )
-        scenario = Scenario(int(seed), classes, arrivals, int(count), horizon)
+        scenario = Scenario(seed, classes, arrivals, count, horizon)
     if scenario is None:
-        raise ParseError("no scenario statement found", max(1, len(lexer.lines)), 1)
+        raise ParseError("no scenario statement found", max(1, len(text.splitlines())), 1)
     return scenario
+
+
+def _finite_positive(value: float) -> bool:
+    return 0 < value < math.inf
+
+
+def _finite_nonneg(value: float) -> bool:
+    return 0 <= value < math.inf

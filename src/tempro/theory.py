@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 TypeKey = tuple[str, int]  # (name, arity): a fact or event type ignoring bindings
@@ -197,19 +198,17 @@ _UPPER_RE = re.compile(r"[A-Z][A-Z0-9_]*$")
 class Token:
     kind: str
     text: str
-    line: int
     col: int
 
 
-class LineLexer:
-    """Tokenizer shared by the theory, facts, scenario and state formats."""
+def statements(text: str) -> Iterator["TokenCursor"]:
+    """One cursor per line that holds a token, in line order.
 
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-
-    def tokenize(self, lineno: int) -> list[Token]:
-        line = self.lines[lineno - 1]
-        out: list[Token] = []
+    This is the line loop of every format: ``#`` starts a comment that runs
+    to the end of the line, and blank or comment-only lines yield nothing.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens: list[Token] = []
         pos = 0
         while pos < len(line):
             m = _TOKEN_RE.match(line, pos)
@@ -219,13 +218,19 @@ class LineLexer:
             if kind == "comment":
                 break
             if kind != "ws":
-                out.append(Token(kind, m.group(), lineno, m.start() + 1))
+                tokens.append(Token(kind, m.group(), m.start() + 1))
             pos = m.end()
-        return out
+        if tokens:
+            yield TokenCursor(tokens, lineno, len(line))
 
 
 class TokenCursor:
-    """Sequential reader over one line's tokens with positioned errors."""
+    """Sequential reader over one line's tokens with positioned errors.
+
+    Each ``take_*`` method either consumes what it asks for or raises a
+    :class:`ParseError` at the token it stopped on, so a line's faults are
+    reported left to right.
+    """
 
     def __init__(self, tokens: list[Token], lineno: int, line_len: int):
         self.tokens = tokens
@@ -236,85 +241,119 @@ class TokenCursor:
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        col = tok.col if tok else self.line_len + 1
+    def error(self, message: str, back: int = 0) -> ParseError:
+        """``message`` at the token ``back`` places before the next one; with
+        ``back=0``, at the next token or just past the end of the line."""
+        index = self.pos - back
+        col = self.tokens[index].col if index < len(self.tokens) else self.line_len + 1
         return ParseError(message, self.lineno, col)
 
-    def take(self, kind: str, what: str | None = None) -> Token:
+    def accept(self, kind: str, text: str | None = None) -> Token | None:
+        """Consume and return the next token if it has ``kind`` (and
+        ``text``, when given); otherwise consume nothing and return None."""
         tok = self.peek()
-        if tok is None or tok.kind != kind:
-            raise self.error(f"expected {what or kind}" + (f", got {tok.text!r}" if tok else ""))
+        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
+            return None
         self.pos += 1
+        return tok
+
+    def take(self, kind: str, what: str | None = None, text: str | None = None) -> Token:
+        tok = self.accept(kind, text)
+        if tok is None:
+            got = self.peek()
+            raise self.error(f"expected {what or kind}" + (f", got {got.text!r}" if got else ""))
         return tok
 
     def take_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "name" or tok.text != word:
-            raise self.error(f"expected {word!r}" + (f", got {tok.text!r}" if tok else ""))
-        self.pos += 1
-        return tok
+        return self.take("name", repr(word), word)
 
-    def take_number(self, what: str = "a number") -> float:
+    def take_word(self, choices: tuple[str, ...], unknown: str | None = None) -> Token:
+        """One of the words ``choices``.  Another word is reported as
+        ``unknown <unknown> 'word'`` when ``unknown`` is given; anything else
+        as ``expected 'a', 'b' or 'c'``."""
+        tok = self.peek()
+        if tok is not None and tok.kind == "name":
+            if tok.text in choices:
+                self.pos += 1
+                return tok
+            if unknown is not None:
+                raise self.error(f"unknown {unknown} {tok.text!r}")
+        quoted = [repr(c) for c in choices]
+        raise self.error(f"expected {', '.join(quoted[:-1])} or {quoted[-1]}")
+
+    def take_number(
+        self,
+        what: str,
+        rule: str = "",
+        ok: Callable[[float], bool] | None = None,
+    ) -> float:
+        """A number, or ``inf``.  When ``ok`` rejects it, raises
+        ``<rule>, got <value>`` at the number's own token."""
         tok = self.peek()
         if tok is not None and tok.kind == "number":
-            self.pos += 1
-            return float(tok.text)
-        if tok is not None and tok.kind == "name" and tok.text.lower() == "inf":
-            self.pos += 1
-            return math.inf
-        raise self.error(f"expected {what}" + (f", got {tok.text!r}" if tok else ""))
+            value = float(tok.text)
+        elif tok is not None and tok.kind == "name" and tok.text.lower() == "inf":
+            value = math.inf
+        else:
+            raise self.error(f"expected {what}" + (f", got {tok.text!r}" if tok else ""))
+        if ok is not None and not ok(value):
+            raise self.error(f"{rule}, got {value}")
+        self.pos += 1
+        return value
+
+    def take_count(self, field: str, what: str) -> int:
+        """A non-negative integer such as an observation count or a seed;
+        ``inf`` and fractions are rejected like negative numbers."""
+        rule = f"{field} must be a non-negative integer"
+        return int(self.take_number(what, rule, lambda v: v >= 0 and v.is_integer()))
 
     def expect_end(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"unexpected trailing input {tok.text!r}")
 
 
 def parse_pattern(cur: TokenCursor) -> Pattern:
-    name_tok = cur.take("name", "a pattern name")
-    if not _UPPER_RE.match(name_tok.text):
-        raise ParseError(
-            f"pattern name {name_tok.text!r} must be upper-case", name_tok.line, name_tok.col
-        )
+    name = cur.take("name", "a pattern name")
+    if not _UPPER_RE.match(name.text):
+        raise cur.error(f"pattern name {name.text!r} must be upper-case", back=1)
     args: list[str] = []
-    nxt = cur.peek()
-    if nxt is not None and nxt.kind == "lparen":
-        cur.take("lparen")
+    if cur.accept("lparen"):
         while True:
             tok = cur.peek()
             if tok is None:
                 raise cur.error("unterminated argument list")
-            if tok.kind == "var":
-                args.append(tok.text)
-                cur.pos += 1
-            elif tok.kind == "name":
-                if not _UPPER_RE.match(tok.text):
-                    raise ParseError(
-                        f"constant {tok.text!r} must be upper-case", tok.line, tok.col
-                    )
-                args.append(tok.text)
-                cur.pos += 1
-            else:
+            if tok.kind == "name" and not _UPPER_RE.match(tok.text):
+                raise cur.error(f"constant {tok.text!r} must be upper-case")
+            if tok.kind not in ("var", "name"):
                 raise cur.error(f"expected a constant or ?variable, got {tok.text!r}")
-            tok = cur.peek()
-            if tok is not None and tok.kind == "comma":
-                cur.take("comma")
-                continue
-            cur.take("rparen", "')'")
-            break
-    return Pattern(name_tok.text, tuple(args))
+            args.append(cur.take(tok.kind).text)
+            if not cur.accept("comma"):
+                break
+        cur.take("rparen", "')'")
+    return Pattern(name.text, tuple(args))
+
+
+def parse_ground_pattern(cur: TokenCursor, what: str) -> Pattern:
+    """A pattern without ``?variables``, such as an observed event; a
+    variable is reported as ``<what> P must be ground`` at the pattern."""
+    start = cur.pos
+    pattern = parse_pattern(cur)
+    if not pattern.is_ground:
+        raise cur.error(f"{what} {pattern} must be ground", back=cur.pos - start)
+    return pattern
 
 
 def parse_pattern_text(text: str) -> Pattern:
     """Parse a single pattern given on its own, e.g. a CLI query argument."""
-    lexer = LineLexer(text)
-    if len(lexer.lines) != 1:
+    lines = text.splitlines()
+    if len(lines) != 1:
         raise ParseError("expected a single pattern", 1, 1)
-    cur = TokenCursor(lexer.tokenize(1), 1, len(text))
-    pattern = parse_pattern(cur)
-    cur.expect_end()
-    return pattern
+    for cur in statements(text):
+        pattern = parse_pattern(cur)
+        cur.expect_end()
+        return pattern
+    raise ParseError("expected a pattern name", 1, len(lines[0]) + 1)
 
 
 def _starts_pattern(tok: Token | None) -> bool:
@@ -335,64 +374,39 @@ def _canonical_subject(pattern: Pattern) -> tuple:
 
 def parse_theory(text: str) -> CausalTheory:
     """Parse the rule language; raises :class:`ParseError` with line/column."""
-    lexer = LineLexer(text)
     projection_rules: list[ProjectionRule] = []
     persistence_rules: list[PersistenceRule] = []
     seen_subjects: dict[tuple, int] = {}
-    for lineno in range(1, len(lexer.lines) + 1):
-        tokens = lexer.tokenize(lineno)
-        if not tokens:
-            continue
-        cur = TokenCursor(tokens, lineno, len(lexer.lines[lineno - 1]))
-        head = cur.peek()
-        if head.kind != "name" or head.text not in ("persist", "project"):
-            raise cur.error("expected 'persist' or 'project'")
+    for cur in statements(text):
+        head = cur.take_word(("persist", "project"))
         if head.text == "persist":
-            cur.pos += 1
             subject = parse_pattern(cur)
-            kind_tok = cur.peek()
-            if kind_tok is None or kind_tok.kind != "name" or kind_tok.text not in ("exp", "lin"):
-                raise cur.error("expected 'exp' or 'lin'")
-            cur.pos += 1
-            value_tok = cur.peek()
-            value = cur.take_number("a decay parameter")
-            if math.isnan(value) or value < 0:
-                raise ParseError(
-                    f"decay parameter must be >= 0, got {value}", value_tok.line, value_tok.col
-                )
+            family = cur.take_word(("exp", "lin")).text
+            value = cur.take_number(
+                "a decay parameter", "decay parameter must be >= 0", lambda v: v >= 0
+            )
             cur.expect_end()
             canon = _canonical_subject(subject)
             if canon in seen_subjects:
                 raise ParseError(
                     f"duplicate persistence rule for {subject} "
                     f"(first given on line {seen_subjects[canon]})",
-                    lineno,
+                    cur.lineno,
                     head.col,
                 )
-            seen_subjects[canon] = lineno
-            survivor: Survivor = Exponential(value) if kind_tok.text == "exp" else Linear(value)
+            seen_subjects[canon] = cur.lineno
+            survivor: Survivor = Exponential(value) if family == "exp" else Linear(value)
             persistence_rules.append(PersistenceRule(subject, survivor))
         else:
-            cur.pos += 1
             patterns = [parse_pattern(cur)]
-            while True:
-                tok = cur.peek()
-                if tok is not None and tok.kind == "comma":
-                    cur.take("comma")
-                    patterns.append(parse_pattern(cur))
-                elif _starts_pattern(tok):
-                    patterns.append(parse_pattern(cur))
-                else:
-                    break
+            while cur.accept("comma") or _starts_pattern(cur.peek()):
+                patterns.append(parse_pattern(cur))
             cur.take("arrow", "'=>'")
             consequent = parse_pattern(cur)
             at_tok = cur.take("at", "'@'")
-            kappa_tok = cur.peek()
-            kappa = cur.take_number("a probability")
-            if math.isnan(kappa) or not (0.0 <= kappa <= 1.0):
-                raise ParseError(
-                    f"kappa must lie in [0, 1], got {kappa}", kappa_tok.line, kappa_tok.col
-                )
+            kappa = cur.take_number(
+                "a probability", "kappa must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0
+            )
             cur.expect_end()
             trigger = patterns[-1]
             antecedents = tuple(patterns[:-1])
@@ -403,7 +417,7 @@ def parse_theory(text: str) -> CausalTheory:
                 raise ParseError(
                     f"consequent variable {sorted(unsafe)[0]} appears in neither "
                     "the trigger nor any antecedent",
-                    at_tok.line,
+                    cur.lineno,
                     at_tok.col,
                 )
             projection_rules.append(
@@ -419,9 +433,6 @@ class DependencyGraph:
 
     vertices: set[TypeKey] = field(default_factory=set)
     arcs: set[tuple[TypeKey, TypeKey]] = field(default_factory=set)
-
-    def successors(self, key: TypeKey) -> list[TypeKey]:
-        return sorted(r for (q, r) in self.arcs if q == key)
 
     def find_cycle(self, within: set[TypeKey] | None = None) -> list[TypeKey] | None:
         """A cycle among ``within`` (default: all vertices), or None.

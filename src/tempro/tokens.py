@@ -22,14 +22,13 @@ import numpy as np
 from .core import StepSeries, TimeGrid
 from .theory import (
     GroundKey,
-    LineLexer,
     ParseError,
     Pattern,
     Survivor,
-    TokenCursor,
     TypeKey,
     is_variable,
-    parse_pattern,
+    parse_ground_pattern,
+    statements,
 )
 
 
@@ -158,6 +157,8 @@ class TokenStore:
         if not (isinstance(derivation, BuiltIn) or self._is_event(initiating_event)):
             raise ValueError(f"initiating event {initiating_event} names no event token")
         self._check_derivation(derivation)
+        if persistence is None and not isinstance(derivation, BuiltIn):
+            raise ValueError(f"fact {fact_type} has no persistence survivor")
         token = FactToken(len(self._by_id), fact_type, initiating_event, persistence, est, derivation)
         self.facts.append(token)
         self._by_id[token.tid] = token
@@ -339,36 +340,22 @@ def parse_basic_facts(text: str) -> list[BasicEventSpec]:
 
         event ARRIVE(TRUCK14) est 0 lst 10 kappa 1.0
     """
-    lexer = LineLexer(text)
     specs: list[BasicEventSpec] = []
-    for lineno in range(1, len(lexer.lines) + 1):
-        tokens = lexer.tokenize(lineno)
-        if not tokens:
-            continue
-        cur = TokenCursor(tokens, lineno, len(lexer.lines[lineno - 1]))
+    for cur in statements(text):
         cur.take_keyword("event")
-        pattern_tok = cur.peek()
-        pattern = parse_pattern(cur)
-        if not pattern.is_ground:
-            raise ParseError(
-                f"basic event {pattern} must be ground", pattern_tok.line, pattern_tok.col
-            )
+        pattern = parse_ground_pattern(cur, "basic event")
         cur.take_keyword("est")
         est = cur.take_number("the earliest start time")
         cur.take_keyword("lst")
-        lst_tok = cur.peek()
         lst = cur.take_number("the latest start time")
-        cur.take_keyword("kappa")
-        kappa_tok = cur.peek()
-        kappa = cur.take_number("an occurrence probability")
-        cur.expect_end()
         if not (math.isfinite(est) and math.isfinite(lst) and est <= lst):
-            raise ParseError(f"window [{est}, {lst}] is invalid", lst_tok.line, lst_tok.col)
-        if math.isnan(kappa) or not (0.0 <= kappa <= 1.0):
-            raise ParseError(
-                f"kappa must lie in [0, 1], got {kappa}", kappa_tok.line, kappa_tok.col
-            )
-        specs.append(BasicEventSpec(pattern, est, lst, kappa, lineno))
+            raise cur.error(f"window [{est}, {lst}] is invalid", back=1)
+        cur.take_keyword("kappa")
+        kappa = cur.take_number(
+            "an occurrence probability", "kappa must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0
+        )
+        cur.expect_end()
+        specs.append(BasicEventSpec(pattern, est, lst, kappa, cur.lineno))
     return specs
 
 

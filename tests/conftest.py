@@ -1,6 +1,7 @@
 """Shared fixtures and hypothesis configuration for the test suite."""
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -37,3 +38,13 @@ def dock_rules_text() -> str:
 @pytest.fixture(scope="session")
 def dock_facts_text() -> str:
     return (DATA / "dock.facts").read_text()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _child_pythonpath():
+    """Child interpreters (``python -m tempro``) import the package from
+    ``src`` as this process does, whether or not PYTHONPATH is set."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield

@@ -520,6 +520,32 @@ class TestBadInput:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("acquire", "class T(?x) exponential insts inf sum 0.0 lambda inf\n",
+             "line 1, column 31: insts must be a non-negative integer, got inf"),
+            ("simulate", "scenario seed inf class T(?x) exp 0.2 arrivals poisson 1 count 20 horizon 100\n",
+             "line 1, column 15: seed must be a non-negative integer, got inf"),
+            ("simulate", "scenario seed 5 class T(?x) exp 0.2 arrivals poisson 1 count inf horizon 100\n",
+             "line 1, column 62: count must be a non-negative integer, got inf"),
+        ],
+        ids=["insts", "seed", "count"],
+    )
+    def test_infinite_integer_field_is_parse_error(self, tmp_path, capsys, command, text, message):
+        given, outdir = tmp_path / "input.txt", tmp_path / "sim"
+        given.write_text(text)
+        if command == "acquire":
+            obs = tmp_path / "o.txt"
+            obs.write_text(self.STAY)
+            argv = ["acquire", "--state", str(given), "--observations", str(obs)]
+        else:
+            argv = ["simulate", "--scenario", str(given), "--outdir", str(outdir)]
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert given.read_text() == text
+        assert not outdir.exists()
+
     def test_simulate_outdir_naming_a_file_is_io_error(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(

@@ -169,3 +169,64 @@ def test_error_message_line_and_column(parser, text, message, line, col):
         PARSERS[parser](text)
     assert str(info.value) == f"line {line}, column {col}: {message}"
     assert (info.value.line, info.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "parser,text,message,col",
+    [
+        pytest.param("state", "class T(?x) exponential insts inf sum 0 lambda inf",
+                     "insts must be a non-negative integer, got inf", 31, id="insts"),
+        pytest.param("scenario", _S.replace("seed 1", "seed inf"),
+                     "seed must be a non-negative integer, got inf", 15, id="seed"),
+        pytest.param("scenario", _S.replace("count 5", "count inf"),
+                     "count must be a non-negative integer, got inf", 60, id="count"),
+    ],
+)
+def test_infinite_integer_field_is_rejected(parser, text, message, col):
+    with pytest.raises(ParseError) as info:
+        PARSERS[parser](text)
+    assert str(info.value) == f"line 1, column {col}: {message}"
+
+
+# A line is checked left to right, so of two faults the left one is reported:
+# a bad value comes before anything wrong after it on the same line.
+@pytest.mark.parametrize(
+    "parser,text,message,col",
+    [
+        pytest.param("facts", "event A est 5 lst 1 kappa 1 B",
+                     "window [5.0, 1.0] is invalid", 19, id="window-then-trailing"),
+        pytest.param("facts", "event A est 5 lst 1",
+                     "window [5.0, 1.0] is invalid", 19, id="window-then-missing-kappa"),
+        pytest.param("facts", "event A est 5 lst 1 kappa 2",
+                     "window [5.0, 1.0] is invalid", 19, id="window-then-kappa"),
+        pytest.param("facts", "event A est 0 lst 1 kappa 2 B",
+                     "kappa must lie in [0, 1], got 2.0", 27, id="kappa-then-trailing"),
+        pytest.param("observations", "observe T(A) arrival 10 departure 5 X",
+                     "invalid stay [10.0, 5.0]", 35, id="stay-then-trailing"),
+        pytest.param("scenario", _S.replace("poisson 1 count 5", "at 1, 2 count 3") + " X",
+                     "schedule lists 2 arrivals but count is 3", 58,
+                     id="schedule-then-trailing"),
+        pytest.param("scenario",
+                     _S.replace("poisson 1 count 5 horizon 10", "at 1, 2 count 3 horizon inf"),
+                     "schedule lists 2 arrivals but count is 3", 58, id="schedule-then-horizon"),
+    ],
+)
+def test_leftmost_of_two_faults_is_reported(parser, text, message, col):
+    with pytest.raises(ParseError) as info:
+        PARSERS[parser](text)
+    assert str(info.value) == f"line 1, column {col}: {message}"
+
+
+@pytest.mark.parametrize(
+    "parser,text,message,col",
+    [
+        pytest.param("theory", "persist A exp 1 B\npersist A lin 2",
+                     "unexpected trailing input 'B'", 17, id="duplicate"),
+        pytest.param("theory", "project A(?x) => B(?y) @ 2",
+                     "kappa must lie in [0, 1], got 2.0", 26, id="unsafe-variable"),
+    ],
+)
+def test_statement_checks_run_after_the_line_is_read(parser, text, message, col):
+    with pytest.raises(ParseError) as info:
+        PARSERS[parser](text)
+    assert str(info.value) == f"line 1, column {col}: {message}"

@@ -161,6 +161,16 @@ class TestConvergence:
         rows = run_convergence(_scenario(count=100, horizon=1e9), "linear")
         assert rows[0].reference == rate("linear", 10.0)
 
+    def test_classes_sharing_name_and_arity_stay_apart(self):
+        sc = parse_scenario(
+            "scenario seed 3 class TRUCK(?c) fixed 10 class TRUCK(?d) fixed 30 "
+            "arrivals poisson 1 count 40 horizon 1e9"
+        )
+        rows = run_convergence(sc, "exponential")
+        assert [(r.class_key, r.n) for r in rows] == [("TRUCK(?c)", 10), ("TRUCK(?d)", 10)]
+        assert [r.reference for r in rows] == [rate("exponential", 10.0), rate("exponential", 30.0)]
+        assert [r.relative_error for r in rows] == pytest.approx([0.0, 0.0], abs=1e-12)
+
     def test_golden_scenario_error_shrinks(self, data_dir):
         sc = parse_scenario((data_dir / "trucks.scenario").read_text())
         rows = run_convergence(sc, "exponential")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tempro import (
     ALWAYS,
+    Exponential,
     ParseError,
     Pattern,
     RuleDerived,
@@ -134,6 +135,15 @@ class TestTokenStore:
         with pytest.raises(ValueError, match=f"^{message}$"):
             add(store, e, f)
         assert len(store) == 2
+
+    @pytest.mark.parametrize("derivation", [UserSupplied(), RuleDerived(0, 0, ())])
+    def test_fact_without_persistence_rejected(self, derivation):
+        store = TokenStore()
+        e = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, TimeGrid(0.0, 1.0, 10))
+        dock = Pattern("ATDOCK", ("TRUCK14",))
+        with pytest.raises(ValueError, match=r"^fact ATDOCK\(TRUCK14\) has no persistence survivor$"):
+            store.add_fact(dock, e.tid, None, 0.0, derivation)
+        assert len(store) == 1
 
     def test_ancestry_accumulates_along_derivations(self):
         g = TimeGrid(0.0, 1.0, 10)
@@ -290,7 +300,7 @@ class TestInitVectors:
         always = store.ensure_always()
         dock = Pattern("ATDOCK", ("TRUCK14",))
         onset = store.add_event(dock, 0.0, 5.0, 1.0, RuleDerived(0, user.tid, ()))
-        fact = store.add_fact(dock, onset.tid, None, 0.0, RuleDerived(0, user.tid, ()))
+        fact = store.add_fact(dock, onset.tid, Exponential(0.0), 0.0, RuleDerived(0, user.tid, ()))
         init_vectors(store, g)
         assert np.all(always.mass.values == 1.0)
         assert np.all(onset.density.values == 0.0)
