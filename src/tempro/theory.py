@@ -251,11 +251,12 @@ class TokenCursor:
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         """Consume and return the next token if it has ``kind`` (and
         ``text``, when given); otherwise consume nothing and return None."""
-        tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            return None
-        self.pos += 1
-        return tok
+        if self.pos < len(self.tokens):
+            tok = self.tokens[self.pos]
+            if tok.kind == kind and (text is None or tok.text == text):
+                self.pos += 1
+                return tok
+        return None
 
     def take(self, kind: str, what: str | None = None, text: str | None = None) -> Token:
         tok = self.accept(kind, text)
