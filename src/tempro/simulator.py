@@ -190,6 +190,14 @@ def run_convergence(scenario: Scenario, family: str) -> list[ConvergenceRow]:
     return rows
 
 
+def _finite_positive(value: float) -> bool:
+    return 0 < value < math.inf
+
+
+def _finite_nonneg(value: float) -> bool:
+    return 0 <= value < math.inf
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario file; exactly one ``scenario`` statement allowed."""
     scenario: Scenario | None = None
@@ -246,10 +254,3 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError("no scenario statement found", max(1, len(text.splitlines())), 1)
     return scenario
 
-
-def _finite_positive(value: float) -> bool:
-    return 0 < value < math.inf
-
-
-def _finite_nonneg(value: float) -> bool:
-    return 0 <= value < math.inf
