@@ -15,11 +15,8 @@ import argparse
 import csv
 import io
 import itertools
-import math
 import os
 import sys
-
-import numpy as np
 
 from .acquisition import (
     UnknownClassError,
@@ -58,7 +55,29 @@ def _fmt(x: float) -> str:
 
 def _read(path: str) -> str:
     with open(path, "r") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
+
+
+def _undecodable(path: str, exc: UnicodeDecodeError) -> ParseError:
+    """A parse error naming ``path`` at the line and column of the first byte
+    that its encoding cannot decode.  ``exc`` may come from a chunk of the
+    file, so the file is decoded again as a whole to place the byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        exc = whole
+    head = exc.object[: exc.start].decode(exc.encoding)
+    head = head.replace("\r\n", "\n").replace("\r", "\n")
+    return ParseError(
+        f"{path} is not {exc.encoding} text: byte 0x{exc.object[exc.start]:02x}, {exc.reason}",
+        head.count("\n") + 1,
+        len(head) - head.rfind("\n"),
+    )
 
 
 def _resolve_mesh(delta: float, mesh: str, window_widths: list[float]) -> int:
@@ -93,6 +112,8 @@ def _write_projection_csv(
     once per cell, the ``token_id,type,kind,`` head once per token, and only
     non-zero values go through ``_fmt``.
     """
+    import numpy as np
+
     for key, value in metadata.items():
         handle.write(f"# {key}={value}\n")
     handle.write("token_id,type,kind,cell,time,value\n")
@@ -206,7 +227,10 @@ class _CsvRows:
 def _load_projection_csv(path: str) -> tuple[dict[str, str], _CsvRows]:
     """The ``# key=value`` metadata and the data rows of a projection CSV."""
     with open(path, "r") as handle:
-        lines = handle.readlines()
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
     metadata: dict[str, str] = {}
     for line in [line for line in lines if line.startswith("#")]:
         body = line[1:].strip()

@@ -5,13 +5,20 @@ grid of time cells.  Cell ``i`` (1-based, ``1 <= i <= omega``) covers the
 half-open interval ``[origin + (i-1)*delta, origin + i*delta)``.  Event
 curves hold a probability *density* per cell (probability per unit time);
 fact curves hold a probability *mass* per cell.
+
+Only ``tempro project`` computes curves, so numpy is imported inside the
+functions that use it, here and in ``tokens``, ``refinement`` and ``cli``:
+its import costs about half of a command's start-up, and ``query``,
+``acquire``, ``simulate`` and ``--help`` never pay it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Relative tolerance used to snap times sitting on a cell boundary, so that
 # e.g. 0.3 / 0.1 lands in the cell starting at 0.3 rather than the one below.
@@ -93,6 +100,8 @@ class StepSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.omega,):
             raise GridError(
@@ -108,10 +117,14 @@ class StepSeries:
 
     @classmethod
     def zeros(cls, grid: TimeGrid) -> "StepSeries":
+        import numpy as np
+
         return cls(grid, np.zeros(grid.omega))
 
     @classmethod
     def ones(cls, grid: TimeGrid) -> "StepSeries":
+        import numpy as np
+
         return cls(grid, np.ones(grid.omega))
 
     def copy(self) -> "StepSeries":
@@ -119,7 +132,7 @@ class StepSeries:
 
     def validate_as_mass(self, tol: float = 1e-9) -> None:
         """Check the per-cell probability-mass reading: every value in [0, 1]."""
-        if np.any(self.values > 1.0 + tol):
+        if (self.values > 1.0 + tol).any():
             raise ValueError("mass series has values above 1")
 
 
@@ -134,7 +147,7 @@ def series_integral(s: StepSeries, from_cell: int = 1, to_cell: int | None = Non
         raise ValueError(
             f"cell range {from_cell}..{to_cell} outside 1..{s.grid.omega}"
         )
-    return float(np.sum(s.values[from_cell - 1 : to_cell]) * s.grid.delta)
+    return float(s.values[from_cell - 1 : to_cell].sum() * s.grid.delta)
 
 
 def resample(s: StepSeries, finer: TimeGrid) -> StepSeries:
@@ -160,7 +173,7 @@ def resample(s: StepSeries, finer: TimeGrid) -> StepSeries:
             f"target span ({finer.omega} cells of {finer.delta}) does not cover "
             f"source span ({src.omega} cells of {src.delta})"
         )
-    return StepSeries(finer, np.repeat(s.values, factor))
+    return StepSeries(finer, s.values.repeat(factor))
 
 
 def auto_mesh_factor(delta: float, window_widths: list[float]) -> int:

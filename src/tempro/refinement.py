@@ -32,12 +32,14 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import StepSeries, TimeGrid
 from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
 from .tokens import EventToken, FactToken, RuleDerived, TokenStore, user_density
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +88,8 @@ def survivor_eval(survivor: Survivor, elapsed: float) -> float:
 def _term_matrix(f: StepSeries, rate: float) -> np.ndarray:
     """Contribution of source cell j (column) to evaluation cell k (row)
     under an exponential survivor, before any clipping."""
+    import numpy as np
+
     grid = f.grid
     n = grid.omega
     delta = grid.delta
@@ -109,6 +113,8 @@ def convolve_direct(f: StepSeries, survivor: Survivor) -> StepSeries:
     ``max(0, 1 - slope*(k-j)*delta)``.  Serves as the independent reference
     for the recurrence in :func:`refine`.
     """
+    import numpy as np
+
     grid = f.grid
     if isinstance(survivor, Exponential):
         terms = _term_matrix(f, survivor.rate)
@@ -138,6 +144,8 @@ def clip(f: StepSeries, rate: float, g: StepSeries) -> StepSeries:
     overlapping windows double-count the annihilation; callers wanting exact
     semantics must keep ``g`` disjoint from surviving contributions.
     """
+    import numpy as np
+
     grid = f.grid
     if g.grid != grid:
         raise ValueError("f and g must share a grid")
@@ -226,6 +234,8 @@ def _linear_span(
     Lags are added in descending order starting from 0.0, which for every
     cell is the order of ascending source cells.
     """
+    import numpy as np
+
     n = len(density)
     scaled = density * delta
     if slope <= 0.0:
@@ -292,6 +302,8 @@ def refine(
     are logged at DEBUG level.  :class:`CyclicOpenTokens` is raised after
     every curve and the stats are in place.
     """
+    import numpy as np
+
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     omega = grid.omega

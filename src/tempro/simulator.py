@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .acquisition import rate
-from .theory import ParseError, Pattern, parse_pattern, statements
+from .theory import ParseError, Pattern, parse_pattern, split_lines, statements
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,6 @@ def parse_scenario(text: str) -> Scenario:
         cur.expect_end()
         scenario = Scenario(seed, classes, arrivals, count, horizon)
     if scenario is None:
-        raise ParseError("no scenario statement found", max(1, len(text.splitlines())), 1)
+        raise ParseError("no scenario statement found", max(1, len(split_lines(text))), 1)
     return scenario
 

@@ -201,13 +201,26 @@ class Token:
     col: int
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, broken only at ``\\n``, ``\\r\\n`` and ``\\r``,
+    the breaks that ``open()`` reads as newlines; a break that ends the text
+    starts no further line.  (``str.splitlines`` also breaks at form feeds
+    and other separators, which would put errors on the wrong line.)"""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def statements(text: str) -> Iterator["TokenCursor"]:
     """One cursor per line that holds a token, in line order.
 
     This is the line loop of every format: ``#`` starts a comment that runs
     to the end of the line, and blank or comment-only lines yield nothing.
     """
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         tokens: list[Token] = []
         pos = 0
         while pos < len(line):
@@ -347,7 +360,7 @@ def parse_ground_pattern(cur: TokenCursor, what: str) -> Pattern:
 
 def parse_pattern_text(text: str) -> Pattern:
     """Parse a single pattern given on its own, e.g. a CLI query argument."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     if len(lines) != 1:
         raise ParseError("expected a single pattern", 1, 1)
     for cur in statements(text):

@@ -15,9 +15,7 @@ the stated occurrence probability ``kappa``.  A zero-width window puts all of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .core import StepSeries, TimeGrid
 from .theory import (
@@ -244,6 +242,8 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
     are dropped, so a window sticking out of the horizon keeps only the mass
     that falls inside.
     """
+    import numpy as np
+
     values = np.zeros(grid.omega)
     if est == lst:
         cell = grid.time_to_cell(est)

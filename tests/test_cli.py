@@ -5,6 +5,8 @@ import csv
 import io
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -546,6 +548,50 @@ class TestBadInput:
         assert given.read_text() == text
         assert not outdir.exists()
 
+    SCENARIO = "scenario seed 5 class T(?x) exp 0.2 arrivals poisson 1 count 20 horizon 100\n"
+
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            ("project", "theory"),
+            ("project", "facts"),
+            ("query", "csv"),
+            ("acquire", "state"),
+            ("acquire", "observations"),
+            ("simulate", "scenario"),
+        ],
+    )
+    def test_undecodable_input_is_parse_error_naming_the_file(
+        self, tmp_path, data_dir, dock_csv, capsys, command, bad
+    ):
+        texts = {
+            "theory": (data_dir / "dock.rules").read_bytes(),
+            "facts": (data_dir / "dock.facts").read_bytes(),
+            "csv": dock_csv.read_bytes(),
+            "state": self.STATE.encode(),
+            "observations": self.STAY.encode(),
+            "scenario": self.SCENARIO.encode(),
+        }
+        paths = {name: tmp_path / f"input.{name}" for name in texts}
+        for name, data in texts.items():
+            paths[name].write_bytes(data + "# café ".encode() + b"\xff\n" if name == bad else data)
+        argv = {
+            "project": ["--theory", paths["theory"], "--facts", paths["facts"],
+                        "--delta", "1", "--omega", "200", "--out", tmp_path / "x.csv"],
+            "query": ["--csv", paths["csv"], "--fact", "ATDOCK(TRUCK14)", "--time", "1"],
+            "acquire": ["--state", paths["state"], "--observations", paths["observations"]],
+            "simulate": ["--scenario", paths["scenario"], "--outdir", tmp_path / "sim"],
+        }[command]
+        code, out, err = _run(capsys, command, *map(str, argv))
+        line = texts[bad].count(b"\n") + 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line {line}, column 8: {paths[bad]} is not utf-8 text: "
+            "byte 0xff, invalid start byte\n"
+        )
+        assert paths["state"].read_bytes().startswith(texts["state"])
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "sim").exists()
+
     def test_simulate_outdir_naming_a_file_is_io_error(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(
@@ -709,3 +755,37 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "project" in proc.stdout
+
+
+class TestStartup:
+    """Only ``project`` imports numpy; the other commands start without it."""
+
+    @staticmethod
+    def _numpy_modules(*argv) -> list[str]:
+        """The numpy modules that ``python -m tempro ARGV`` imports."""
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "tempro", *map(str, argv)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")
+        ]
+        return [m for m in modules if m == "numpy" or m.startswith("numpy.")]
+
+    def test_only_project_imports_numpy(self, tmp_path, data_dir):
+        projection, sim, state = tmp_path / "dock.csv", tmp_path / "sim", tmp_path / "t.state"
+        state.write_bytes((data_dir / "trucks.state").read_bytes())
+        assert "numpy" in self._numpy_modules(
+            "project", "--theory", data_dir / "dock.rules", "--facts", data_dir / "dock.facts",
+            "--delta", "2", "--omega", "100", "--out", projection,
+        )
+        for argv in [
+            ["--help"],
+            ["query", "--csv", projection, "--fact", "ATDOCK(TRUCK14)", "--time", "60"],
+            ["query", "--csv", projection, "--fact", "ATDOCK(?t)", "--time", "60"],
+            ["simulate", "--scenario", data_dir / "trucks.scenario", "--outdir", sim],
+            ["acquire", "--state", state, "--observations", sim / "observations.txt"],
+        ]:
+            assert self._numpy_modules(*argv) == [], argv[0]

@@ -230,3 +230,43 @@ def test_statement_checks_run_after_the_line_is_read(parser, text, message, col)
     with pytest.raises(ParseError) as info:
         PARSERS[parser](text)
     assert str(info.value) == f"line 1, column {col}: {message}"
+
+
+# The characters that ``str.splitlines`` treats as line breaks but that
+# ``open()`` leaves inside a line.  Inside a line they are whitespace.
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SEPARATOR_IDS = [f"U+{ord(c):04X}" for c in SEPARATORS]
+
+
+@pytest.mark.parametrize(
+    "parser,text,message,line,col",
+    [
+        pytest.param("theory", "persist A exp 0.1{sep}\npersist B exp -1\n",
+                     "decay parameter must be >= 0, got -1.0", 2, 15, id="ending-a-line"),
+        pytest.param("facts", "event A(X) est 0 lst 1 {sep} kappa 1\nevent B(X) est 2 lst 1\n",
+                     "window [2.0, 1.0] is invalid", 2, 22, id="inside-a-line"),
+        pytest.param("observations", "# first{sep}comment\n\nobserve T(A) arrival 1 departure 0\n",
+                     "invalid stay [1.0, 0.0]", 3, 34, id="in-a-comment"),
+        pytest.param("scenario", "# no statement{sep}\n",
+                     "no scenario statement found", 1, 1, id="no-scenario"),
+        pytest.param("pattern", "F(X){sep}G",
+                     "unexpected trailing input 'G'", 1, 6, id="pattern"),
+    ],
+)
+@pytest.mark.parametrize("sep", SEPARATORS, ids=_SEPARATOR_IDS)
+def test_only_newlines_break_lines(sep, parser, text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        PARSERS[parser](text.format(sep=sep))
+    assert str(info.value) == f"line {line}, column {col}: {message}"
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=_SEPARATOR_IDS)
+def test_separator_after_a_pattern_is_whitespace(sep):
+    assert str(parse_pattern_text(f"F(X){sep}")) == "F(X)"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_newlines_break_lines(newline):
+    with pytest.raises(ParseError) as info:
+        parse_theory(f"persist A exp 0.1{newline}{newline}persist B exp -1{newline}")
+    assert (info.value.line, info.value.col) == (3, 15)
