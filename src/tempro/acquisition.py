@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .theory import Pattern, parse_ground_pattern, parse_pattern, statements, unify
 
@@ -76,10 +76,16 @@ class AcquisitionClass:
 
 
 def acquire(cls: AcquisitionClass, duration: float) -> AcquisitionClass:
-    """Fold one completed stay duration into the class statistics."""
+    """Fold one completed stay duration into the class statistics.
+
+    A total that overflows to ``inf`` is rejected: no state file could
+    hold it, since ``load_state`` requires a finite ``sum``."""
     if math.isnan(duration) or math.isinf(duration) or duration < 0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    return replace(cls, insts=cls.insts + 1, total=cls.total + duration)
+    total = cls.total + duration
+    if math.isinf(total):
+        raise ValueError(f"sum of {cls.key} durations overflows: {cls.total} + {duration}")
+    return AcquisitionClass(cls.key, cls.family, cls.insts + 1, total)
 
 
 class UnknownClassError(ValueError):
@@ -137,16 +143,18 @@ def save_state(store: AcquisitionStore) -> str:
 def load_state(text: str) -> AcquisitionStore:
     classes: list[AcquisitionClass] = []
     for cur in statements(text):
-        cur.take_keyword("class")
+        cur.take("class")
         key = parse_pattern(cur)
-        family = cur.take_word(FAMILIES).text
-        cur.take_keyword("insts")
+        family = cur.take_word(FAMILIES)
+        cur.take("insts")
         insts = cur.take_count("insts", "an observation count")
-        cur.take_keyword("sum")
+        cur.take("sum")
         total = cur.take_number(
             "a duration sum", "sum must be finite and >= 0", lambda v: 0 <= v < math.inf
         )
-        cur.take_keyword("lambda")
+        if insts == 0 and total != 0:
+            raise cur.error(f"sum must be 0 when insts is 0, got {total}", back=1)
+        cur.take("lambda")
         cur.take_number("a decay parameter")  # informational; recomputed
         cur.expect_end()
         classes.append(AcquisitionClass(key, family, insts, total))
@@ -184,11 +192,11 @@ def parse_observations(text: str) -> list[Observation]:
     """
     out: list[Observation] = []
     for cur in statements(text):
-        cur.take_keyword("observe")
+        cur.take("observe")
         key = parse_ground_pattern(cur, "observation key")
-        cur.take_keyword("arrival")
+        cur.take("arrival")
         arrival = cur.take_number("an arrival time")
-        cur.take_keyword("departure")
+        cur.take("departure")
         departure = cur.take_number("a departure time")
         if not (math.isfinite(arrival) and math.isfinite(departure)) or departure < arrival:
             raise cur.error(f"invalid stay [{arrival}, {departure}]", back=1)

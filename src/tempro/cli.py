@@ -19,7 +19,6 @@ import os
 import sys
 
 from .acquisition import (
-    UnknownClassError,
     load_state,
     observe_lifetime,
     parse_observations,
@@ -316,7 +315,7 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     for obs in observations:
         try:
             observe_lifetime(store, obs.key, obs.arrival, obs.departure)
-        except UnknownClassError as exc:
+        except ValueError as exc:  # an unknown class, or a stay or sum that overflows
             raise ParseError(str(exc), obs.line, 1) from exc
     save_state_file(store, args.state)
     print(f"folded {len(observations)} observations into {len(store.classes)} classes")

@@ -204,13 +204,13 @@ def parse_scenario(text: str) -> Scenario:
     for cur in statements(text):
         if scenario is not None:
             raise cur.error("expected a single scenario statement")
-        cur.take_keyword("scenario")
-        cur.take_keyword("seed")
+        cur.take("scenario")
+        cur.take("seed")
         seed = cur.take_count("seed", "a seed")
         classes: list[tuple[Pattern, Lifetime]] = []
-        while cur.accept("name", "class"):
+        while cur.accept("class"):
             pattern = parse_pattern(cur)
-            dist = cur.take_word(("exp", "uniform", "fixed"), "lifetime distribution").text
+            dist = cur.take_word(("exp", "uniform", "fixed"), "lifetime distribution")
             if dist == "exp":
                 value = cur.take_number("a rate", "rate must be finite and > 0", _finite_positive)
                 lifetime: Lifetime = ExponentialLifetime(value)
@@ -226,27 +226,30 @@ def parse_scenario(text: str) -> Scenario:
             classes.append((pattern, lifetime))
         if not classes:
             raise cur.error("expected at least one 'class' clause")
-        cur.take_keyword("arrivals")
+        cur.take("arrivals")
+        process_at = cur.pos
         process = cur.take_word(("poisson", "at"), "arrival process")
-        if process.text == "poisson":
+        if process == "poisson":
             value = cur.take_number(
                 "an arrival rate", "arrival rate must be finite and > 0", _finite_positive
             )
             arrivals: PoissonArrivals | ScheduledArrivals = PoissonArrivals(value)
         else:
             times = [cur.take_number("an arrival time")]
-            while cur.accept("comma"):
+            while cur.accept(","):
                 times.append(cur.take_number("an arrival time"))
             if any(t < 0 or not math.isfinite(t) for t in times):
-                raise ParseError("arrival times must be finite and >= 0", cur.lineno, process.col)
+                raise ParseError(
+                    "arrival times must be finite and >= 0", cur.lineno, cur.col(process_at)
+                )
             arrivals = ScheduledArrivals(tuple(times))
-        cur.take_keyword("count")
+        cur.take("count")
         count = cur.take_count("count", "an entity count")
         if isinstance(arrivals, ScheduledArrivals) and len(arrivals.times) != count:
             raise cur.error(
                 f"schedule lists {len(arrivals.times)} arrivals but count is {count}", back=1
             )
-        cur.take_keyword("horizon")
+        cur.take("horizon")
         horizon = cur.take_number("a horizon", "horizon must be finite and >= 0", _finite_nonneg)
         cur.expect_end()
         scenario = Scenario(seed, classes, arrivals, count, horizon)

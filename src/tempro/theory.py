@@ -23,6 +23,7 @@ import re
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 TypeKey = tuple[str, int]  # (name, arity): a fact or event type ignoring bindings
 GroundKey = tuple[str, tuple[str, ...]]  # fully instantiated type
@@ -176,29 +177,39 @@ class ParseError(ValueError):
         self.col = col
 
 
+# Each token kind has its own first characters, so a token's first character
+# gives its kind.  ``findall`` skips exactly the characters that no
+# alternative matches, those of ``\s``.  The last alternative takes any
+# other character alone; of those, only ``@ ( ) ,`` are tokens.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#.*)
-      | (?P<arrow>=>)
-      | (?P<at>@)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<comma>,)
-      | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    r"""[A-Za-z_][A-Za-z0-9_]*                      # name
+      | [-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?   # number
+      | \?[A-Za-z_][A-Za-z0-9_]*                    # ?variable
+      | =>
+      | \#.*                                        # comment, to the end of the line
+      | \S
     """,
     re.VERBOSE,
 )
 
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_KINDS = {
+    **dict.fromkeys(_LETTERS, "name"),
+    **dict.fromkeys("0123456789+-.", "number"),
+    "?": "var", "=": "arrow", "@": "at", "(": "lparen", ")": "rparen", ",": "comma",
+}
+#: The characters that are a token on their own.
+_SINGLES = frozenset(_LETTERS + "0123456789@(),")
+
 _UPPER_RE = re.compile(r"[A-Z][A-Z0-9_]*$")
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    col: int
+def _kind(text: str) -> str:
+    """The kind of a token that :func:`statements` accepted: ``name``,
+    ``number``, ``var``, ``arrow``, ``at``, ``lparen``, ``rparen`` or
+    ``comma``.  The only first characters outside ``_KINDS`` are the
+    non-ASCII ``\\d`` digits that start a number."""
+    return _KINDS.get(text[0], "number")
 
 
 def split_lines(text: str) -> list[str]:
@@ -219,79 +230,84 @@ def statements(text: str) -> Iterator["TokenCursor"]:
 
     This is the line loop of every format: ``#`` starts a comment that runs
     to the end of the line, and blank or comment-only lines yield nothing.
+    A character that starts no token is reported before the line is read.
     """
     for lineno, line in enumerate(split_lines(text), start=1):
-        tokens: list[Token] = []
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            kind = m.lastgroup or ""
-            if kind == "comment":
-                break
-            if kind != "ws":
-                tokens.append(Token(kind, m.group(), m.start() + 1))
-            pos = m.end()
-        if tokens:
-            yield TokenCursor(tokens, lineno, len(line))
+        texts = _TOKEN_RE.findall(line)
+        if texts and texts[-1][0] == "#":
+            texts.pop()
+        if not texts:
+            continue
+        cur = TokenCursor(texts, lineno, line)
+        for tok in texts:
+            if len(tok) == 1 and tok not in _SINGLES and not tok.isdecimal():
+                col = cur.col(texts.index(tok))  # this is the first time ``tok`` occurs
+                raise ParseError(f"unexpected character {tok!r}", lineno, col)
+        yield cur
 
 
 class TokenCursor:
-    """Sequential reader over one line's tokens with positioned errors.
+    """Sequential reader over the token texts of one line, with positioned
+    errors.
 
-    Each ``take_*`` method either consumes what it asks for or raises a
+    Each ``take*`` method either consumes what it asks for or raises a
     :class:`ParseError` at the token it stopped on, so a line's faults are
-    reported left to right.
+    reported left to right.  A column is worked out only when it is asked
+    for, by tokenizing the line again.
     """
 
-    def __init__(self, tokens: list[Token], lineno: int, line_len: int):
-        self.tokens = tokens
+    def __init__(self, texts: list[str], lineno: int, line: str):
+        self.texts = texts
         self.pos = 0
         self.lineno = lineno
-        self.line_len = line_len
+        self.line = line
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> str | None:
+        return self.texts[self.pos] if self.pos < len(self.texts) else None
+
+    def col(self, index: int) -> int:
+        """The 1-based column of token ``index``; past the last token, the
+        column just past the end of the line."""
+        if index >= len(self.texts):
+            return len(self.line) + 1
+        return next(islice(_TOKEN_RE.finditer(self.line), index, None)).start() + 1
 
     def error(self, message: str, back: int = 0) -> ParseError:
         """``message`` at the token ``back`` places before the next one; with
         ``back=0``, at the next token or just past the end of the line."""
-        index = self.pos - back
-        col = self.tokens[index].col if index < len(self.tokens) else self.line_len + 1
-        return ParseError(message, self.lineno, col)
+        return ParseError(message, self.lineno, self.col(self.pos - back))
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        """Consume and return the next token if it has ``kind`` (and
-        ``text``, when given); otherwise consume nothing and return None."""
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            if tok.kind == kind and (text is None or tok.text == text):
-                self.pos += 1
-                return tok
-        return None
+    def expected(self, what: str) -> ParseError:
+        """``expected <what>, got <next token>`` at the next token."""
+        got = self.peek()
+        return self.error(f"expected {what}" + (f", got {got!r}" if got is not None else ""))
 
-    def take(self, kind: str, what: str | None = None, text: str | None = None) -> Token:
-        tok = self.accept(kind, text)
-        if tok is None:
-            got = self.peek()
-            raise self.error(f"expected {what or kind}" + (f", got {got.text!r}" if got else ""))
-        return tok
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is ``text``; say whether it was."""
+        pos = self.pos
+        if pos < len(self.texts) and self.texts[pos] == text:
+            self.pos = pos + 1
+            return True
+        return False
 
-    def take_keyword(self, word: str) -> Token:
-        return self.take("name", repr(word), word)
+    def take(self, text: str) -> None:
+        """Consume the token ``text``, a keyword or a punctuation mark."""
+        pos = self.pos
+        if pos < len(self.texts) and self.texts[pos] == text:
+            self.pos = pos + 1
+        else:
+            raise self.expected(repr(text))
 
-    def take_word(self, choices: tuple[str, ...], unknown: str | None = None) -> Token:
+    def take_word(self, choices: tuple[str, ...], unknown: str | None = None) -> str:
         """One of the words ``choices``.  Another word is reported as
         ``unknown <unknown> 'word'`` when ``unknown`` is given; anything else
         as ``expected 'a', 'b' or 'c'``."""
-        tok = self.peek()
-        if tok is not None and tok.kind == "name":
-            if tok.text in choices:
-                self.pos += 1
-                return tok
-            if unknown is not None:
-                raise self.error(f"unknown {unknown} {tok.text!r}")
+        word = self.peek()
+        if word in choices:
+            self.pos += 1
+            return word
+        if unknown is not None and word is not None and _kind(word) == "name":
+            raise self.error(f"unknown {unknown} {word!r}")
         quoted = [repr(c) for c in choices]
         raise self.error(f"expected {', '.join(quoted[:-1])} or {quoted[-1]}")
 
@@ -303,13 +319,13 @@ class TokenCursor:
     ) -> float:
         """A number, or ``inf``.  When ``ok`` rejects it, raises
         ``<rule>, got <value>`` at the number's own token."""
-        tok = self.peek()
-        if tok is not None and tok.kind == "number":
-            value = float(tok.text)
-        elif tok is not None and tok.kind == "name" and tok.text.lower() == "inf":
+        text = self.peek()
+        if text is not None and _kind(text) == "number":
+            value = float(text)
+        elif text is not None and text.lower() == "inf":
             value = math.inf
         else:
-            raise self.error(f"expected {what}" + (f", got {tok.text!r}" if tok else ""))
+            raise self.expected(what)
         if ok is not None and not ok(value):
             raise self.error(f"{rule}, got {value}")
         self.pos += 1
@@ -317,35 +333,52 @@ class TokenCursor:
 
     def take_count(self, field: str, what: str) -> int:
         """A non-negative integer such as an observation count or a seed;
-        ``inf`` and fractions are rejected like negative numbers."""
+        ``inf`` and fractions are rejected like negative numbers.  An integer
+        literal is read exactly, also above 2**53, where floats have gaps."""
         rule = f"{field} must be a non-negative integer"
-        return int(self.take_number(what, rule, lambda v: v >= 0 and v.is_integer()))
+        value = self.take_number(what, rule, lambda v: v >= 0 and v.is_integer())
+        text = self.texts[self.pos - 1]
+        return int(text) if text.lstrip("+-").isdecimal() else int(value)
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise self.error(f"unexpected trailing input {tok.text!r}")
+        text = self.peek()
+        if text is not None:
+            raise self.error(f"unexpected trailing input {text!r}")
 
 
 def parse_pattern(cur: TokenCursor) -> Pattern:
-    name = cur.take("name", "a pattern name")
-    if not _UPPER_RE.match(name.text):
-        raise cur.error(f"pattern name {name.text!r} must be upper-case", back=1)
+    texts, pos, end = cur.texts, cur.pos, len(cur.texts)
+    name = texts[pos] if pos < end else None
+    if name is None or not _UPPER_RE.match(name):
+        if name is not None and _kind(name) == "name":
+            raise cur.error(f"pattern name {name!r} must be upper-case")
+        raise cur.expected("a pattern name")
     args: list[str] = []
-    if cur.accept("lparen"):
+    pos += 1
+    if pos < end and texts[pos] == "(":
         while True:
-            tok = cur.peek()
-            if tok is None:
-                raise cur.error("unterminated argument list")
-            if tok.kind == "name" and not _UPPER_RE.match(tok.text):
-                raise cur.error(f"constant {tok.text!r} must be upper-case")
-            if tok.kind not in ("var", "name"):
-                raise cur.error(f"expected a constant or ?variable, got {tok.text!r}")
-            args.append(cur.take(tok.kind).text)
-            if not cur.accept("comma"):
+            pos += 1
+            if pos == end or not (texts[pos][0] == "?" or _UPPER_RE.match(texts[pos])):
+                cur.pos = pos
+                raise _argument_error(cur)
+            args.append(texts[pos])
+            pos += 1
+            if pos == end or texts[pos] != ",":
                 break
-        cur.take("rparen", "')'")
-    return Pattern(name.text, tuple(args))
+        cur.pos = pos
+        cur.take(")")
+    else:
+        cur.pos = pos
+    return Pattern(name, tuple(args))
+
+
+def _argument_error(cur: TokenCursor) -> ParseError:
+    arg = cur.peek()
+    if arg is None:
+        return cur.error("unterminated argument list")
+    if _kind(arg) == "name":
+        return cur.error(f"constant {arg!r} must be upper-case")
+    return cur.error(f"expected a constant or ?variable, got {arg!r}")
 
 
 def parse_ground_pattern(cur: TokenCursor, what: str) -> Pattern:
@@ -370,8 +403,8 @@ def parse_pattern_text(text: str) -> Pattern:
     raise ParseError("expected a pattern name", 1, len(lines[0]) + 1)
 
 
-def _starts_pattern(tok: Token | None) -> bool:
-    return tok is not None and tok.kind == "name"
+def _starts_pattern(text: str | None) -> bool:
+    return text is not None and _kind(text) == "name"
 
 
 def _canonical_subject(pattern: Pattern) -> tuple:
@@ -392,10 +425,9 @@ def parse_theory(text: str) -> CausalTheory:
     persistence_rules: list[PersistenceRule] = []
     seen_subjects: dict[tuple, int] = {}
     for cur in statements(text):
-        head = cur.take_word(("persist", "project"))
-        if head.text == "persist":
+        if cur.take_word(("persist", "project")) == "persist":
             subject = parse_pattern(cur)
-            family = cur.take_word(("exp", "lin")).text
+            family = cur.take_word(("exp", "lin"))
             value = cur.take_number(
                 "a decay parameter", "decay parameter must be >= 0", lambda v: v >= 0
             )
@@ -406,18 +438,19 @@ def parse_theory(text: str) -> CausalTheory:
                     f"duplicate persistence rule for {subject} "
                     f"(first given on line {seen_subjects[canon]})",
                     cur.lineno,
-                    head.col,
+                    cur.col(0),
                 )
             seen_subjects[canon] = cur.lineno
             survivor: Survivor = Exponential(value) if family == "exp" else Linear(value)
             persistence_rules.append(PersistenceRule(subject, survivor))
         else:
             patterns = [parse_pattern(cur)]
-            while cur.accept("comma") or _starts_pattern(cur.peek()):
+            while cur.accept(",") or _starts_pattern(cur.peek()):
                 patterns.append(parse_pattern(cur))
-            cur.take("arrow", "'=>'")
+            cur.take("=>")
             consequent = parse_pattern(cur)
-            at_tok = cur.take("at", "'@'")
+            at = cur.pos
+            cur.take("@")
             kappa = cur.take_number(
                 "a probability", "kappa must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0
             )
@@ -432,7 +465,7 @@ def parse_theory(text: str) -> CausalTheory:
                     f"consequent variable {sorted(unsafe)[0]} appears in neither "
                     "the trigger nor any antecedent",
                     cur.lineno,
-                    at_tok.col,
+                    cur.col(at),
                 )
             projection_rules.append(
                 ProjectionRule(antecedents, trigger, consequent, kappa)

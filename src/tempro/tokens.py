@@ -342,15 +342,15 @@ def parse_basic_facts(text: str) -> list[BasicEventSpec]:
     """
     specs: list[BasicEventSpec] = []
     for cur in statements(text):
-        cur.take_keyword("event")
+        cur.take("event")
         pattern = parse_ground_pattern(cur, "basic event")
-        cur.take_keyword("est")
+        cur.take("est")
         est = cur.take_number("the earliest start time")
-        cur.take_keyword("lst")
+        cur.take("lst")
         lst = cur.take_number("the latest start time")
         if not (math.isfinite(est) and math.isfinite(lst) and est <= lst):
             raise cur.error(f"window [{est}, {lst}] is invalid", back=1)
-        cur.take_keyword("kappa")
+        cur.take("kappa")
         kappa = cur.take_number(
             "an occurrence probability", "kappa must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0
         )

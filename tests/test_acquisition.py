@@ -105,6 +105,11 @@ class TestAcquire:
         with pytest.raises(ValueError):
             acquire(cls, math.inf)
 
+    def test_total_that_overflows_rejected(self):
+        cls = acquire(AcquisitionClass(TRUCK, "exponential"), 1e308)
+        with pytest.raises(ValueError, match="overflows"):
+            acquire(cls, 1.7e308)
+
     def test_original_not_mutated(self):
         cls = AcquisitionClass(TRUCK, "exponential")
         acquire(cls, 10.0)
@@ -188,6 +193,15 @@ class TestStateFile:
         assert cls.key == TRUCK
         assert cls.family == "exponential"
         assert cls.insts == 0
+
+    def test_count_above_two_to_the_53_reloads_exactly(self):
+        count = 2**53 + 1  # the nearest float is 2**53
+        text = f"class TRUCKAT(?d) exponential insts {count} sum 1.0 lambda 0.0\n"
+        store = load_state(text)
+        assert store.classes[0].insts == count
+        saved = save_state(store)
+        assert f" insts {count} " in saved
+        assert save_state(load_state(saved)) == saved
 
     def test_lambda_recomputed_not_trusted(self):
         store = load_state(

@@ -489,6 +489,11 @@ class TestBadInput:
              "line 1, column 31: insts must be a non-negative integer, got -3.0"),
             ("class T(?x) exponential insts 0 sum nan lambda inf\n", STAY,
              "line 1, column 37: expected a duration sum, got 'nan'"),
+            (STATE, "observe T(A) arrival -1.7e308 departure 1.7e308\n",
+             "line 1, column 1: duration must be finite and >= 0, got inf"),
+            (STATE, "observe T(A) arrival 0 departure 1e308\n"
+                    "observe T(B) arrival 0 departure 1.7e308\n",
+             "line 2, column 1: sum of T(?x) durations overflows: 1e+308 + 1.7e+308"),
         ],
     )
     def test_bad_acquire_input_is_parse_error(
@@ -661,6 +666,29 @@ class TestAcquire:
         assert code == 2
         assert "SHIPAT" in err
         assert state.read_text() == original
+
+    def test_fold_matches_left_to_right_sum(self, tmp_path, capsys, data_dir):
+        """``acquire`` against an independent fold of a simulated fleet: the
+        count is the line count and the sum is the exact left-to-right sum
+        of ``departure - arrival``, read with ``str.split``."""
+        outdir = tmp_path / "sim"
+        _run(capsys, "simulate", "--scenario", str(data_dir / "trucks.scenario"),
+             "--outdir", str(outdir))
+        observations = outdir / "observations.txt"
+        state = tmp_path / "trucks.state"
+        state.write_text((data_dir / "trucks.state").read_text())
+        code, _, _ = _run(
+            capsys, "acquire", "--state", str(state), "--observations", str(observations),
+        )
+        assert code == 0
+        lines = observations.read_text().splitlines()
+        total = 0.0
+        for line in lines:
+            _, _, _, arrival, _, departure = line.split()
+            total += float(departure) - float(arrival)
+        (cls,) = load_state(state.read_text()).classes
+        assert cls.insts == len(lines) == 10000
+        assert cls.total == total
 
 
 class TestSimulate:

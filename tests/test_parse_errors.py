@@ -4,7 +4,11 @@ Every line-oriented format (rules, basic facts, acquisition state,
 observations, scenario) and the single-pattern reader must report each
 fault with exactly this message, line and column.
 """
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempro import (
     ParseError,
@@ -18,6 +22,7 @@ from tempro import (
     parse_scenario,
     parse_theory,
 )
+from tempro.theory import _kind, split_lines, statements
 
 
 def _facts_on_grid(text):
@@ -96,6 +101,8 @@ CASES = [
      "sum must be finite and >= 0, got inf", 1, 37),
     ("state-sum-negative", "state", "class T(?x) exponential insts 0 sum -1 lambda inf",
      "sum must be finite and >= 0, got -1.0", 1, 37),
+    ("state-sum-without-insts", "state", "class T(?x) exponential insts 0 sum 5.0 lambda inf",
+     "sum must be 0 when insts is 0, got 5.0", 1, 37),
     ("state-lambda", "state", "class T(?x) exponential insts 0 sum 0 lambda x",
      "expected a decay parameter, got 'x'", 1, 46),
     # Observations.
@@ -270,3 +277,79 @@ def test_newlines_break_lines(newline):
     with pytest.raises(ParseError) as info:
         parse_theory(f"persist A exp 0.1{newline}{newline}persist B exp -1{newline}")
     assert (info.value.line, info.value.col) == (3, 15)
+
+
+# The tokenizer that the one-``findall`` reader replaced: one ``match`` per
+# token, whitespace included.  It is the reference for the reader's tokens.
+_ORACLE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>\#.*)
+      | (?P<arrow>=>)
+      | (?P<at>@)
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<comma>,)
+      | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<number>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def _oracle_tokens(text):
+    """``(line, [(kind, text, column), ...])`` for each line with a token."""
+    out = []
+    for lineno, line in enumerate(split_lines(text), start=1):
+        tokens = []
+        pos = 0
+        while pos < len(line):
+            m = _ORACLE_TOKEN_RE.match(line, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
+            kind = m.lastgroup or ""
+            if kind == "comment":
+                break
+            if kind != "ws":
+                tokens.append((kind, m.group(), m.start() + 1))
+            pos = m.end()
+        if tokens:
+            out.append((lineno, tokens))
+    return out
+
+
+def _reader_tokens(text):
+    return [
+        (cur.lineno, [(_kind(t), t, cur.col(i)) for i, t in enumerate(cur.texts)])
+        for cur in statements(text)
+    ]
+
+
+_FRAGMENTS = [
+    "A", "TRUCK14", "x", "_y", "inf", "e", "E",               # names
+    "0", "12", ".5", "1e-3", "+7", "-2.", "3E+2", "\u0663",  # numbers (U+0663 is a digit)
+    "?x", "?_t1",                                             # variables
+    "=>", "@", "(", ")", ",", "# note", "#",                  # punctuation, comments
+    "=", "?", "+", "-", ".", ">", "$",                        # lone characters
+    "\u00e9", "\u03a9", "\u00b2",                             # letters, superscript two
+    " ", "\t", "\x0c", "\u00a0", "\u2028",                    # whitespace
+]
+
+
+@settings(max_examples=500)  # about 60% of drawn texts hold a lone character
+@given(
+    st.lists(
+        st.lists(st.sampled_from(_FRAGMENTS), max_size=10).map("".join),
+        min_size=1, max_size=3,
+    ).map("\n".join)
+)
+def test_reader_tokens_match_the_match_loop(text):
+    try:
+        expected = _oracle_tokens(text)
+    except ParseError as oracle:
+        with pytest.raises(ParseError) as info:
+            _reader_tokens(text)
+        assert (str(info.value), info.value.line, info.value.col) == (
+            str(oracle), oracle.line, oracle.col)
+    else:
+        assert _reader_tokens(text) == expected
