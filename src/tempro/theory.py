@@ -256,6 +256,8 @@ class TokenCursor:
     for, by tokenizing the line again.
     """
 
+    __slots__ = ("texts", "pos", "lineno", "line")
+
     def __init__(self, texts: list[str], lineno: int, line: str):
         self.texts = texts
         self.pos = 0

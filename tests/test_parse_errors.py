@@ -2,7 +2,8 @@
 
 Every line-oriented format (rules, basic facts, acquisition state,
 observations, scenario) and the single-pattern reader must report each
-fault with exactly this message, line and column.
+fault with exactly this message, line and column.  The reader's tokens are
+also checked against the match-loop tokenizer it replaced.
 """
 import re
 
