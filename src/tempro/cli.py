@@ -323,6 +323,11 @@ def cmd_acquire(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # random.Random seeds with the absolute value, so -5 would act as 5.
+    if args.seed is not None and not 0 <= args.seed <= sys.float_info.max:
+        raise _UsageError(
+            f"--seed must be an integer in [0, {sys.float_info.max!r}], got {args.seed}"
+        )
     scenario = parse_scenario(_read(args.scenario))
     if args.seed is not None:
         scenario.seed = args.seed

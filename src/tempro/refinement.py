@@ -32,7 +32,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .core import StepSeries, TimeGrid
 from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
@@ -65,13 +65,13 @@ def within_cell_factor(rate: float, delta: float) -> float:
     """Average survival from a uniform occurrence time in a cell to its end.
 
     Equals ``(1 - exp(-rate*delta)) / (rate*delta)``, continuously extended
-    to 1 at ``rate = 0`` and 0 at ``rate = inf``.
+    to 1 where ``rate*delta`` is 0 (also when it underflows to 0) and 0 at
+    ``rate = inf``.
     """
-    if rate == 0.0:
+    x = rate * delta
+    if x == 0.0:
         return 1.0
-    if math.isinf(rate):
-        return 0.0
-    return -math.expm1(-rate * delta) / (rate * delta)
+    return -math.expm1(-x) / x
 
 
 def survivor_eval(survivor: Survivor, elapsed: float) -> float:
@@ -85,52 +85,53 @@ def survivor_eval(survivor: Survivor, elapsed: float) -> float:
     return max(0.0, 1.0 - survivor.slope * elapsed)
 
 
-def _term_matrix(f: StepSeries, rate: float) -> np.ndarray:
-    """Contribution of source cell j (column) to evaluation cell k (row)
-    under an exponential survivor, before any clipping."""
+def _lag_weights(survivor: Survivor, grid: TimeGrid) -> np.ndarray:
+    """``delta * rho(lag)`` for lags ``0..omega-1``: for exponential survivors
+    the exact per-cell kernel of the incremental recurrence, for linear ones
+    the midpoint weight ``max(0, 1 - slope*lag*delta)``; 0 for every lag at
+    an infinite rate."""
     import numpy as np
 
-    grid = f.grid
-    n = grid.omega
     delta = grid.delta
-    idx = np.arange(n)
-    elapsed = (idx[:, None] - idx[None, :]) * delta
-    mask = elapsed >= 0
-    if math.isinf(rate):
-        return np.zeros((n, n))
-    coef = delta * within_cell_factor(rate, delta)
-    kernel = coef * np.exp(-rate * np.where(mask, elapsed, 0.0))
-    return np.where(mask, f.values[None, :] * kernel, 0.0)
+    elapsed = np.arange(grid.omega) * delta
+    if isinstance(survivor, Exponential):
+        rate = survivor.rate
+        if math.isinf(rate):
+            return np.zeros(grid.omega)
+        return delta * within_cell_factor(rate, delta) * np.exp(-rate * elapsed)
+    slope = survivor.slope
+    if math.isinf(slope):
+        weight = np.where(elapsed == 0, 1.0, 0.0)
+    else:
+        weight = np.clip(1.0 - slope * elapsed, 0.0, None)
+    return delta * weight
+
+
+def _rows(f: StepSeries, weights: np.ndarray) -> Iterator[np.ndarray]:
+    """Row k = 0..omega-1 of the contributions ``f[j] * weights[k-j]`` (0 for
+    j > k), each in the same reused buffer, which keeps its full length so
+    that every row is summed in the same pairwise order."""
+    import numpy as np
+
+    values = f.values
+    row = np.zeros(len(values))
+    for k in range(len(values)):
+        np.multiply(values[: k + 1], weights[k::-1], out=row[: k + 1])
+        yield row
 
 
 def convolve_direct(f: StepSeries, survivor: Survivor) -> StepSeries:
     """Direct (quadratic) evaluation of the persistence convolution.
 
     ``out[k] = sum_{j<=k} f[j] * delta * rho(j, k)`` where ``rho`` is the
-    survivor evaluated from cell j's contribution to the end of cell k: for
-    exponential survivors the exact per-cell kernel of the incremental
-    recurrence, for linear survivors the midpoint weight
-    ``max(0, 1 - slope*(k-j)*delta)``.  Serves as the independent reference
-    for the recurrence in :func:`refine`.
+    survivor evaluated from cell j's contribution to the end of cell k, as
+    :func:`_lag_weights` states it.  Serves as the independent reference for
+    the recurrence in :func:`refine`.
     """
     import numpy as np
 
-    grid = f.grid
-    if isinstance(survivor, Exponential):
-        terms = _term_matrix(f, survivor.rate)
-        return StepSeries(grid, terms.sum(axis=1))
-    n = grid.omega
-    delta = grid.delta
-    idx = np.arange(n)
-    elapsed = (idx[:, None] - idx[None, :]) * delta
-    mask = elapsed >= 0
-    slope = survivor.slope
-    if math.isinf(slope):
-        weight = np.where(elapsed == 0, 1.0, 0.0)
-    else:
-        weight = np.clip(1.0 - slope * np.where(mask, elapsed, 0.0), 0.0, None)
-    terms = np.where(mask, f.values[None, :] * (delta * weight), 0.0)
-    return StepSeries(grid, terms.sum(axis=1))
+    sums = [row.sum() for row in _rows(f, _lag_weights(survivor, f.grid))]
+    return StepSeries(f.grid, np.array(sums))
 
 
 def clip(f: StepSeries, rate: float, g: StepSeries) -> StepSeries:
@@ -149,13 +150,13 @@ def clip(f: StepSeries, rate: float, g: StepSeries) -> StepSeries:
     grid = f.grid
     if g.grid != grid:
         raise ValueError("f and g must share a grid")
-    n = grid.omega
-    terms = _term_matrix(f, rate)
-    cum = np.zeros(n + 1)
+    cum = np.zeros(grid.omega + 1)
     np.cumsum(g.values * grid.delta, out=cum[1:])
-    integral = cum[1:, None] - cum[None, :-1]  # integral of g over cells j..k
-    bracket = np.clip(1.0 - integral, 0.0, None)
-    return StepSeries(grid, (terms * bracket).sum(axis=1))
+    sums = []
+    for k, row in enumerate(_rows(f, _lag_weights(Exponential(rate), grid))):
+        integral = cum[k + 1] - cum[:-1]  # integral of g over cells j..k
+        sums.append((row * np.clip(1.0 - integral, 0.0, None)).sum())
+    return StepSeries(grid, np.array(sums))
 
 
 def density_update(store: TokenStore, token, i: int) -> float:

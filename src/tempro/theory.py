@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -336,11 +337,17 @@ class TokenCursor:
     def take_count(self, field: str, what: str) -> int:
         """A non-negative integer such as an observation count or a seed;
         ``inf`` and fractions are rejected like negative numbers.  An integer
-        literal is read exactly, also above 2**53, where floats have gaps."""
+        literal is read exactly, also above 2**53, where floats have gaps; a
+        literal beyond the largest float is rejected with that limit."""
+        text = self.peek()
+        exact = text is not None and text.lstrip("+-").isdecimal()
+        if text is not None and _kind(text) == "number" and (
+            math.isinf(float(text)) or exact and abs(int(text)) > sys.float_info.max
+        ):
+            raise self.error(f"{field} must be at most {sys.float_info.max!r}")
         rule = f"{field} must be a non-negative integer"
         value = self.take_number(what, rule, lambda v: v >= 0 and v.is_integer())
-        text = self.texts[self.pos - 1]
-        return int(text) if text.lstrip("+-").isdecimal() else int(value)
+        return int(text) if exact else int(value)
 
     def expect_end(self) -> None:
         text = self.peek()
@@ -487,40 +494,22 @@ class DependencyGraph:
         """A cycle among ``within`` (default: all vertices), or None.
 
         Returned as the list of vertices along the cycle, start repeated last.
+        Vertices and arcs are visited in sorted order, so the same graph
+        reports the same cycle in every run.
         """
+        from graphlib import CycleError, TopologicalSorter
+
         nodes = self.vertices if within is None else (self.vertices & within)
-        adjacency = {v: [r for (q, r) in self.arcs if q == v and r in nodes] for v in nodes}
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {v: WHITE for v in nodes}
-        parent: dict[TypeKey, TypeKey] = {}
-        for root in sorted(nodes):
-            if color[root] != WHITE:
-                continue
-            stack = [(root, iter(adjacency[root]))]
-            color[root] = GREY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color[nxt] == WHITE:
-                        color[nxt] = GREY
-                        parent[nxt] = node
-                        stack.append((nxt, iter(adjacency[nxt])))
-                        advanced = True
-                        break
-                    if color[nxt] == GREY:
-                        cycle = [nxt]
-                        cursor = node
-                        while cursor != nxt:
-                            cycle.append(cursor)
-                            cursor = parent[cursor]
-                        cycle.append(nxt)
-                        cycle[1:-1] = cycle[-2:0:-1]
-                        return cycle
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-            # fall through: this component is acyclic
+        sorter: TopologicalSorter[TypeKey] = TopologicalSorter()
+        for v in sorted(nodes):
+            sorter.add(v)
+        for q, r in sorted(self.arcs):
+            if q in nodes and r in nodes:
+                sorter.add(r, q)
+        try:
+            sorter.prepare()
+        except CycleError as exc:
+            return list(exc.args[1])
         return None
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import random
 import subprocess
 import sys
@@ -597,6 +598,20 @@ class TestBadInput:
         assert paths["state"].read_bytes().startswith(texts["state"])
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("seed", ["-5", "9" * 400], ids=["negative", "beyond-float"])
+    def test_simulate_seed_outside_what_a_scenario_accepts_is_usage_error(
+        self, tmp_path, data_dir, capsys, seed
+    ):
+        # random.Random would seed -5 as 5; a scenario file rejects both.
+        outdir = tmp_path / "sim"
+        code, out, err = _run(
+            capsys, "simulate", "--scenario", str(data_dir / "trucks.scenario"),
+            "--outdir", str(outdir), "--seed", seed,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --seed must be an integer in [0, ") and err.count("\n") == 1
+        assert not outdir.exists()
+
     def test_simulate_outdir_naming_a_file_is_io_error(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(
@@ -763,6 +778,39 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cycle" in err
+
+    def test_cycle_message_does_not_depend_on_hash_seed(self, tmp_path):
+        # Two cycles through A are open at cell 3; string hashing used to
+        # decide which one was named (seeds 0 and 2 named different ones).
+        rules = tmp_path / "two-cycles.rules"
+        rules.write_text(
+            "persist A(?x) exp 0.1\npersist B(?x) exp 0.1\npersist C(?x) exp 0.1\n"
+            "project ALWAYS, E0(?x) => A(?x) @ 1.0\n"
+            "project A(?x), E1(?x) => B(?x) @ 1.0\n"
+            "project A(?x), E2(?x) => C(?x) @ 1.0\n"
+            "project B(?x), E3(?x) => A(?x) @ 1.0\n"
+            "project C(?x), E4(?x) => A(?x) @ 1.0\n"
+        )
+        facts = tmp_path / "two-cycles.facts"
+        facts.write_text(
+            "event E0(X) est 0 lst 0 kappa 1.0\n"
+            "event E1(X) est 2 lst 2 kappa 1.0\nevent E2(X) est 2 lst 2 kappa 1.0\n"
+        )
+        argv = [
+            sys.executable, "-m", "tempro", "project", "--theory", str(rules),
+            "--facts", str(facts), "--delta", "1", "--omega", "10",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+        runs = {
+            seed: subprocess.run(
+                argv, capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("0", "2")
+        }
+        assert {(run.returncode, run.stderr) for run in runs.values()} == {
+            (3, "error: open tokens at cell 3 form a dependency cycle: A/1 -> B/1 -> A/1\n")
+        }
 
     def test_io_error_missing_file(self, tmp_path, capsys):
         code, _, err = _run(

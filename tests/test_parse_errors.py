@@ -6,6 +6,7 @@ fault with exactly this message, line and column.  The reader's tokens are
 also checked against the match-loop tokenizer it replaced.
 """
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,37 @@ def test_infinite_integer_field_is_rejected(parser, text, message, col):
     with pytest.raises(ParseError) as info:
         PARSERS[parser](text)
     assert str(info.value) == f"line 1, column {col}: {message}"
+
+
+_BEYOND_FLOAT = "9" * 400  # float() of this literal is inf
+
+
+@pytest.mark.parametrize(
+    "parser,text,message,col",
+    [
+        pytest.param("state", f"class T(?x) exponential insts {_BEYOND_FLOAT} sum 0 lambda inf",
+                     "insts must be at most 1.7976931348623157e+308", 31, id="insts"),
+        pytest.param("scenario", _S.replace("seed 1", f"seed {_BEYOND_FLOAT}"),
+                     "seed must be at most 1.7976931348623157e+308", 15, id="seed"),
+        pytest.param("scenario", _S.replace("count 5", f"count {_BEYOND_FLOAT}"),
+                     "count must be at most 1.7976931348623157e+308", 60, id="count"),
+        pytest.param("scenario", _S.replace("seed 1", f"seed -{_BEYOND_FLOAT}"),
+                     "seed must be at most 1.7976931348623157e+308", 15, id="seed-negative"),
+        pytest.param("scenario", _S.replace("seed 1", "seed 1e400"),
+                     "seed must be at most 1.7976931348623157e+308", 15, id="seed-exponent"),
+        pytest.param("scenario", _S.replace("seed 1", f"seed {int(sys.float_info.max) + 1}"),
+                     "seed must be at most 1.7976931348623157e+308", 15, id="seed-just-above"),
+    ],
+)
+def test_integer_field_beyond_the_largest_float_is_rejected(parser, text, message, col):
+    with pytest.raises(ParseError) as info:
+        PARSERS[parser](text)
+    assert str(info.value) == f"line 1, column {col}: {message}"
+
+
+def test_integer_field_at_the_largest_float_is_read_exactly():
+    largest = int(sys.float_info.max)
+    assert parse_scenario(_S.replace("seed 1", f"seed {largest}")).seed == largest
 
 
 # A line is checked left to right, so of two faults the left one is reported:

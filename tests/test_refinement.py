@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,10 @@ class TestWithinCellFactor:
     def test_instant_decay_is_zero(self):
         assert within_cell_factor(math.inf, 0.5) == 0.0
 
+    def test_rate_that_underflows_against_delta_is_unity(self):
+        assert 5e-324 * 0.25 == 0.0
+        assert within_cell_factor(5e-324, 0.25) == 1.0
+
     def test_unit_product_value(self):
         # (1 - e^-1) / 1, straight from the defining integral
         assert within_cell_factor(2.0, 0.5) == pytest.approx(1.0 - math.exp(-1.0))
@@ -476,6 +481,113 @@ class TestClip:
         got = clip(f, 0.0, g)
         assert np.all(got.values >= 0.0)
         assert np.all(got.values[1:] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the row-at-a-time forms against the omega x omega matrix forms they replaced
+
+
+def _matrix_terms(f: StepSeries, rate: float) -> np.ndarray:
+    """Contribution of source cell j (column) to evaluation cell k (row)
+    under an exponential survivor, before any clipping."""
+    grid = f.grid
+    n = grid.omega
+    delta = grid.delta
+    idx = np.arange(n)
+    elapsed = (idx[:, None] - idx[None, :]) * delta
+    mask = elapsed >= 0
+    if math.isinf(rate):
+        return np.zeros((n, n))
+    coef = delta * within_cell_factor(rate, delta)
+    kernel = coef * np.exp(-rate * np.where(mask, elapsed, 0.0))
+    return np.where(mask, f.values[None, :] * kernel, 0.0)
+
+
+def _matrix_convolve(f: StepSeries, survivor) -> np.ndarray:
+    """``convolve_direct`` as one omega x omega matrix summed by rows."""
+    grid = f.grid
+    if isinstance(survivor, Exponential):
+        return _matrix_terms(f, survivor.rate).sum(axis=1)
+    n = grid.omega
+    delta = grid.delta
+    idx = np.arange(n)
+    elapsed = (idx[:, None] - idx[None, :]) * delta
+    mask = elapsed >= 0
+    slope = survivor.slope
+    if math.isinf(slope):
+        weight = np.where(elapsed == 0, 1.0, 0.0)
+    else:
+        weight = np.clip(1.0 - slope * np.where(mask, elapsed, 0.0), 0.0, None)
+    terms = np.where(mask, f.values[None, :] * (delta * weight), 0.0)
+    return terms.sum(axis=1)
+
+
+def _matrix_clip(f: StepSeries, rate: float, g: StepSeries) -> np.ndarray:
+    """``clip`` with the whole terms and bracket matrices in memory."""
+    grid = f.grid
+    n = grid.omega
+    terms = _matrix_terms(f, rate)
+    cum = np.zeros(n + 1)
+    np.cumsum(g.values * grid.delta, out=cum[1:])
+    integral = cum[1:, None] - cum[None, :-1]
+    bracket = np.clip(1.0 - integral, 0.0, None)
+    return (terms * bracket).sum(axis=1)
+
+
+# Pairwise summation adds blocks of 8 and splits rows longer than 128.
+_OMEGAS = st.sampled_from([1, 7, 8, 9, 128, 129, 256, 257, 300]) | st.integers(1, 300)
+_RATES = st.sampled_from([0.0, math.inf]) | st.floats(0.0, 50.0)
+
+
+def _values(rng: np.random.Generator, omega: int, scale: float) -> np.ndarray:
+    """Uniform values on [0, scale) with a random share of 0.0 and of -0.0."""
+    values = rng.uniform(0.0, scale, omega)
+    values[rng.random(omega) < rng.choice([0.0, 0.3, 1.0])] = 0.0
+    values[rng.random(omega) < rng.choice([0.0, 0.3, 1.0])] = -0.0
+    return values
+
+
+@st.composite
+def _convolution_case(draw):
+    omega = draw(_OMEGAS)
+    grid = TimeGrid(0.0, draw(st.sampled_from([0.25, 1.0]) | st.floats(0.01, 10.0)), omega)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = _series(grid, _values(rng, omega, draw(st.sampled_from([1e-300, 1.0, 5.0]))))
+    # from no annihilation at all to a bracket that reaches 0 within a cell
+    g = _series(grid, _values(rng, omega, draw(st.sampled_from([0.0, 1e-3, 1.0, 100.0]))))
+    return f, g, draw(_RATES), draw(_RATES)
+
+
+@given(_convolution_case())
+def test_row_forms_equal_matrix_forms_bit_for_bit(case):
+    # tobytes() also tells 0.0 from -0.0
+    f, g, rate, slope = case
+    for survivor in (Exponential(rate), Linear(slope)):
+        got = convolve_direct(f, survivor).values
+        assert got.tobytes() == _matrix_convolve(f, survivor).tobytes()
+    assert clip(f, rate, g).values.tobytes() == _matrix_clip(f, rate, g).tobytes()
+
+
+def test_quadratic_forms_run_in_linear_memory():
+    # One omega x omega float64 array at omega = 20000 is 3.2 GB.
+    omega = 20_000
+    grid = TimeGrid(0.0, 1.0, omega)
+    rng = np.random.default_rng(5)
+    f = _series(grid, rng.uniform(0, 1, omega))
+    g = _series(grid, rng.uniform(0, 1e-4, omega))
+    runs = {
+        "clip": lambda: clip(f, 0.01, g),
+        "exponential": lambda: convolve_direct(f, Exponential(0.01)),
+        "linear": lambda: convolve_direct(f, Linear(0.001)),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000, name
 
 
 # ---------------------------------------------------------------------------
