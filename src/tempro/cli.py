@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import os
 import sys
 
@@ -28,7 +27,14 @@ from .core import GridError, TimeGrid, auto_mesh_factor
 from .projection import project
 from .refinement import CyclicOpenTokens, refine
 from .simulator import generate, parse_scenario, run_convergence
-from .theory import ParseError, Pattern, parse_pattern_text, parse_theory, unify
+from .theory import (
+    ParseError,
+    Pattern,
+    parse_pattern_text,
+    parse_theory,
+    statements,
+    unify,
+)
 from .tokens import TokenStore, load_basic_facts, parse_basic_facts
 
 USAGE_ERROR = 1
@@ -105,11 +111,15 @@ def _csv_head(*fields: object) -> str:
 def _write_projection_csv(
     handle, store: TokenStore, grid: TimeGrid, metadata: dict[str, object]
 ) -> None:
-    """Write the dense projection CSV to ``handle``, one token at a time.
+    """Write the projection CSV to ``handle``, one token at a time.
 
-    Each row is ``head + cell prefix + value``: the cell prefix is formatted
-    once per cell, the ``token_id,type,kind,`` head once per token, and only
-    non-zero values go through ``_fmt``.
+    A token's rows run from its first written cell to its last, where a
+    written cell holds a non-zero value or a negative zero; a token with no
+    written cell keeps its cell-1 row, so its type stays in the file.  The
+    rows left out are exactly those whose value is ``0``.  Each row is
+    ``head + cell prefix + value``: the cell prefix is formatted once per
+    cell, the ``token_id,type,kind,`` head once per token, and only written
+    values go through ``_fmt``.
     """
     import numpy as np
 
@@ -121,12 +131,12 @@ def _write_projection_csv(
     curves = [(e.tid, str(e.event_type), "density", e.density.values) for e in store.events]
     curves += [(f.tid, str(f.fact_type), "mass", f.mass.values) for f in store.facts]
     for tid, token_type, kind, values in curves:
-        rows = zero_rows.copy()
-        for i in np.flatnonzero(np.signbit(values)).tolist():
-            rows[i] = prefixes[i] + "-0"  # negative zero, as _fmt prints it
-        listed = values.tolist()
-        for i in np.flatnonzero(values).tolist():
-            rows[i] = prefixes[i] + _fmt(listed[i])
+        written = np.flatnonzero((values != 0.0) | np.signbit(values)).tolist()
+        first, stop = (written[0], written[-1] + 1) if written else (0, 1)
+        rows = zero_rows[first:stop]
+        listed = values[first:stop].tolist()
+        for i in written:
+            rows[i - first] = prefixes[i] + _fmt(listed[i - first])
         head = _csv_head(tid, token_type, kind)
         handle.write(head + ("\n" + head).join(rows) + "\n")
 
@@ -187,15 +197,20 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 class _CsvRows:
-    """The data rows of a projection CSV: its lines that are neither blank
-    nor ``#`` lines, less the first, which is the header.  Iterating parses
-    them with ``csv.reader``."""
+    """The data rows of a projection CSV, less the header, with the file
+    line number of each.  Iterating parses them with ``csv.reader``."""
 
-    def __init__(self, lines: list[str]) -> None:
-        self._lines = lines  # the whole file, to name the line of a bad row
-        self._rows = [line for line in lines if not line.isspace() and line[:1] != "#"]
-        self.header = next(csv.reader(self._rows[:1]), None)
-        del self._rows[:1]
+    def __init__(self, lines: list[str], runs: list[tuple[int, int]], end: int) -> None:
+        # ``lines`` are the file's lines that are neither blank nor ``#``
+        # lines; the first is the header.  ``runs`` holds ``(index, file
+        # line)`` where each stretch of consecutive file lines begins, and
+        # ``end`` is the file's last line number.
+        self.header = next(csv.reader(lines[:1]), None)
+        self._kept = len(lines)
+        self._runs = runs
+        self._end = end
+        del lines[:1]
+        self._rows = lines
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -205,11 +220,11 @@ class _CsvRows:
 
     def line_of(self, row: int) -> int:
         """File line number of data row ``row`` (1-based; 0 is the header)."""
-        numbers = (
-            n for n, line in enumerate(self._lines, 1)
-            if not line.isspace() and line[:1] != "#"
-        )
-        return next(itertools.islice(numbers, row, None), len(self._lines))
+        if row < self._kept:
+            for index, line in reversed(self._runs):
+                if index <= row:
+                    return line + row - index
+        return self._end
 
     def column(self, name: str) -> int:
         """Index of the header column ``name``."""
@@ -224,25 +239,35 @@ class _CsvRows:
 
 
 def _load_projection_csv(path: str) -> tuple[dict[str, str], _CsvRows]:
-    """The ``# key=value`` metadata and the data rows of a projection CSV."""
+    """The ``# key=value`` metadata and the data rows of a projection CSV,
+    read in one pass."""
+    metadata: dict[str, str] = {}
+    lines: list[str] = []
+    runs: list[tuple[int, int]] = []
+    after = 0  # the file line just after the last line kept
+    lineno = 0
     with open(path, "r") as handle:
         try:
-            lines = handle.readlines()
+            for lineno, line in enumerate(handle, 1):
+                if line[0] == "#":
+                    key, eq, value = line[1:].partition("=")
+                    if eq:
+                        metadata[key.strip()] = value.strip()
+                elif not line.isspace():
+                    if lineno != after:
+                        runs.append((len(lines), lineno))
+                    lines.append(line)
+                    after = lineno + 1
         except UnicodeDecodeError as exc:
             raise _undecodable(path, exc) from None
-    metadata: dict[str, str] = {}
-    for line in [line for line in lines if line.startswith("#")]:
-        body = line[1:].strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
-            metadata[key.strip()] = value.strip()
-    return metadata, _CsvRows(lines)
+    return metadata, _CsvRows(lines, runs, lineno)
 
 
 def _masses_at(rows: _CsvRows, pattern: Pattern, cell: int) -> dict[str, list[float]]:
     """The mass values at ``cell`` of every type matching ``pattern``, by
-    type text in row order.  Rows are filtered on ``kind`` and ``cell``
-    first; each distinct cell and type text is parsed once."""
+    type text in row order.  A type with a mass row at any cell is listed,
+    with no values where it has no row at ``cell``, which reads as mass 0.
+    Each distinct cell and type text is parsed once."""
     kind_at, cell_at, type_at, value_at = (
         rows.column(name) for name in ("kind", "cell", "type", "value")
     )
@@ -258,18 +283,18 @@ def _masses_at(rows: _CsvRows, pattern: Pattern, cell: int) -> dict[str, list[fl
             in_cell = at_cell.get(cell_text)
             if in_cell is None:
                 in_cell = at_cell[cell_text] = int(cell_text) == cell
-            if not in_cell:
-                continue
             type_text = row[type_at]
             matched = matches.get(type_text)
             if matched is None:
                 ground = parse_pattern_text(type_text)
                 matched = matches[type_text] = unify(pattern, ground) is not None
-            if matched:
-                masses.setdefault(type_text, []).append(float(row[value_at]))
+                if matched:
+                    masses[type_text] = []
+            if matched and in_cell:
+                masses[type_text].append(float(row[value_at]))
     except ParseError:
         raise
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, csv.Error) as exc:
         problem = "too few fields" if isinstance(exc, IndexError) else str(exc)
         raise ParseError(
             f"bad projection CSV row: {problem}", rows.line_of(reader.line_num), 1
@@ -322,15 +347,26 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    # random.Random seeds with the absolute value, so -5 would act as 5.
-    if args.seed is not None and not 0 <= args.seed <= sys.float_info.max:
+def _seed(text: str) -> int:
+    """``--seed`` read as a scenario file reads its ``seed``: ``1e3`` is 1000,
+    and a fraction, ``inf`` or a negative number is refused (``random.Random``
+    would seed -5 as 5)."""
+    try:
+        (cur,) = statements(text)
+        seed = cur.take_count("seed", "a seed")
+        cur.expect_end()
+    except ValueError:  # also ParseError, and no token or more than one line
         raise _UsageError(
-            f"--seed must be an integer in [0, {sys.float_info.max!r}], got {args.seed}"
-        )
+            f"--seed must be an integer in [0, {sys.float_info.max!r}], got {text!r}"
+        ) from None
+    return seed
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    seed = None if args.seed is None else _seed(args.seed)
     scenario = parse_scenario(_read(args.scenario))
-    if args.seed is not None:
-        scenario.seed = args.seed
+    if seed is not None:
+        scenario.seed = seed
     output = generate(scenario)
     rows = run_convergence(scenario, args.family)
     os.makedirs(args.outdir, exist_ok=True)
@@ -388,7 +424,7 @@ def build_parser() -> _Parser:
     p_simulate = sub.add_parser("simulate", help="sample a scenario and report convergence")
     p_simulate.add_argument("--scenario", required=True)
     p_simulate.add_argument("--outdir", required=True)
-    p_simulate.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_simulate.add_argument("--seed", default=None, help="override the scenario seed")
     p_simulate.add_argument(
         "--family", choices=("exponential", "linear"), default="exponential"
     )

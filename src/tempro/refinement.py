@@ -239,12 +239,14 @@ def _linear_span(
 
     n = len(density)
     scaled = density * delta
-    if slope <= 0.0:
+    reach = slope * delta  # weight lost per lag; 0.0 also when the product underflows
+    if reach <= 0.0:
         cutoff = n  # never expires within the grid
     elif math.isinf(slope):
         cutoff = 0
     else:
-        cutoff = int(math.floor(1.0 / (slope * delta))) + 1
+        lifetime = 1.0 / reach  # inf when the quotient overflows
+        cutoff = n if lifetime >= n else int(lifetime) + 1
     out = np.zeros(n)
     for lag in range(min(cutoff, n - 1), -1, -1):
         weight = 1.0 - slope * lag * delta

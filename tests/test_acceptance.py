@@ -6,7 +6,6 @@ are not to be loosened to make a failing build pass.
 """
 from __future__ import annotations
 
-import csv
 import math
 import random
 import time
@@ -35,6 +34,7 @@ from tempro import (
     survivor_eval,
 )
 from tempro.cli import main as cli_main
+from test_cli import _read_dense_csv
 from test_refinement import _layered_store, _oracle_refine, _random_layered_setup
 
 HALF_PER_15 = -math.log(0.95) / 15.0
@@ -175,12 +175,11 @@ def test_c03_golden_dock_curve(tmp_path, data_dir, golden_dir):
          "--out", str(out)]
     )
     assert code == 0
-    with open(out) as handle:
-        data = [line for line in handle if not line.startswith("#")]
+    _, rows = _read_dense_csv(out)
     got = np.array(
         [
             float(r["value"])
-            for r in csv.DictReader(data)
+            for r in rows
             if r["type"] == "ATDOCK(TRUCK14)" and r["kind"] == "mass"
         ]
     )

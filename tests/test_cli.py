@@ -36,17 +36,55 @@ def _run(capsys, *argv):
 
 
 def _read_csv(path):
-    metadata, rows = {}, []
     with open(path) as handle:
-        lines = []
-        for line in handle:
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                metadata[key.strip()] = value.strip()
+        return _csv_rows(handle)
+
+
+def _csv_rows(lines):
+    """The ``# key=value`` metadata and the ``DictReader`` rows of ``lines``."""
+    metadata, data = {}, []
+    for line in lines:
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            metadata[key.strip()] = value.strip()
+        else:
+            data.append(line)
+    return metadata, list(csv.DictReader(data))
+
+
+def _fmt(x):
+    return format(x, ".12g")
+
+
+def _expand_csv(text):
+    """A projection CSV with every token given a row at every cell: the
+    written rows keep their bytes, and each absent row reads ``0``.  Tokens
+    keep the order of their first rows; the grid comes from the metadata."""
+    lines = text.splitlines(keepends=True)
+    comments = [line for line in lines if line.startswith("#")]
+    header, *data = [line for line in lines if not line.startswith("#")]
+    metadata, _ = _csv_rows(comments)
+    grid = TimeGrid(float(metadata["origin"]), float(metadata["mesh"]), int(metadata["cells"]))
+    tokens = {}
+    for line, row in zip(data, csv.reader(data)):
+        tokens.setdefault(tuple(row[:3]), {})[int(row[3])] = line
+    out = io.StringIO()
+    out.write("".join(comments) + header)
+    writer = csv.writer(out, lineterminator="\n")
+    for token, written in tokens.items():
+        for cell in range(1, grid.omega + 1):
+            if cell in written:
+                out.write(written[cell])
             else:
-                lines.append(line)
-    rows = list(csv.DictReader(lines))
-    return metadata, rows
+                writer.writerow([*token, cell, _fmt(grid.cell_start(cell)), "0"])
+    return out.getvalue()
+
+
+def _read_dense_csv(path):
+    """``_read_csv`` of the projection CSV at ``path`` expanded back to one
+    row per token and cell, an absent row reading ``0``."""
+    with open(path) as handle:
+        return _csv_rows(_expand_csv(handle.read()).splitlines(keepends=True))
 
 
 @pytest.fixture()
@@ -66,7 +104,7 @@ def dock_csv(tmp_path, data_dir, capsys):
 
 class TestProject:
     def test_writes_csv_with_metadata(self, dock_csv):
-        metadata, rows = _read_csv(dock_csv)
+        metadata, rows = _read_dense_csv(dock_csv)
         assert metadata["delta"] == "1"
         assert metadata["omega"] == "200"
         assert metadata["mesh"] == "1"
@@ -78,7 +116,7 @@ class TestProject:
         assert len(rows) == 4 * 200
 
     def test_csv_matches_library_pipeline(self, dock_csv, dock_rules_text):
-        _, rows = _read_csv(dock_csv)
+        _, rows = _read_dense_csv(dock_csv)
         theory = parse_theory(dock_rules_text)
         grid = TimeGrid(0.0, 1.0, 200)
         store = TokenStore()
@@ -119,7 +157,7 @@ class TestProject:
             "--out", str(out),
         )
         assert code == 0
-        metadata, rows = _read_csv(out)
+        metadata, rows = _read_dense_csv(out)
         assert metadata["mesh"] == "0.5"
         assert metadata["cells"] == "400"
         assert len([r for r in rows if r["kind"] == "mass"]) == 2 * 400
@@ -154,6 +192,24 @@ class TestProject:
         )
         assert code == 1
         assert "mesh" in err
+
+    def test_tiny_linear_slope_projects_like_slope_zero(self, tmp_path, data_dir, capsys):
+        # slope * delta underflows to 0 at 5e-324; 1 / (slope * delta) overflows at 1e-310
+        rows = {}
+        for slope in ["0", "5e-324", "1e-310"]:
+            rules, out = tmp_path / f"{slope}.rules", tmp_path / f"{slope}.csv"
+            rules.write_text(
+                f"persist ATDOCK(?t) lin {slope}\n"
+                "project ALWAYS, ARRIVE(?t) => ATDOCK(?t) @ 1.0\n"
+            )
+            code, _, err = _run(
+                capsys, "project", "--theory", str(rules),
+                "--facts", str(data_dir / "dock.facts"),
+                "--delta", "0.25", "--omega", "100", "--out", str(out),
+            )
+            assert (code, err) == (0, "")
+            rows[slope] = [line for line in out.read_text().splitlines() if line[:1] != "#"]
+        assert rows["5e-324"] == rows["0"] == rows["1e-310"]
 
     def test_plot_script_written(self, tmp_path, data_dir, capsys):
         out = tmp_path / "dock.csv"
@@ -244,10 +300,6 @@ class TestQuery:
         assert code == 2
 
 
-def _fmt(x):
-    return format(x, ".12g")
-
-
 def _oracle_csv(store, grid, metadata):
     """The projection CSV written row by row through ``csv.writer``."""
     handle = io.StringIO()
@@ -266,18 +318,20 @@ def _oracle_csv(store, grid, metadata):
 
 
 def _oracle_query(path, fact, time):
-    """Standard output of ``query``, from a ``DictReader`` scan of every row."""
+    """Standard output of ``query``, from a ``DictReader`` scan of every row.
+    A matching type with a mass row at any cell is listed; where it has no
+    row at the queried cell, its mass there is 0."""
     metadata, rows = _read_csv(path)
     grid = TimeGrid(float(metadata["origin"]), float(metadata["mesh"]), int(metadata["cells"]))
     cell = grid.time_to_cell(time)
     pattern = parse_pattern_text(fact)
     masses = {}
     for row in rows:
-        if row["kind"] != "mass" or int(row["cell"]) != cell:
+        if row["kind"] != "mass" or unify(pattern, parse_pattern_text(row["type"])) is None:
             continue
-        if unify(pattern, parse_pattern_text(row["type"])) is None:
-            continue
-        masses.setdefault(row["type"], []).append(float(row["value"]))
+        values = masses.setdefault(row["type"], [])  # listed once it has any mass row
+        if int(row["cell"]) == cell:
+            values.append(float(row["value"]))
     if not masses:
         return _fmt(0.0) + "\n" if pattern.is_ground else ""
     out = []
@@ -295,6 +349,21 @@ YARD_RULES = (
     "persist LOADED(?t) lin 0.05\n"
     "project ALWAYS, ARRIVE(?t,?d) => AT(?t,?d) @ 0.9\n"
     "project AT(?t,?d), LOAD(?t) => LOADED(?t) @ 0.8\n"
+)
+
+
+# F is derived with kappa -0 and G closes mid-grid; E(B) and E(C) occur
+# with kappa 0 and -0, so every curve they lead to is zero.
+LIVE_RULES = (
+    "persist F(?x) exp 0.5\n"
+    "persist G(?x) lin 0.2\n"
+    "project ALWAYS, E(?x) => F(?x) @ -0\n"
+    "project ALWAYS, E(?x) => G(?x) @ 0.7\n"
+)
+LIVE_FACTS = (
+    "event E(A) est 1 lst 3 kappa 1.0\n"
+    "event E(B) est 2 lst 2 kappa 0\n"
+    "event E(C) est 0 lst 1 kappa -0\n"
 )
 
 
@@ -330,16 +399,67 @@ class TestCsvOracles:
     @pytest.mark.parametrize("grid", [TimeGrid(0.0, 0.5, 80), TimeGrid(-1.0, 0.1, 300)])
     def test_csv_bytes_match_csv_writer(self, seed, grid):
         store = _yard_store(seed, grid)
-        metadata = {"generator": "tempro project", "origin": _fmt(grid.origin), "cells": grid.omega}
+        metadata = {
+            "generator": "tempro project", "origin": _fmt(grid.origin),
+            "mesh": _fmt(grid.delta), "cells": grid.omega,
+        }
         expected = _oracle_csv(store, grid, metadata)
         handle = io.StringIO()
         _write_projection_csv(handle, store, grid, metadata)
-        assert handle.getvalue() == expected
+        assert _expand_csv(handle.getvalue()) == expected
         # the cases this store is built to cover
         assert '"AT(T1,D1)",mass,' in expected  # quoted multi-argument type
         assert ",ALWAYS,mass,1," in expected
         assert ",-0\n" in expected  # kappa -0 densities
         assert any(f.closed for f in store.facts)
+
+    def test_live_rows_expand_to_the_dense_oracle(self):
+        grid = TimeGrid(0.0, 0.5, 40)
+        theory = parse_theory(LIVE_RULES)
+        store = TokenStore()
+        load_basic_facts(store, LIVE_FACTS, grid)
+        project(theory, store, grid)
+        refine(store, theory, grid, 1e-4)
+        metadata = {"origin": "0", "mesh": "0.5", "cells": 40}
+        handle = io.StringIO()
+        _write_projection_csv(handle, store, grid, metadata)
+        written = handle.getvalue()
+        assert _expand_csv(written) == _oracle_csv(store, grid, metadata)
+        spans = {}
+        for row in csv.DictReader(line for line in written.splitlines() if line[:1] != "#"):
+            spans.setdefault((row["type"], row["kind"]), []).append((int(row["cell"]), row["value"]))
+        for token, cells in spans.items():
+            numbers = [cell for cell, _ in cells]
+            assert numbers == list(range(numbers[0], numbers[-1] + 1)), token
+            if cells != [(1, "0")]:  # an all-zero curve keeps only its cell-1 row
+                assert cells[0][1] != "0" and cells[-1][1] != "0", token
+        # the cases the theory is built to cover
+        assert {v for _, v in spans["F(A)", "density"]} == {"-0"}  # the kappa -0 rule
+        assert spans["F(A)", "mass"] == [(1, "0")]
+        assert spans["E(B)", "density"] == [(1, "0")]  # an event of kappa 0
+        closing = next(f for f in store.facts if str(f.fact_type) == "G(A)")
+        assert closing.closed and spans["G(A)", "mass"][-1][0] <= closing.close_cell < 40
+
+    def test_pattern_query_lists_a_type_without_a_row_at_the_cell(self, tmp_path, capsys):
+        rules, facts = tmp_path / "live.rules", tmp_path / "live.facts"
+        rules.write_text(LIVE_RULES)
+        facts.write_text(LIVE_FACTS)
+        out, dense = tmp_path / "live.csv", tmp_path / "dense.csv"
+        code, _, err = _run(
+            capsys, "project", "--theory", str(rules), "--facts", str(facts),
+            "--delta", "0.5", "--omega", "40", "--out", str(out),
+        )
+        assert code == 0, err
+        dense.write_text(_expand_csv(out.read_text()))
+        assert ",G(A),mass,39," not in out.read_text()
+        for path in (out, dense):
+            code, got, err = _run(
+                capsys, "query", "--csv", str(path), "--fact", "G(?x)", "--time", "19"
+            )
+            assert (code, err) == (0, "")
+            assert got == "G(A) 0\nG(B) 0\nG(C) 0\n"
+        code, got, err = _run(capsys, "query", "--csv", str(out), "--fact", "G(A)", "--time", "19")
+        assert (code, got, err) == (0, "0\n", "")
 
     def test_query_matches_dict_reader_scan(self, tmp_path, capsys):
         rules = tmp_path / "yard.rules"
@@ -460,6 +580,18 @@ class TestBadInput:
         )
         assert code == 2
         assert err == f"error: line 7, column 1: bad projection CSV row: {problem}\n"
+
+    def test_field_over_the_csv_module_limit_is_parse_error_at_its_line(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        code, _, err = self._query(
+            capsys, tmp_path,
+            "# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\n"
+            f"0,F(X),mass,1,0,0.5\n\n1,F(X),mass,1,0,{'9' * (limit + 1)}\n",
+        )
+        assert code == 2
+        assert err == (
+            f"error: line 7, column 1: bad projection CSV row: field larger than field limit ({limit})\n"
+        )
 
     def test_window_outside_horizon_is_parse_error_at_its_line(self, tmp_path, data_dir, capsys):
         facts = tmp_path / "facts.txt"
@@ -598,11 +730,14 @@ class TestBadInput:
         assert paths["state"].read_bytes().startswith(texts["state"])
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "sim").exists()
 
-    @pytest.mark.parametrize("seed", ["-5", "9" * 400], ids=["negative", "beyond-float"])
+    @pytest.mark.parametrize(
+        "seed", ["-5", "9" * 400, "2.5", "inf"],
+        ids=["negative", "beyond-float", "fraction", "infinite"],
+    )
     def test_simulate_seed_outside_what_a_scenario_accepts_is_usage_error(
         self, tmp_path, data_dir, capsys, seed
     ):
-        # random.Random would seed -5 as 5; a scenario file rejects both.
+        # random.Random would seed -5 as 5; a scenario file rejects all four.
         outdir = tmp_path / "sim"
         code, out, err = _run(
             capsys, "simulate", "--scenario", str(data_dir / "trucks.scenario"),
@@ -738,6 +873,26 @@ class TestSimulate:
         _run(capsys, "simulate", "--scenario", str(scenario), "--outdir", str(b),
              "--seed", "99")
         assert (a / "facts.txt").read_text() != (b / "facts.txt").read_text()
+
+    def test_seed_in_exponent_form_reads_as_in_a_scenario(self, tmp_path, capsys):
+        # ``seed 1e3`` in a scenario file means 1000, and so does ``--seed 1e3``
+        text = "scenario seed {} class T(?x) exp 0.2 arrivals poisson 1 count 50 horizon 10000\n"
+        runs = {}
+        for name, seed, flags in [
+            ("file", "1e3", []),
+            ("flag", "5", ["--seed", "1e3"]),
+            ("int", "5", ["--seed", "1000"]),
+            ("none", "5", []),
+        ]:
+            scenario = tmp_path / f"{name}.scenario"
+            scenario.write_text(text.format(seed))
+            code, out, err = _run(
+                capsys, "simulate", "--scenario", str(scenario),
+                "--outdir", str(tmp_path / name), *flags,
+            )
+            assert (code, err) == (0, "")
+            runs[name] = (out, (tmp_path / name / "facts.txt").read_text())
+        assert runs["file"] == runs["flag"] == runs["int"] != runs["none"]
 
 
 class TestExitCodes:
