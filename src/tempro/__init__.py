@@ -20,11 +20,9 @@ from .acquisition import (
 )
 from .core import (
     GridError,
-    ResampleMismatchError,
     StepSeries,
     TimeGrid,
     auto_mesh_factor,
-    resample,
     series_integral,
 )
 from .projection import project

@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
+import warnings
 
 from .acquisition import (
     load_state,
@@ -87,7 +89,10 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> ParseError:
 
 def _resolve_mesh(delta: float, mesh: str, window_widths: list[float]) -> int:
     if mesh == "auto":
-        return auto_mesh_factor(delta, window_widths)
+        try:
+            return auto_mesh_factor(delta, window_widths)
+        except GridError as exc:
+            raise _UsageError(f"--mesh auto: {exc}") from None
     try:
         value = float(mesh)
     except ValueError:
@@ -95,6 +100,8 @@ def _resolve_mesh(delta: float, mesh: str, window_widths: list[float]) -> int:
     if not (0 < value <= delta * (1 + _SNAP)):
         raise _UsageError(f"--mesh must lie in (0, delta]; got {value} with delta {delta}")
     ratio = delta / value
+    if math.isinf(ratio):
+        raise _UsageError(f"--mesh {value} is too fine to divide delta {delta}")
     factor = round(ratio)
     if factor < 1 or abs(ratio - factor) > _SNAP * factor:
         raise _UsageError(f"--mesh {value} does not evenly divide delta {delta}")
@@ -114,12 +121,11 @@ def _write_projection_csv(
     """Write the projection CSV to ``handle``, one token at a time.
 
     A token's rows run from its first written cell to its last, where a
-    written cell holds a non-zero value or a negative zero; a token with no
-    written cell keeps its cell-1 row, so its type stays in the file.  The
-    rows left out are exactly those whose value is ``0``.  Each row is
-    ``head + cell prefix + value``: the cell prefix is formatted once per
-    cell, the ``token_id,type,kind,`` head once per token, and only written
-    values go through ``_fmt``.
+    written cell holds any value but ``+0.0``; a token with no written cell
+    keeps its cell-1 row, so its type stays in the file.  Every row left
+    out has the value ``0``.  Each row is ``head + cell prefix + value``,
+    with the cell prefix formatted once per cell and the head,
+    ``token_id,type,kind,``, once per token.
     """
     import numpy as np
 
@@ -127,18 +133,15 @@ def _write_projection_csv(
         handle.write(f"# {key}={value}\n")
     handle.write("token_id,type,kind,cell,time,value\n")
     prefixes = [f"{i},{_fmt(grid.cell_start(i))}," for i in range(1, grid.omega + 1)]
-    zero_rows = [prefix + "0" for prefix in prefixes]
     curves = [(e.tid, str(e.event_type), "density", e.density.values) for e in store.events]
     curves += [(f.tid, str(f.fact_type), "mass", f.mass.values) for f in store.facts]
     for tid, token_type, kind, values in curves:
-        written = np.flatnonzero((values != 0.0) | np.signbit(values)).tolist()
-        first, stop = (written[0], written[-1] + 1) if written else (0, 1)
-        rows = zero_rows[first:stop]
-        listed = values[first:stop].tolist()
-        for i in written:
-            rows[i - first] = prefixes[i] + _fmt(listed[i - first])
+        # +0.0 is the one float whose bits are all zero.
+        written = np.flatnonzero(values.view(np.int64))
+        first, stop = (written[0], written[-1] + 1) if len(written) else (0, 1)
         head = _csv_head(tid, token_type, kind)
-        handle.write(head + ("\n" + head).join(rows) + "\n")
+        rows = zip(prefixes[first:stop], values[first:stop].tolist())
+        handle.write(head + ("\n" + head).join(prefix + _fmt(v) for prefix, v in rows) + "\n")
 
 
 def _write_plot_script(path: str, csv_path: str, store: TokenStore) -> None:
@@ -176,7 +179,11 @@ def cmd_project(args: argparse.Namespace) -> int:
     grid = coarse.refined(factor)
     store = TokenStore()
     load_basic_facts(store, specs, grid)
-    project(theory, store, grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        project(theory, store, grid)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     refine(store, theory, grid, args.epsilon)
     metadata = {
         "generator": "tempro project",

@@ -29,10 +29,6 @@ class GridError(ValueError):
     """Invalid grid construction or an operation across mismatched grids."""
 
 
-class ResampleMismatchError(GridError):
-    """A series cannot be replicated onto the requested finer grid."""
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform discretization of the projection window.
@@ -73,6 +69,8 @@ class TimeGrid:
         tolerance of a boundary are snapped onto it.
         """
         k = (t - self.origin) / self.delta
+        if math.isinf(k):  # off the grid, and too large for int()
+            return 0 if k < 0 else self.omega + 1
         nearest = round(k)
         if abs(k - nearest) <= _SNAP_REL * max(1.0, abs(k)):
             k = nearest
@@ -127,14 +125,6 @@ class StepSeries:
 
         return cls(grid, np.ones(grid.omega))
 
-    def copy(self) -> "StepSeries":
-        return StepSeries(self.grid, self.values.copy())
-
-    def validate_as_mass(self, tol: float = 1e-9) -> None:
-        """Check the per-cell probability-mass reading: every value in [0, 1]."""
-        if (self.values > 1.0 + tol).any():
-            raise ValueError("mass series has values above 1")
-
 
 def series_integral(s: StepSeries, from_cell: int = 1, to_cell: int | None = None) -> float:
     """Discrete integral ``sum(values[i] * delta)`` over cells ``from_cell..to_cell``.
@@ -150,38 +140,13 @@ def series_integral(s: StepSeries, from_cell: int = 1, to_cell: int | None = Non
     return float(s.values[from_cell - 1 : to_cell].sum() * s.grid.delta)
 
 
-def resample(s: StepSeries, finer: TimeGrid) -> StepSeries:
-    """Replicate ``s`` onto a finer grid covering the same span.
-
-    The finer cell width must divide the source width evenly and both grids
-    must share origin and total span; each source value is replicated across
-    its sub-cells, which preserves discrete integrals exactly.
-    """
-    src = s.grid
-    ratio = src.delta / finer.delta
-    factor = round(ratio)
-    if factor < 1 or abs(ratio - factor) > _SNAP_REL * factor:
-        raise ResampleMismatchError(
-            f"target delta {finer.delta} does not evenly divide source delta {src.delta}"
-        )
-    if abs(finer.origin - src.origin) > _SNAP_REL * max(1.0, abs(src.delta)):
-        raise ResampleMismatchError(
-            f"grids have different origins ({src.origin} vs {finer.origin})"
-        )
-    if finer.omega != src.omega * factor:
-        raise ResampleMismatchError(
-            f"target span ({finer.omega} cells of {finer.delta}) does not cover "
-            f"source span ({src.omega} cells of {src.delta})"
-        )
-    return StepSeries(finer, s.values.repeat(factor))
-
-
 def auto_mesh_factor(delta: float, window_widths: list[float]) -> int:
     """Subdivision factor so the working cell is at most half the smallest window.
 
     ``window_widths`` are the time spans of the input event windows.  Windows
     of zero width (point events) are exact at any mesh and are ignored.  When
-    no positive width remains, the grid is left unrefined.
+    no positive width remains, the grid is left unrefined.  A window too
+    narrow for the factor to be a finite number is a :class:`GridError`.
     """
     positive = [w for w in window_widths if w > 0]
     if not positive:
@@ -189,4 +154,9 @@ def auto_mesh_factor(delta: float, window_widths: list[float]) -> int:
     target = min(positive) / 2.0
     if target >= delta:
         return 1
-    return math.ceil(delta / target - _SNAP_REL)
+    ratio = delta / target
+    if math.isinf(ratio):
+        raise GridError(
+            f"the narrowest event window ({min(positive)!r}) is too narrow to divide delta {delta!r}"
+        )
+    return math.ceil(ratio - _SNAP_REL)

@@ -333,7 +333,6 @@ def refine(
             token.density = StepSeries(grid, values)
             curves.append(values)
             continue
-        token.closed = False
         token.close_cell = None
         if token.is_builtin:
             token.mass = StepSeries.ones(grid)
@@ -352,7 +351,6 @@ def refine(
             values[first - 1 : end] = span
             stats.clamped += clamped
             if closed:
-                token.closed = True
                 token.close_cell = end
                 stats.closures += 1
             opened.append((first, token.close_cell, token.fact_type.key))

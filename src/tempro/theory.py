@@ -142,13 +142,16 @@ class CausalTheory:
 
         When several rule subjects could match, the first one in file order
         wins; a fact matching no rule gets :data:`DEFAULT_SURVIVOR` and a
-        warning, since an undeclared persistence usually means a typo.
+        warning, since an undeclared persistence usually means a typo.  The
+        warning names the fact's type, not the fact, so that Python's
+        once-per-message filter shows it once per type.
         """
         for rule in self.persistence_rules:
             if unify(rule.subject, fact) is not None:
                 return rule.survivor
+        name, arity = fact.key
         warnings.warn(
-            f"no persistence rule matches {fact}; assuming it never decays",
+            f"no persistence rule matches some {name}/{arity} facts; assuming they never decay",
             stacklevel=2,
         )
         return DEFAULT_SURVIVOR

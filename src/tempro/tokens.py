@@ -81,8 +81,11 @@ class FactToken:
     est: float
     derivation: Derivation
     mass: StepSeries | None = None
-    closed: bool = False
-    close_cell: int | None = None
+    close_cell: int | None = None  # cell where refine closed the mass; None if open
+
+    @property
+    def closed(self) -> bool:
+        return self.close_cell is not None
 
     @property
     def is_builtin(self) -> bool:

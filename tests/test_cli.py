@@ -11,11 +11,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tempro import (
     Pattern,
+    StepSeries,
     TimeGrid,
     TokenStore,
+    UserSupplied,
     add_basic_event,
     load_basic_facts,
     load_state,
@@ -210,6 +214,29 @@ class TestProject:
             assert (code, err) == (0, "")
             rows[slope] = [line for line in out.read_text().splitlines() if line[:1] != "#"]
         assert rows["5e-324"] == rows["0"] == rows["1e-310"]
+
+    def test_missing_persistence_warns_once_per_type(self, tmp_path, capsys):
+        facts = tmp_path / "three.facts"
+        facts.write_text(
+            "".join(f"event ARRIVE(T{k}) est {k} lst {k + 2} kappa 1.0\n" for k in range(3))
+        )
+        errs, rows = [], []
+        for persist in ["", "persist ATDOCK(?t) exp 0\n"]:
+            rules, out = tmp_path / "t.rules", tmp_path / "t.csv"
+            rules.write_text(persist + "project ALWAYS, ARRIVE(?t) => ATDOCK(?t) @ 1.0\n")
+            code, _, err = _run(
+                capsys, "project", "--theory", str(rules), "--facts", str(facts),
+                "--delta", "1", "--omega", "20", "--out", str(out),
+            )
+            assert code == 0, err
+            errs.append(err)
+            rows.append([line for line in out.read_text().splitlines() if line[:1] != "#"])
+        assert errs[0] == (
+            "warning: no persistence rule matches some ATDOCK/1 facts; "
+            "assuming they never decay\n"
+        )
+        assert errs[1] == ""
+        assert rows[0] == rows[1]
 
     def test_plot_script_written(self, tmp_path, data_dir, capsys):
         out = tmp_path / "dock.csv"
@@ -440,6 +467,40 @@ class TestCsvOracles:
         closing = next(f for f in store.facts if str(f.fact_type) == "G(A)")
         assert closing.closed and spans["G(A)", "mass"][-1][0] <= closing.close_cell < 40
 
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda omega: st.lists(
+                st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), min_size=omega, max_size=omega),
+                max_size=5,
+            )
+        )
+    )
+    def test_spans_of_explicit_densities(self, curves):
+        # Every store also holds a curve with +0.0 inside its span and
+        # +0.0 and -0.0 at both edges.
+        curves = [[0.0, -0.0, 1.0, 0.0, 5e-324, -0.0, 0.0]] + curves
+        omega = max(len(values) for values in curves)
+        grid = TimeGrid(0.0, 0.5, omega)
+        store = TokenStore()
+        for k, values in enumerate(curves):
+            density = StepSeries(grid, np.array(values + [0.0] * (omega - len(values))))
+            store.add_event(Pattern("E", (f"X{k}",)), 0.0, 1.0, 1.0, UserSupplied(), density)
+        metadata = {"origin": "0", "mesh": "0.5", "cells": omega}
+        handle = io.StringIO()
+        _write_projection_csv(handle, store, grid, metadata)
+        written = handle.getvalue()
+        assert _expand_csv(written) == _oracle_csv(store, grid, metadata)
+        spans = {}
+        for row in csv.DictReader(line for line in written.splitlines() if line[:1] != "#"):
+            spans.setdefault(row["token_id"], []).append(row["value"])
+        for event in store.events:
+            span = spans[str(event.tid)]
+            if event.density.values.view(np.int64).any():
+                assert span[0] != "0" and span[-1] != "0", event.tid
+            else:  # all +0.0: only the cell-1 row
+                assert span == ["0"], event.tid
+        assert spans["0"] == ["-0", "1", "0", "4.94065645841e-324", "-0"]
+
     def test_pattern_query_lists_a_type_without_a_row_at_the_cell(self, tmp_path, capsys):
         rules, facts = tmp_path / "live.rules", tmp_path / "live.facts"
         rules.write_text(LIVE_RULES)
@@ -604,6 +665,55 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error: line 2, column 1: window [90.0, 99.0] lies entirely")
         assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "facts,delta,time",
+        [
+            (None, "1e-320", "0"),
+            ("event ARRIVE(TRUCK14) est 0 lst 1e300 kappa 1.0\n", "1e-10", "5e-10"),
+        ],
+        ids=["delta-1e-320", "lst-1e300"],
+    )
+    def test_cell_quotient_past_float_range_projects(
+        self, tmp_path, data_dir, capsys, facts, delta, time
+    ):
+        path = data_dir / "dock.facts"
+        if facts is not None:
+            path = tmp_path / "wide.facts"
+            path.write_text(facts)
+        out = tmp_path / "x.csv"
+        code, _, err = _run(
+            capsys, "project", "--theory", str(data_dir / "dock.rules"), "--facts", str(path),
+            "--delta", delta, "--omega", "10", "--out", str(out),
+        )
+        assert (code, err) == (0, "")
+        for fact, answer in [("ATDOCK(TRUCK14)", "0\n"), ("ATDOCK(?t)", "ATDOCK(TRUCK14) 0\n")]:
+            code, got, err = _run(capsys, "query", "--csv", str(out), "--fact", fact, "--time", time)
+            assert (code, got, err) == (0, answer, "")
+
+    @pytest.mark.parametrize(
+        "facts,mesh,message",
+        [
+            (None, "1e-320", "error: --mesh 1e-320 is too fine to divide delta 2.0\n"),
+            ("event ARRIVE(TRUCK14) est 0 lst 1e-320 kappa 1.0\n", "auto",
+             "error: --mesh auto: the narrowest event window (1e-320) is too narrow "
+             "to divide delta 2.0\n"),
+        ],
+        ids=["mesh-1e-320", "window-1e-320"],
+    )
+    def test_mesh_past_float_range_is_usage_error(
+        self, tmp_path, data_dir, capsys, facts, mesh, message
+    ):
+        path = data_dir / "dock.facts"
+        if facts is not None:
+            path = tmp_path / "narrow.facts"
+            path.write_text(facts)
+        code, _, err = _run(
+            capsys, "project", "--theory", str(data_dir / "dock.rules"), "--facts", str(path),
+            "--delta", "2", "--omega", "10", "--mesh", mesh, "--out", str(tmp_path / "x.csv"),
+        )
+        assert (code, err) == (1, message)
         assert not (tmp_path / "x.csv").exists()
 
     STATE = "class T(?x) exponential insts 0 sum 0.0 lambda inf\n"

@@ -1,10 +1,16 @@
-"""Every name a module imports is used in the scope that imports it.
+"""Every name a module imports is used in the scope that imports it, and
+every function and class a module defines is used somewhere.
 
 No linter ships with the project, so this parses each module with ``ast``.
 An import at module level must be referenced somewhere in the module; an
 import inside a function must be referenced inside that function.  Names in
 annotations count, quoted or not.  ``__init__.py`` is exempt: its imports
 are the package's re-exports.
+
+A module-level function or class must be referenced outside its own body,
+in the package, ``bench`` or ``scripts``; a re-export in ``__init__.py`` is
+an import, so it does not count.  The few kept for the tests alone are
+listed with their reasons in ``KEPT_FOR_TESTS``.
 """
 from __future__ import annotations
 
@@ -13,8 +19,18 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tempro"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tempro"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+USERS = sorted([*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+
+KEPT_FOR_TESTS = {
+    "density_update": "a piece of the per-cell oracle sweep and of gate c01",
+    "mass_update_exp": "a piece of the per-cell oracle sweep and of gate c01",
+    "init_vectors": "allocates the curves the per-cell oracle sweep fills in",
+    "survivor_eval": "the continuous survivor that gate c05 samples",
+    "series_integral": "the window masses the token and refinement tests check",
+}
 
 
 def _referenced(scope: ast.AST) -> set[str]:
@@ -60,6 +76,39 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {lineno})" for lineno, name in sorted(found)]
 
 
+def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names and attribute names read in ``tree``, less those under
+    ``skip``, with the names inside string annotations."""
+    names: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                names |= _referenced(ast.parse(annotation.value, mode="eval"))
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unused_definitions(source: str, elsewhere: set[str]) -> list[str]:
+    """The module-level functions and classes of ``source`` that neither the
+    rest of the module nor ``elsewhere``, the names other files use, refers to."""
+    tree = ast.parse(source)
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in elsewhere
+        and node.name not in _uses(tree, skip=node)
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -86,3 +135,29 @@ def test_module_uses_every_import(path):
 )
 def test_scan_finds_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def test_every_definition_is_used():
+    uses = {path: _uses(ast.parse(path.read_text())) for path in USERS}
+    unused = set()
+    for path in MODULES:
+        elsewhere = set().union(*(names for other, names in uses.items() if other != path))
+        unused.update(unused_definitions(path.read_text(), elsewhere))
+    assert unused == set(KEPT_FOR_TESTS)
+
+
+@pytest.mark.parametrize(
+    "source,elsewhere,unused",
+    [
+        ("def f(): pass\n", set(), ["f"]),
+        ("def f(): pass\n", {"f"}, []),
+        ("def f(): pass\ng = f\n", set(), []),
+        ("def f():\n    return f()\n", set(), ["f"]),  # its own body does not count
+        ("class C:\n    def make(self) -> 'C': pass\n", set(), ["C"]),
+        ("class C: pass\ndef f(x: 'C'): return x\n", {"f"}, []),
+        ("import m\ndef f(): pass\nm.f\n", set(), []),  # an attribute read counts
+        ("x = 1\n", set(), []),
+    ],
+)
+def test_scan_finds_unused_definitions(source, elsewhere, unused):
+    assert unused_definitions(source, elsewhere) == unused

@@ -111,7 +111,6 @@ def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) ->
             )
     opens_at = {}
     for fact in store.facts:
-        fact.closed = False
         fact.close_cell = None
         if not fact.is_builtin:
             first = max(1, grid.time_to_cell(fact.est))
@@ -141,7 +140,6 @@ def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) ->
             if value >= epsilon:
                 supported.add(fact.tid)
             elif fact.tid in supported:
-                fact.closed = True
                 fact.close_cell = i
                 stats.closures += 1
                 open_counts[fact.fact_type.key] -= 1
