@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import pathlib
 
+import numpy as np
+
 from tempro import TimeGrid, TokenStore, load_basic_facts, parse_theory, project, refine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -39,7 +41,7 @@ def main() -> None:
     for fact in store.facts:
         if fact.fact_type.name == "ALWAYS":
             continue
-        m = fact.mass.values
+        m = np.asarray(fact.mass.values)
         peak = int(m.argmax())
         print(f"\n{fact.fact_type}")
         print(f"  peak: {m[peak]:.6f} at cell {peak + 1} (t={grid.cell_end(peak + 1)})")

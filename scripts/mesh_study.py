@@ -30,7 +30,7 @@ def curve(delta: float, horizon: float) -> np.ndarray:
     add_basic_event(store, Pattern("ARRIVE", ("TRUCK14",)), 0.0, 10.0, 1.0, grid)
     project(theory, store, grid)
     refine(store, theory, grid, epsilon=0.0)
-    return store.facts_of_type(("ATDOCK", 1))[0].mass.values
+    return np.asarray(store.facts_of_type(("ATDOCK", 1))[0].mass.values)
 
 
 def main() -> None:

@@ -46,6 +46,10 @@ IO_ERROR = 4
 
 _SNAP = 1e-9
 
+# The most cells a refined grid may have, --omega times the mesh factor.
+# Every curve takes 8 bytes per cell, so one curve of this many takes 80 MB.
+MAX_CELLS = 10_000_000
+
 
 class _UsageError(Exception):
     pass
@@ -108,11 +112,11 @@ def _resolve_mesh(delta: float, mesh: str, window_widths: list[float]) -> int:
     return factor
 
 
-def _csv_head(*fields: object) -> str:
-    """``fields`` as the start of a ``csv.writer`` row, quoted the same way."""
+def _csv_field(text: str) -> str:
+    """``text`` as a field of a ``csv.writer`` row, quoted the same way."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(fields)
-    return buffer.getvalue()[:-1] + ","
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
 
 
 def _write_projection_csv(
@@ -124,23 +128,27 @@ def _write_projection_csv(
     written cell holds any value but ``+0.0``; a token with no written cell
     keeps its cell-1 row, so its type stays in the file.  Every row left
     out has the value ``0``.  Each row is ``head + cell prefix + value``,
-    with the cell prefix formatted once per cell and the head,
-    ``token_id,type,kind,``, once per token.
+    with the cell prefix formatted once per cell, the quoted type once per
+    distinct type and the head, ``token_id,type,kind,``, once per token.
     """
-    import numpy as np
-
     for key, value in metadata.items():
         handle.write(f"# {key}={value}\n")
     handle.write("token_id,type,kind,cell,time,value\n")
     prefixes = [f"{i},{_fmt(grid.cell_start(i))}," for i in range(1, grid.omega + 1)]
     curves = [(e.tid, str(e.event_type), "density", e.density.values) for e in store.events]
     curves += [(f.tid, str(f.fact_type), "mass", f.mass.values) for f in store.facts]
+    quoted: dict[str, str] = {}
     for tid, token_type, kind, values in curves:
-        # +0.0 is the one float whose bits are all zero.
-        written = np.flatnonzero(values.view(np.int64))
-        first, stop = (written[0], written[-1] + 1) if len(written) else (0, 1)
-        head = _csv_head(tid, token_type, kind)
-        rows = zip(prefixes[first:stop], values[first:stop].tolist())
+        # +0.0 is the one float whose bits are all zero, so the written cells
+        # run from the cell of the first non-zero byte to that of the last.
+        live = values.tobytes().rstrip(b"\0")
+        first = (len(live) - len(live.lstrip(b"\0"))) // 8
+        stop = (len(live) + 7) // 8 or 1
+        field = quoted.get(token_type)
+        if field is None:
+            field = quoted[token_type] = _csv_field(token_type)
+        head = f"{tid},{field},{kind},"
+        rows = zip(prefixes[first:stop], values[first:stop])
         handle.write(head + ("\n" + head).join(prefix + _fmt(v) for prefix, v in rows) + "\n")
 
 
@@ -176,6 +184,13 @@ def cmd_project(args: argparse.Namespace) -> int:
     theory = parse_theory(_read(args.theory))
     specs = parse_basic_facts(_read(args.facts))
     factor = _resolve_mesh(args.delta, args.mesh, [s.lst - s.est for s in specs])
+    cells = args.omega * factor
+    if cells > MAX_CELLS:
+        count = str(cells) if cells < 10**15 else f"about 10^{math.floor(math.log10(cells))}"
+        raise _UsageError(
+            f"--omega {args.omega} at --mesh {args.mesh} makes {count} cells, "
+            f"more than the {MAX_CELLS} a grid may hold"
+        )
     grid = coarse.refined(factor)
     store = TokenStore()
     load_basic_facts(store, specs, grid)

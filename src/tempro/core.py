@@ -5,20 +5,12 @@ grid of time cells.  Cell ``i`` (1-based, ``1 <= i <= omega``) covers the
 half-open interval ``[origin + (i-1)*delta, origin + i*delta)``.  Event
 curves hold a probability *density* per cell (probability per unit time);
 fact curves hold a probability *mass* per cell.
-
-Only ``tempro project`` computes curves, so numpy is imported inside the
-functions that use it, here and in ``tokens``, ``refinement`` and ``cli``:
-its import costs about half of a command's start-up, and ``query``,
-``acquire``, ``simulate`` and ``--help`` never pay it.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Relative tolerance used to snap times sitting on a cell boundary, so that
 # e.g. 0.3 / 0.1 lands in the cell starting at 0.3 rather than the one below.
@@ -91,39 +83,37 @@ class StepSeries:
     """A step function over a :class:`TimeGrid`: one value per cell.
 
     Used both for per-cell event densities and per-cell fact masses.  Values
-    must be finite and non-negative.
+    must be finite and non-negative.  They are kept as an ``array('d')``,
+    8 bytes per cell: an ``array('d')`` passed in is kept as it is, and any
+    other sequence of numbers is copied into one.
     """
 
     grid: TimeGrid
-    values: np.ndarray
+    values: array
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.omega,):
+        values = self.values
+        if not (isinstance(values, array) and values.typecode == "d"):
+            values = self.values = array("d", values)
+        if len(values) != self.grid.omega:
             raise GridError(
-                f"series length {self.values.shape} does not match omega={self.grid.omega}"
+                f"series length {len(values)} does not match omega={self.grid.omega}"
             )
-        # min and max propagate NaN, so these two reductions check both rules.
-        lo = float(self.values.min())
-        hi = float(self.values.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        # min may skip a NaN, so finiteness is checked first: any NaN or
+        # infinity makes the sum non-finite, and a sum that overflowed is told
+        # apart by checking each value.
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise ValueError("series values must be finite")
-        if lo < 0:
+        if min(values) < 0:
             raise ValueError("series values must be non-negative")
 
     @classmethod
     def zeros(cls, grid: TimeGrid) -> "StepSeries":
-        import numpy as np
-
-        return cls(grid, np.zeros(grid.omega))
+        return cls(grid, array("d", [0.0]) * grid.omega)
 
     @classmethod
     def ones(cls, grid: TimeGrid) -> "StepSeries":
-        import numpy as np
-
-        return cls(grid, np.ones(grid.omega))
+        return cls(grid, array("d", [1.0]) * grid.omega)
 
 
 def series_integral(s: StepSeries, from_cell: int = 1, to_cell: int | None = None) -> float:
@@ -137,7 +127,9 @@ def series_integral(s: StepSeries, from_cell: int = 1, to_cell: int | None = Non
         raise ValueError(
             f"cell range {from_cell}..{to_cell} outside 1..{s.grid.omega}"
         )
-    return float(s.values[from_cell - 1 : to_cell].sum() * s.grid.delta)
+    import numpy as np
+
+    return float(np.frombuffer(s.values)[from_cell - 1 : to_cell].sum() * s.grid.delta)
 
 
 def auto_mesh_factor(delta: float, window_widths: list[float]) -> int:

@@ -31,15 +31,13 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterable, Iterator
 
 from .core import StepSeries, TimeGrid
 from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
 from .tokens import EventToken, FactToken, RuleDerived, TokenStore, user_density
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +83,7 @@ def survivor_eval(survivor: Survivor, elapsed: float) -> float:
     return max(0.0, 1.0 - survivor.slope * elapsed)
 
 
-def _lag_weights(survivor: Survivor, grid: TimeGrid) -> np.ndarray:
+def _lag_weights(survivor: Survivor, grid: TimeGrid):
     """``delta * rho(lag)`` for lags ``0..omega-1``: for exponential survivors
     the exact per-cell kernel of the incremental recurrence, for linear ones
     the midpoint weight ``max(0, 1 - slope*lag*delta)``; 0 for every lag at
@@ -107,13 +105,13 @@ def _lag_weights(survivor: Survivor, grid: TimeGrid) -> np.ndarray:
     return delta * weight
 
 
-def _rows(f: StepSeries, weights: np.ndarray) -> Iterator[np.ndarray]:
+def _rows(f: StepSeries, weights) -> Iterator:
     """Row k = 0..omega-1 of the contributions ``f[j] * weights[k-j]`` (0 for
     j > k), each in the same reused buffer, which keeps its full length so
     that every row is summed in the same pairwise order."""
     import numpy as np
 
-    values = f.values
+    values = np.frombuffer(f.values)
     row = np.zeros(len(values))
     for k in range(len(values)):
         np.multiply(values[: k + 1], weights[k::-1], out=row[: k + 1])
@@ -128,10 +126,8 @@ def convolve_direct(f: StepSeries, survivor: Survivor) -> StepSeries:
     :func:`_lag_weights` states it.  Serves as the independent reference for
     the recurrence in :func:`refine`.
     """
-    import numpy as np
-
     sums = [row.sum() for row in _rows(f, _lag_weights(survivor, f.grid))]
-    return StepSeries(f.grid, np.array(sums))
+    return StepSeries(f.grid, sums)
 
 
 def clip(f: StepSeries, rate: float, g: StepSeries) -> StepSeries:
@@ -151,12 +147,12 @@ def clip(f: StepSeries, rate: float, g: StepSeries) -> StepSeries:
     if g.grid != grid:
         raise ValueError("f and g must share a grid")
     cum = np.zeros(grid.omega + 1)
-    np.cumsum(g.values * grid.delta, out=cum[1:])
+    np.cumsum(np.frombuffer(g.values) * grid.delta, out=cum[1:])
     sums = []
     for k, row in enumerate(_rows(f, _lag_weights(Exponential(rate), grid))):
         integral = cum[k + 1] - cum[:-1]  # integral of g over cells j..k
         sums.append((row * np.clip(1.0 - integral, 0.0, None)).sum())
-    return StepSeries(grid, np.array(sums))
+    return StepSeries(grid, sums)
 
 
 def density_update(store: TokenStore, token, i: int) -> float:
@@ -198,20 +194,52 @@ def mass_update_exp(store: TokenStore, token: FactToken, i: int) -> float:
     return value
 
 
-def _exponential_span(
-    density: np.ndarray, rate: float, delta: float, epsilon: float
-) -> tuple[list[float], int, bool]:
-    """Clamped recurrence masses from a fact's first cell through its close
-    cell (or the last cell), the number of clamped cells, and whether the
-    last value closed the fact."""
+def _exponential_masses(density: Iterable[float], rate: float, delta: float) -> Iterator[float]:
+    """The recurrence masses from a fact's first cell on, one per cell.  Each
+    cell decays the previous mass as :func:`_clamp_and_close` keeps it,
+    clipped to 1."""
     decay = 0.0 if math.isinf(rate) else math.exp(-rate * delta)
     coef = delta * within_cell_factor(rate, delta)
-    out: list[float] = []
     prev = 0.0
+    for d in density:
+        value = decay * prev + d * coef
+        yield value
+        prev = 1.0 if value > 1.0 else value
+
+
+def _linear_masses(density: array, slope: float, delta: float) -> Iterator[float]:
+    """The convolution masses from a fact's first cell on, one per cell.
+
+    Each source cell, in ascending order, adds ``density * delta`` times the
+    weight ``1 - slope*lag*delta`` of each lag with a positive weight to the
+    cells after it; a cell is yielded once every source up to it is added.
+    Every cell thus sums its contributions in ascending source order, from
+    0.0.  A ``±0.0`` source adds nothing to such a sum and is skipped.
+    """
+    n = len(density)
+    weights = []  # positive and non-increasing in the lag
+    for lag in range(n):
+        weight = 1.0 - slope * lag * delta  # NaN at lag 0 for an infinite slope
+        if not weight > 0.0:
+            break
+        weights.append(weight)
+    out = [0.0] * n
+    for j, d in enumerate(density):
+        if d:
+            source = d * delta
+            stop = min(n, j + len(weights))
+            out[j:stop] = [total + source * weight for total, weight in zip(out[j:stop], weights)]
+        yield out[j]
+
+
+def _clamp_and_close(masses: Iterable[float], epsilon: float) -> tuple[list[float], int, bool]:
+    """``masses`` clipped to 1 from a fact's first cell through its close cell
+    (or the last cell), the number of clipped cells, and whether the last
+    value closed the fact."""
+    out: list[float] = []
     clamped = 0
     supported = False
-    for d in density.tolist():
-        value = decay * prev + d * coef
+    for value in masses:
         if value > 1.0:
             value = 1.0
             clamped += 1
@@ -221,48 +249,7 @@ def _exponential_span(
             supported = True
         elif supported:
             return out, clamped, True
-        prev = value
     return out, clamped, False
-
-
-def _linear_span(
-    density: np.ndarray, slope: float, delta: float, epsilon: float
-) -> tuple[np.ndarray, int, bool]:
-    """Clamped convolution masses from a fact's first cell through its close
-    cell (or the last cell), the number of clamped cells, and whether the
-    last value closed the fact.
-
-    Lags are added in descending order starting from 0.0, which for every
-    cell is the order of ascending source cells.
-    """
-    import numpy as np
-
-    n = len(density)
-    scaled = density * delta
-    reach = slope * delta  # weight lost per lag; 0.0 also when the product underflows
-    if reach <= 0.0:
-        cutoff = n  # never expires within the grid
-    elif math.isinf(slope):
-        cutoff = 0
-    else:
-        lifetime = 1.0 / reach  # inf when the quotient overflows
-        cutoff = n if lifetime >= n else int(lifetime) + 1
-    out = np.zeros(n)
-    for lag in range(min(cutoff, n - 1), -1, -1):
-        weight = 1.0 - slope * lag * delta
-        if weight > 0.0:
-            out[lag:] += scaled[: n - lag] * weight
-    over = out > 1.0
-    out[over] = 1.0
-    reached = out >= epsilon  # all true for epsilon = 0: no closure
-    closed = False
-    if reached.any():
-        start = int(reached.argmax())
-        below = ~reached[start:]
-        closed = bool(below.any())
-        if closed:
-            out = out[: start + int(below.argmax()) + 1]
-    return out, int(np.count_nonzero(over[: len(out)])), closed
 
 
 def _check_open_types(theory: CausalTheory, opened: list[tuple[int, int | None, TypeKey]]) -> None:
@@ -305,8 +292,6 @@ def refine(
     are logged at DEBUG level.  :class:`CyclicOpenTokens` is raised after
     every curve and the stats are in place.
     """
-    import numpy as np
-
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     omega = grid.omega
@@ -314,7 +299,7 @@ def refine(
     debug = logger.isEnabledFor(logging.DEBUG)
     stats = SweepStats(cells=omega)
     opened: list[tuple[int, int | None, TypeKey]] = []
-    curves: list[np.ndarray] = []  # indexed by tid
+    curves: list[array] = []  # indexed by tid
     for tid in range(len(store)):
         token = store.token(tid)
         if isinstance(token, EventToken):
@@ -322,14 +307,15 @@ def refine(
                 curves.append(user_density(token, grid).values)
                 continue
             derivation = token.derivation
-            values = np.zeros(omega)
+            values = array("d", [0.0]) * omega
             first = max(1, grid.time_to_cell(token.est))
             last = min(omega, grid.time_to_cell(token.lst))
             if first <= last:
-                span = token.kappa * curves[derivation.trigger][first - 1 : last]
+                kappa = token.kappa
+                span = [kappa * d for d in curves[derivation.trigger][first - 1 : last]]
                 for ant in derivation.antecedents:
-                    span *= curves[ant][first - 1 : last]
-                values[first - 1 : last] = span
+                    span = [v * m for v, m in zip(span, curves[ant][first - 1 : last])]
+                values[first - 1 : last] = array("d", span)
             token.density = StepSeries(grid, values)
             curves.append(values)
             continue
@@ -338,17 +324,18 @@ def refine(
             token.mass = StepSeries.ones(grid)
             curves.append(token.mass.values)
             continue
-        values = np.zeros(omega)
+        values = array("d", [0.0]) * omega
         first = max(1, grid.time_to_cell(token.est))
         if first <= omega:
             density = curves[token.initiating_event][first - 1 :]
             survivor = token.persistence
             if isinstance(survivor, Exponential):
-                span, clamped, closed = _exponential_span(density, survivor.rate, delta, epsilon)
+                masses = _exponential_masses(density, survivor.rate, delta)
             else:
-                span, clamped, closed = _linear_span(density, survivor.slope, delta, epsilon)
+                masses = _linear_masses(density, survivor.slope, delta)
+            span, clamped, closed = _clamp_and_close(masses, epsilon)
             end = first - 1 + len(span)
-            values[first - 1 : end] = span
+            values[first - 1 : end] = array("d", span)
             stats.clamped += clamped
             if closed:
                 token.close_cell = end
@@ -357,7 +344,7 @@ def refine(
             if debug:
                 logger.debug(
                     "fact %d %s: first cell %d, close cell %s, peak mass %.12g, clamps %d",
-                    tid, token.fact_type, first, token.close_cell, values.max(), clamped,
+                    tid, token.fact_type, first, token.close_cell, max(values), clamped,
                 )
         token.mass = StepSeries(grid, values)
         curves.append(values)

@@ -15,6 +15,7 @@ the stated occurrence probability ``kappa``.  A zero-width window puts all of
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .core import StepSeries, TimeGrid
@@ -245,9 +246,7 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
     are dropped, so a window sticking out of the horizon keeps only the mass
     that falls inside.
     """
-    import numpy as np
-
-    values = np.zeros(grid.omega)
+    values = array("d", [0.0]) * grid.omega
     if est == lst:
         cell = grid.time_to_cell(est)
         if not grid.contains_cell(cell):

@@ -108,7 +108,7 @@ def test_c01_incremental_matches_direct_convolution():
         (onset,) = store.events_of_type(("F", 1))
         (fact,) = store.facts_of_type(("F", 1))
         direct = convolve_direct(onset.density, Exponential(lam))
-        worst = max(worst, float(np.abs(fact.mass.values - direct.values).max()))
+        worst = max(worst, float(np.abs(np.asarray(fact.mass.values) - np.asarray(direct.values)).max()))
         trials += 1
 
     # (b) the recurrence helper on arbitrary density shapes
@@ -122,7 +122,7 @@ def test_c01_incremental_matches_direct_convolution():
         for i in range(1, omega + 1):
             mass_update_exp(store, fact, i)
         direct = convolve_direct(event.density, Exponential(lam))
-        worst = max(worst, float(np.abs(fact.mass.values - direct.values).max()))
+        worst = max(worst, float(np.abs(np.asarray(fact.mass.values) - np.asarray(direct.values)).max()))
         trials += 1
 
     elapsed = time.perf_counter() - started
@@ -145,9 +145,9 @@ def test_c02_clipping_never_exceeds_plain_convolution():
         g = StepSeries(grid, _random_density(rng, grid) * rng.uniform(0.0, 2.0))
         clipped = clip(f, lam, g)
         direct = convolve_direct(f, Exponential(lam))
-        assert np.all(clipped.values <= direct.values), "clipped curve exceeded plain"
+        assert np.all(np.asarray(clipped.values) <= np.asarray(direct.values)), "clipped curve exceeded plain"
         zero = clip(f, lam, StepSeries.zeros(grid))
-        worst_equal = max(worst_equal, float(np.abs(zero.values - direct.values).max()))
+        worst_equal = max(worst_equal, float(np.abs(np.asarray(zero.values) - np.asarray(direct.values)).max()))
     assert worst_equal <= 1e-9
     _report(2, f"dominance on 100 random pairs; zero-ceiling gap {worst_equal:.2e}")
 
@@ -335,7 +335,7 @@ def test_c10_mesh_halving_converges(data_dir):
         add_basic_event(store, Pattern("ARRIVE", ("TRUCK14",)), 0.0, 10.0, 1.0, grid)
         project(theory, store, grid)
         refine(store, theory, grid, epsilon=0.0)
-        return store.facts_of_type(("ATDOCK", 1))[0].mass.values
+        return np.asarray(store.facts_of_type(("ATDOCK", 1))[0].mass.values)
 
     reference = curve(reference_delta)
 

@@ -30,6 +30,7 @@ from tempro import (
     refine,
     unify,
 )
+from tempro import cli
 from tempro.cli import _load_projection_csv, _write_projection_csv, main
 
 
@@ -495,7 +496,7 @@ class TestCsvOracles:
             spans.setdefault(row["token_id"], []).append(row["value"])
         for event in store.events:
             span = spans[str(event.tid)]
-            if event.density.values.view(np.int64).any():
+            if np.asarray(event.density.values).view(np.int64).any():
                 assert span[0] != "0" and span[-1] != "0", event.tid
             else:  # all +0.0: only the cell-1 row
                 assert span == ["0"], event.tid
@@ -715,6 +716,46 @@ class TestBadInput:
         )
         assert (code, err) == (1, message)
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "omega,mesh,count",
+        [
+            ("10", "1e-300", "about 10^301"),
+            (str(10**30), "2", "about 10^30"),
+            (str(cli.MAX_CELLS + 1), "2", str(cli.MAX_CELLS + 1)),
+            (str(cli.MAX_CELLS // 2 + 1), "1", str(cli.MAX_CELLS + 2)),
+        ],
+        ids=["mesh-1e-300", "omega-1e30", "one-cell-over", "refined-over"],
+    )
+    def test_grid_past_max_cells_is_usage_error(
+        self, tmp_path, data_dir, capsys, monkeypatch, omega, mesh, count
+    ):
+        def no_curves(*args):
+            raise AssertionError("a curve was built")
+
+        monkeypatch.setattr(cli, "load_basic_facts", no_curves)
+        code, _, err = _run(
+            capsys, "project", "--theory", str(data_dir / "dock.rules"),
+            "--facts", str(data_dir / "dock.facts"), "--delta", "2", "--omega", omega,
+            "--mesh", mesh, "--out", str(tmp_path / "x.csv"),
+        )
+        assert (code, err) == (
+            1,
+            f"error: --omega {omega} at --mesh {mesh} makes {count} cells, "
+            f"more than the {cli.MAX_CELLS} a grid may hold\n",
+        )
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_of_max_cells_passes_the_check(self, tmp_path, data_dir, capsys, monkeypatch):
+        def stop(store, specs, grid):
+            raise RuntimeError(f"load {grid.omega}")
+
+        monkeypatch.setattr(cli, "load_basic_facts", stop)
+        with pytest.raises(RuntimeError, match=f"^load {cli.MAX_CELLS}$"):
+            main(["project", "--theory", str(data_dir / "dock.rules"),
+                  "--facts", str(data_dir / "dock.facts"), "--delta", "2",
+                  "--omega", str(cli.MAX_CELLS // 2), "--mesh", "1",
+                  "--out", str(tmp_path / "x.csv")])
 
     STATE = "class T(?x) exponential insts 0 sum 0.0 lambda inf\n"
     STAY = "observe T(A) arrival 0 departure 5\n"
@@ -1099,7 +1140,8 @@ class TestExitCodes:
 
 
 class TestStartup:
-    """Only ``project`` imports numpy; the other commands start without it."""
+    """No command imports numpy: curves are ``array('d')``, and only the
+    test oracles in ``refinement`` and ``core`` use numpy."""
 
     @staticmethod
     def _numpy_modules(*argv) -> list[str]:
@@ -1115,15 +1157,13 @@ class TestStartup:
         ]
         return [m for m in modules if m == "numpy" or m.startswith("numpy.")]
 
-    def test_only_project_imports_numpy(self, tmp_path, data_dir):
+    def test_no_command_imports_numpy(self, tmp_path, data_dir):
         projection, sim, state = tmp_path / "dock.csv", tmp_path / "sim", tmp_path / "t.state"
         state.write_bytes((data_dir / "trucks.state").read_bytes())
-        assert "numpy" in self._numpy_modules(
-            "project", "--theory", data_dir / "dock.rules", "--facts", data_dir / "dock.facts",
-            "--delta", "2", "--omega", "100", "--out", projection,
-        )
         for argv in [
             ["--help"],
+            ["project", "--theory", data_dir / "dock.rules", "--facts", data_dir / "dock.facts",
+             "--delta", "2", "--omega", "100", "--out", projection],
             ["query", "--csv", projection, "--fact", "ATDOCK(TRUCK14)", "--time", "60"],
             ["query", "--csv", projection, "--fact", "ATDOCK(?t)", "--time", "60"],
             ["simulate", "--scenario", data_dir / "trucks.scenario", "--outdir", sim],

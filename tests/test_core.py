@@ -149,6 +149,10 @@ class TestStepSeries:
         with pytest.raises(ValueError, match=f"^{message}$"):
             StepSeries(g, values)
 
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        g = TimeGrid(0.0, 1.0, 3)
+        assert list(StepSeries(g, [1e308, 1e308, 1e308]).values) == [1e308] * 3
+
     def test_non_finite_reported_before_negative(self):
         g = TimeGrid(0.0, 1.0, 3)
         with pytest.raises(ValueError, match="finite"):

@@ -11,6 +11,10 @@ A module-level function or class must be referenced outside its own body,
 in the package, ``bench`` or ``scripts``; a re-export in ``__init__.py`` is
 an import, so it does not count.  The few kept for the tests alone are
 listed with their reasons in ``KEPT_FOR_TESTS``.
+
+Curves are ``array('d')``, so the pipeline needs no numpy: only the
+functions in ``NUMPY_USERS``, the quadratic oracles the tests check it
+against, import numpy, each inside its own body.
 """
 from __future__ import annotations
 
@@ -30,6 +34,13 @@ KEPT_FOR_TESTS = {
     "init_vectors": "allocates the curves the per-cell oracle sweep fills in",
     "survivor_eval": "the continuous survivor that gate c05 samples",
     "series_integral": "the window masses the token and refinement tests check",
+}
+
+NUMPY_USERS = {
+    ("core.py", "series_integral"),
+    ("refinement.py", "_lag_weights"),
+    ("refinement.py", "_rows"),
+    ("refinement.py", "clip"),
 }
 
 
@@ -107,6 +118,47 @@ def unused_definitions(source: str, elsewhere: set[str]) -> list[str]:
         and node.name not in elsewhere
         and node.name not in _uses(tree, skip=node)
     ]
+
+
+def numpy_importers(source: str) -> list[str]:
+    """The functions of ``source`` that import numpy, by name, and
+    ``<module>`` for an import outside every function (under
+    ``TYPE_CHECKING`` too)."""
+    tree = ast.parse(source)
+    return sorted(
+        getattr(scope, "name", "<module>")
+        for scope, imports in _imports_by_scope(tree, tree, {}).items()
+        if any(
+            name == "numpy" or name.startswith("numpy.")
+            for node in imports
+            for name in ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [alias.name for alias in node.names])
+        )
+    )
+
+
+def test_only_the_oracles_import_numpy():
+    found = {
+        (path.name, scope) for path in SRC.glob("*.py") for scope in numpy_importers(path.read_text())
+    }
+    assert found == NUMPY_USERS
+
+
+@pytest.mark.parametrize(
+    "source,importers",
+    [
+        ("import numpy as np\n", ["<module>"]),
+        ("from numpy import zeros\n", ["<module>"]),
+        ("import numpy.linalg\n", ["<module>"]),
+        ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np\n", ["<module>"]),
+        ("class C:\n    import numpy\n", ["<module>"]),
+        ("def f():\n    import numpy as np\n    return np\ndef g():\n    import math\n", ["f"]),
+        ("def f():\n    def g():\n        from numpy import asarray\n", ["g"]),
+        ("import numpyish\nfrom . import numpy_like\n", []),
+    ],
+)
+def test_scan_finds_numpy_importers(source, importers):
+    assert numpy_importers(source) == importers
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

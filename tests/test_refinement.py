@@ -391,7 +391,7 @@ class TestConvolveDirect:
         grid = TimeGrid(0.0, 0.5, 10)
         f = _series(grid, [1.0] * 10)
         got = convolve_direct(f, Exponential(math.inf))
-        assert np.all(got.values == 0.0)
+        assert np.all(np.asarray(got.values) == 0.0)
 
     def test_impulse_linear_ramp(self):
         grid = TimeGrid(0.0, 1.0, 12)
@@ -445,7 +445,7 @@ class TestClip:
         got = clip(f, lam, g)
         c = within_cell_factor(lam, 1.0)
         assert got.values[0] == pytest.approx(c, rel=1e-12)
-        assert np.all(got.values[1:] == 0.0)
+        assert np.all(np.asarray(got.values)[1:] == 0.0)
 
     def test_partial_ceiling_scales_bracket(self):
         grid = TimeGrid(0.0, 1.0, 6)
@@ -469,7 +469,7 @@ class TestClip:
         lam = float(rng.uniform(0, 2))
         clipped = clip(f, lam, g)
         direct = convolve_direct(f, Exponential(lam))
-        assert np.all(clipped.values <= direct.values)
+        assert np.all(np.asarray(clipped.values) <= np.asarray(direct.values))
 
     def test_bracket_floor_at_zero(self):
         # an over-saturated ceiling must not go negative and re-add mass
@@ -477,8 +477,8 @@ class TestClip:
         f = _series(grid, [1.0, 0.0, 0.0, 0.0, 0.0])
         g = _series(grid, [0.0, 3.0, 0.0, 0.0, 0.0])
         got = clip(f, 0.0, g)
-        assert np.all(got.values >= 0.0)
-        assert np.all(got.values[1:] == 0.0)
+        assert np.all(np.asarray(got.values) >= 0.0)
+        assert np.all(np.asarray(got.values)[1:] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +498,7 @@ def _matrix_terms(f: StepSeries, rate: float) -> np.ndarray:
         return np.zeros((n, n))
     coef = delta * within_cell_factor(rate, delta)
     kernel = coef * np.exp(-rate * np.where(mask, elapsed, 0.0))
-    return np.where(mask, f.values[None, :] * kernel, 0.0)
+    return np.where(mask, np.asarray(f.values)[None, :] * kernel, 0.0)
 
 
 def _matrix_convolve(f: StepSeries, survivor) -> np.ndarray:
@@ -516,7 +516,7 @@ def _matrix_convolve(f: StepSeries, survivor) -> np.ndarray:
         weight = np.where(elapsed == 0, 1.0, 0.0)
     else:
         weight = np.clip(1.0 - slope * np.where(mask, elapsed, 0.0), 0.0, None)
-    terms = np.where(mask, f.values[None, :] * (delta * weight), 0.0)
+    terms = np.where(mask, np.asarray(f.values)[None, :] * (delta * weight), 0.0)
     return terms.sum(axis=1)
 
 
@@ -526,7 +526,7 @@ def _matrix_clip(f: StepSeries, rate: float, g: StepSeries) -> np.ndarray:
     n = grid.omega
     terms = _matrix_terms(f, rate)
     cum = np.zeros(n + 1)
-    np.cumsum(g.values * grid.delta, out=cum[1:])
+    np.cumsum(np.asarray(g.values) * grid.delta, out=cum[1:])
     integral = cum[1:, None] - cum[None, :-1]
     bracket = np.clip(1.0 - integral, 0.0, None)
     return (terms * bracket).sum(axis=1)
@@ -626,7 +626,7 @@ class TestRefineSweep:
         refine(store1, theory1, grid, epsilon=0.0)
         theory2, _, store2 = _dock_setup(kappa=0.5, omega=60)
         refine(store2, theory2, grid, epsilon=0.0)
-        m1 = store1.facts_of_type(("ATDOCK", 1))[0].mass.values
+        m1 = np.asarray(store1.facts_of_type(("ATDOCK", 1))[0].mass.values)
         m2 = store2.facts_of_type(("ATDOCK", 1))[0].mass.values
         assert np.allclose(m2, 0.5 * m1, rtol=1e-12, atol=1e-15)
 
@@ -681,7 +681,7 @@ class TestRefineSweep:
     def test_rerefine_is_idempotent(self):
         theory, grid, store = _dock_setup()
         refine(store, theory, grid)
-        first = store.facts_of_type(("ATDOCK", 1))[0].mass.values.copy()
+        first = np.asarray(store.facts_of_type(("ATDOCK", 1))[0].mass.values).copy()
         refine(store, theory, grid)
         second = store.facts_of_type(("ATDOCK", 1))[0].mass.values
         assert np.array_equal(first, second)
@@ -713,7 +713,7 @@ class TestClosure:
         (dock,) = store.facts_of_type(("ATDOCK", 1))
         assert dock.closed
         assert dock.close_cell is not None
-        m = dock.mass.values
+        m = np.asarray(dock.mass.values)
         assert m[dock.close_cell - 1] < 1e-4
         assert np.all(m[dock.close_cell :] == 0.0)
         assert store.sweep_stats.closures == 1
@@ -731,7 +731,7 @@ class TestClosure:
         refine(store, theory, grid, epsilon=1e-4)
         (dock,) = store.facts_of_type(("ATDOCK", 1))
         assert not dock.closed
-        assert dock.mass.values.max() < 1e-4
+        assert np.asarray(dock.mass.values).max() < 1e-4
 
     def test_downstream_density_sees_closure(self):
         theory = parse_theory(
@@ -749,8 +749,8 @@ class TestClosure:
         (b_onset,) = store.events_of_type(("B", 1))
         assert a.closed
         c = a.close_cell
-        assert np.all(b_onset.density.values[c:] == 0.0)
-        assert np.any(b_onset.density.values[:c] > 0.0)
+        assert np.all(np.asarray(b_onset.density.values)[c:] == 0.0)
+        assert np.any(np.asarray(b_onset.density.values)[:c] > 0.0)
 
 
 class TestCycleDetection:
@@ -921,7 +921,7 @@ class TestDebugSummary:
         message = record.getMessage()
         assert message.startswith(f"fact {dock.tid} ATDOCK(TRUCK14): first cell 1, ")
         assert f"close cell {dock.close_cell}," in message
-        assert f"peak mass {dock.mass.values.max():.12g}," in message
+        assert f"peak mass {np.asarray(dock.mass.values).max():.12g}," in message
         assert message.endswith("clamps 0")
 
     def test_silent_when_debug_is_off(self, caplog):

@@ -211,7 +211,7 @@ class TestWindowDensity:
         store = TokenStore()
         e = add_basic_event(store, ARRIVE_T14, 5.0, 15.0, 1.0, g)
         expected = _oracle_window_masses(g, 5.0, 15.0, 1.0)
-        assert np.allclose(e.density.values * g.delta, expected, atol=1e-12)
+        assert np.allclose(np.asarray(e.density.values) * g.delta, expected, atol=1e-12)
         assert series_integral(e.density) == pytest.approx(0.5, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -235,7 +235,7 @@ class TestWindowDensity:
         g = TimeGrid(0.0, 1.0, 10)
         store = TokenStore()
         e = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 0.0, g)
-        assert np.all(e.density.values == 0.0)
+        assert np.all(np.asarray(e.density.values) == 0.0)
 
     @given(
         st.floats(0.0, 30.0, allow_nan=False),
@@ -302,9 +302,9 @@ class TestInitVectors:
         onset = store.add_event(dock, 0.0, 5.0, 1.0, RuleDerived(0, user.tid, ()))
         fact = store.add_fact(dock, onset.tid, Exponential(0.0), 0.0, RuleDerived(0, user.tid, ()))
         init_vectors(store, g)
-        assert np.all(always.mass.values == 1.0)
-        assert np.all(onset.density.values == 0.0)
-        assert np.all(fact.mass.values == 0.0)
+        assert np.all(np.asarray(always.mass.values) == 1.0)
+        assert np.all(np.asarray(onset.density.values) == 0.0)
+        assert np.all(np.asarray(fact.mass.values) == 0.0)
         assert series_integral(user.density) == pytest.approx(1.0)
 
     def test_reuses_user_density_on_same_grid(self):
