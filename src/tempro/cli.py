@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import sys
@@ -113,10 +112,12 @@ def _resolve_mesh(delta: float, mesh: str, window_widths: list[float]) -> int:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as a field of a ``csv.writer`` row, quoted the same way."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text])
-    return buffer.getvalue()[:-1]
+    """``text`` as a field of a ``csv.writer`` row of several fields, with
+    ``lineterminator="\\n"``: quoted, with each ``"`` doubled, when it holds
+    the delimiter, the quote character or the line terminator."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_projection_csv(
@@ -127,14 +128,18 @@ def _write_projection_csv(
     A token's rows run from its first written cell to its last, where a
     written cell holds any value but ``+0.0``; a token with no written cell
     keeps its cell-1 row, so its type stays in the file.  Every row left
-    out has the value ``0``.  Each row is ``head + cell prefix + value``,
-    with the cell prefix formatted once per cell, the quoted type once per
-    distinct type and the head, ``token_id,type,kind,``, once per token.
+    out has the value ``0``.  Each row is the token's head,
+    ``token_id,type,kind,``, then its cell's template, ``cell,time,%.12g``
+    and a newline.  The templates are built once per grid and the head once
+    per token, with the type quoted as ``csv.writer`` quotes it (once per
+    distinct type) and each ``%`` doubled; one ``%`` over the values of a
+    token's span then formats all of its rows.  ``%.12g`` gives the same
+    text as ``format(v, ".12g")``.
     """
     for key, value in metadata.items():
         handle.write(f"# {key}={value}\n")
     handle.write("token_id,type,kind,cell,time,value\n")
-    prefixes = [f"{i},{_fmt(grid.cell_start(i))}," for i in range(1, grid.omega + 1)]
+    cells = [f"{i},{_fmt(grid.cell_start(i))},%.12g\n" for i in range(1, grid.omega + 1)]
     curves = [(e.tid, str(e.event_type), "density", e.density.values) for e in store.events]
     curves += [(f.tid, str(f.fact_type), "mass", f.mass.values) for f in store.facts]
     quoted: dict[str, str] = {}
@@ -146,10 +151,9 @@ def _write_projection_csv(
         stop = (len(live) + 7) // 8 or 1
         field = quoted.get(token_type)
         if field is None:
-            field = quoted[token_type] = _csv_field(token_type)
+            field = quoted[token_type] = _csv_field(token_type).replace("%", "%%")
         head = f"{tid},{field},{kind},"
-        rows = zip(prefixes[first:stop], values[first:stop])
-        handle.write(head + ("\n" + head).join(prefix + _fmt(v) for prefix, v in rows) + "\n")
+        handle.write((head + head.join(cells[first:stop])) % tuple(values[first:stop]))
 
 
 def _write_plot_script(path: str, csv_path: str, store: TokenStore) -> None:

@@ -24,9 +24,15 @@ scans every fact of its type.  Every candidate is still checked with
 ``unify`` and against the trigger's latest start.  An index list keeps the
 facts of its type that agree on one argument, in creation order, so the
 projector meets the same combinations in the same order as a scan of the
-whole type would, and every token id stays the same.  Each fixpoint round
-re-enumerates every instantiation; ``derivation_keys`` skips those already
-made.
+whole type would, and every token id stays the same.
+
+Projection runs in rounds until one creates no token.  A rule passes again
+only when a token of its trigger type or of an antecedent type has been
+added since its last pass began, so a rule that feeds itself or an earlier
+rule runs again and any other is skipped.  Tokens are only ever added, so a
+skipped pass would meet only instantiations already in ``derivation_keys``
+or already cut by ancestry.  A pass that does run still enumerates every
+instantiation of its rule, and ``derivation_keys`` skips those already made.
 
 Termination and idempotence:
 
@@ -85,11 +91,18 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
     ):
         store.ensure_always()
 
+    # The token counts of each rule's trigger and antecedent types when its
+    # last pass began; while they stand, the rule is skipped.
+    began: list[list[int] | None] = [None] * len(theory.projection_rules)
     created = True
     while created:
         created = False
         for rule_index, rule in enumerate(theory.projection_rules):
-            triggers = list(store.events_of_type(rule.trigger.key))
+            counts = [store.count_of_type(p.key) for p in (rule.trigger, *rule.antecedents)]
+            if counts == began[rule_index]:
+                continue
+            began[rule_index] = counts
+            triggers = store.events_of_type(rule.trigger.key)
             for trigger in triggers:
                 if grid.time_to_cell(trigger.est) > grid.omega:
                     continue  # would start beyond the horizon
@@ -106,12 +119,14 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
                     if key in store.derivation_keys:
                         continue
                     store.derivation_keys.add(key)
+                    # Rule safety binds every consequent variable, and
+                    # add_event rejects the type if it is not ground.
                     consequent = rule.consequent.substitute(full_binding)
-                    assert consequent.is_ground, "rule safety guarantees groundness"
+                    ground = (consequent.name, consequent.args)
                     ancestry = store.ancestry[trigger.tid].union(
                         *(store.ancestry[a] for a in antecedent_ids)
                     ) if antecedent_ids else store.ancestry[trigger.tid]
-                    if consequent.ground_key in ancestry:
+                    if ground in ancestry:
                         continue  # self-supporting chain; adds nothing
                     derivation = RuleDerived(rule_index, trigger.tid, antecedent_ids)
                     onset = store.add_event(

@@ -217,9 +217,11 @@ def _linear_masses(density: array, slope: float, delta: float) -> Iterator[float
     0.0.  A ``±0.0`` source adds nothing to such a sum and is skipped.
     """
     n = len(density)
-    weights = []  # positive and non-increasing in the lag
-    for lag in range(n):
-        weight = 1.0 - slope * lag * delta  # NaN at lag 0 for an infinite slope
+    # Positive and non-increasing in the lag.  Lag 0 weighs 1 at every
+    # slope, as in survivor_eval; the formula would give NaN at slope inf.
+    weights = [1.0]
+    for lag in range(1, n):
+        weight = 1.0 - slope * lag * delta
         if not weight > 0.0:
             break
         weights.append(weight)

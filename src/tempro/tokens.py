@@ -143,7 +143,7 @@ class TokenStore:
         self.events.append(token)
         self._by_id[token.tid] = token
         self._events_by_key.setdefault(event_type.key, []).append(token.tid)
-        self._record_ancestry(token.tid, event_type, derivation)
+        self._record_ancestry(token.tid, (event_type.name, event_type.args), derivation)
         return token
 
     def add_fact(
@@ -168,7 +168,7 @@ class TokenStore:
         name, arity = fact_type.key
         for position, value in enumerate(fact_type.args):
             self._facts_by_arg.setdefault((name, arity, position, value), []).append(token.tid)
-        self._record_ancestry(token.tid, fact_type, derivation)
+        self._record_ancestry(token.tid, (fact_type.name, fact_type.args), derivation)
         return token
 
     def _is_event(self, tid: int) -> bool:
@@ -185,8 +185,9 @@ class TokenStore:
             if not isinstance(self._by_id.get(ant), FactToken):
                 raise ValueError(f"antecedent {ant} names no fact token")
 
-    def _record_ancestry(self, tid: int, ground: Pattern, derivation: Derivation) -> None:
-        own = {ground.ground_key}
+    def _record_ancestry(self, tid: int, ground: GroundKey, derivation: Derivation) -> None:
+        """``ground`` is the key of a type the caller has checked is ground."""
+        own = {ground}
         if isinstance(derivation, RuleDerived):
             own.update(self.ancestry[derivation.trigger])
             for ant in derivation.antecedents:
@@ -210,6 +211,10 @@ class TokenStore:
 
     def events_of_type(self, key: TypeKey) -> list[EventToken]:
         return [self._by_id[t] for t in self._events_by_key.get(key, [])]  # type: ignore[misc]
+
+    def count_of_type(self, key: TypeKey) -> int:
+        """The number of event and fact tokens of type ``key``."""
+        return len(self._events_by_key.get(key, ())) + len(self._facts_by_key.get(key, ()))
 
     def facts_of_type(self, key: TypeKey) -> list[FactToken]:
         return [self._by_id[t] for t in self._facts_by_key.get(key, [])]  # type: ignore[misc]

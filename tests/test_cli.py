@@ -11,10 +11,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tempro import (
+    Exponential,
     Pattern,
     StepSeries,
     TimeGrid,
@@ -420,6 +421,11 @@ def _yard_store(seed, grid, epsilon=1e-3, count=12):
     return store
 
 
+# Names and arguments the parsers reject but a Pattern holds: CSV and
+# %-format specials, line breaks, and the empty text.
+_LIBRARY_TEXT = st.text(st.sampled_from(['%', '"', ',', '\n', '\r', 'A', '(', ' ', 'é']), max_size=5)
+
+
 class TestCsvOracles:
     """The projection CSV and ``query`` against the row-at-a-time forms."""
 
@@ -501,6 +507,39 @@ class TestCsvOracles:
             else:  # all +0.0: only the cell-1 row
                 assert span == ["0"], event.tid
         assert spans["0"] == ["-0", "1", "0", "4.94065645841e-324", "-0"]
+
+    @given(
+        st.lists(
+            st.tuples(_LIBRARY_TEXT, st.lists(_LIBRARY_TEXT, max_size=2).map(tuple)),
+            max_size=4,
+        )
+    )
+    @example([("", ()), ("%d%%", ("%s",)), ('say "hi"', ()), ("A", ("a,b",)),
+              ("a\nb", ()), ("a\rb", ("\r\n",))])
+    def test_type_texts_only_the_library_builds(self, types):
+        # The parsers never make these texts; every value is non-zero, so
+        # every row is written and the text must equal the oracle's as is.
+        grid = TimeGrid(0.0, 0.5, 3)
+        store = TokenStore()
+        for k, (name, args) in enumerate(types):
+            values = [0.5, 5e-324, 1.0 + k]
+            event = store.add_event(
+                Pattern(name, args), 0.0, 1.0, 1.0, UserSupplied(), StepSeries(grid, values)
+            )
+            fact = store.add_fact(Pattern(name, args), event.tid, Exponential(1.0), 0.0, UserSupplied())
+            fact.mass = StepSeries(grid, values[::-1])
+        metadata = {"origin": "0", "mesh": "0.5", "cells": 3}
+        handle = io.StringIO()
+        _write_projection_csv(handle, store, grid, metadata)
+        assert handle.getvalue() == _oracle_csv(store, grid, metadata)
+
+    @given(st.floats())
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(1.7976931348623157e308)
+    def test_percent_format_matches_format(self, v):
+        assert "%.12g" % v == format(v, ".12g")
 
     def test_pattern_query_lists_a_type_without_a_row_at_the_cell(self, tmp_path, capsys):
         rules, facts = tmp_path / "live.rules", tmp_path / "live.facts"

@@ -183,6 +183,20 @@ class TestChainingAndTermination:
         assert b_onset.kappa == 0.5
         assert len(store.facts_of_type(("B", 1))) == 1
 
+    def test_later_rule_feeding_an_antecedent_reruns_the_rule(self):
+        # Rule 1 makes the A fact that rule 0 joins.  E gains no token, so
+        # only the new antecedent fact brings rule 0 round again.
+        theory = parse_theory(
+            "persist A(?x) exp 0.0\npersist B(?x) exp 0.0\n"
+            "project A(?x), E(?x) => B(?x) @ 1.0\n"
+            "project ALWAYS, F(?x) => A(?x) @ 1.0\n"
+        )
+        grid = TimeGrid(0.0, 1.0, 30)
+        store = _store_with(grid, ("E", ("X",), 2.0, 4.0, 1.0), ("F", ("X",), 0.0, 1.0, 1.0))
+        project(theory, store, grid)
+        (b,) = store.facts_of_type(("B", 1))
+        assert b.derivation.rule_index == 0
+
     def test_mutual_recursion_terminates_via_ancestry(self):
         theory = parse_theory(
             "persist A(?x) exp 0.0\npersist B(?x) exp 0.0\n"
@@ -454,8 +468,8 @@ project ATDOCK(?t), LOAD(?t) => LOADED(?t) @ 0.9
 """
 
 
-def _join_unify_calls(monkeypatch, count):
-    """``unify`` calls made projecting ``count`` dock arrivals and loads."""
+def _join_store(count):
+    """A store of ``count`` dock arrivals and loads, and its grid."""
     rng = random.Random(count)
     grid = TimeGrid(0.0, 20.0, 50)
     store = TokenStore()
@@ -464,6 +478,11 @@ def _join_unify_calls(monkeypatch, count):
         b = a + rng.uniform(5.0, 30.0)
         add_basic_event(store, Pattern("ARRIVE", (f"T{k}",)), a, a + 40.0, 1.0, grid)
         add_basic_event(store, Pattern("LOAD", (f"T{k}",)), b, b + 40.0, 0.8, grid)
+    return store, grid
+
+
+def _join_unify_calls(monkeypatch, store, grid):
+    """``unify`` calls made projecting the join theory over ``store``."""
     calls = 0
 
     def counting_unify(*args):
@@ -473,13 +492,27 @@ def _join_unify_calls(monkeypatch, count):
 
     monkeypatch.setattr(tempro.projection, "unify", counting_unify)
     project(parse_theory(JOIN_THEORY), store, grid)
-    assert len(store.facts_of_type(("LOADED", 1))) == count
     return calls
 
 
 def test_join_work_grows_linearly_with_entities(monkeypatch):
     # Each LOAD(Tk) can only join ATDOCK(Tk); a scan of every ATDOCK fact
     # would make the count grow about fourfold when the entities double.
-    small = _join_unify_calls(monkeypatch, 100)
-    large = _join_unify_calls(monkeypatch, 200)
-    assert large <= 2.2 * small
+    counts = {}
+    for count in (100, 200):
+        store, grid = _join_store(count)
+        counts[count] = _join_unify_calls(monkeypatch, store, grid)
+        assert len(store.facts_of_type(("LOADED", 1))) == count
+    assert counts[200] <= 2.2 * counts[100]
+
+
+def test_fresh_project_enumerates_once(monkeypatch):
+    # A rule passes again only after its trigger or antecedent types gain a
+    # token.  No join rule feeds its own inputs or an earlier rule's, so a
+    # fresh project passes each rule once, as re-projecting its result does.
+    store, grid = _join_store(100)
+    fresh = _join_unify_calls(monkeypatch, store, grid)
+    tokens = len(store)
+    again = _join_unify_calls(monkeypatch, store, grid)
+    assert len(store) == tokens
+    assert fresh == again

@@ -705,6 +705,22 @@ class TestLinearFactSweep:
         # every source cell is dead after the 8-unit ramp runs out
         assert fact.mass.values[-1] == 0.0
 
+    def test_infinite_slope_keeps_the_occurrence_cell(self):
+        # Lag 0 weighs 1 at every slope; 1 - inf*0*delta would be NaN.
+        theory = parse_theory(
+            "persist F(?x) lin inf\n"
+            "project ALWAYS, E(?x) => F(?x) @ 1.0\n"
+        )
+        grid = TimeGrid(0.0, 1.0, 6)
+        store = TokenStore()
+        add_basic_event(store, Pattern("E", ("A",)), 2.0, 2.0, 1.0, grid)
+        project(theory, store, grid)
+        refine(store, theory, grid, epsilon=1e-4)
+        (fact,) = store.facts_of_type(("F", 1))
+        (event,) = store.events_of_type(("E", 1))
+        want = convolve_direct(event.density, Linear(math.inf))
+        assert list(fact.mass.values) == list(want.values) == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
 
 class TestClosure:
     def test_fact_closes_when_mass_spent(self):
