@@ -43,7 +43,8 @@ Termination and idempotence:
 * a candidate whose ground type already occurs in its own derivation
   ancestry is skipped: such a chain would make the fact a precondition of
   itself, which carries no new information and (when open in the same cells)
-  is exactly what the refinement sweep must reject as cyclic.
+  is exactly what the refinement sweep must reject as cyclic.  The test is
+  membership in the trigger's and each antecedent's ancestry, not a union.
 """
 from __future__ import annotations
 
@@ -123,10 +124,9 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
                     # add_event rejects the type if it is not ground.
                     consequent = rule.consequent.substitute(full_binding)
                     ground = (consequent.name, consequent.args)
-                    ancestry = store.ancestry[trigger.tid].union(
-                        *(store.ancestry[a] for a in antecedent_ids)
-                    ) if antecedent_ids else store.ancestry[trigger.tid]
-                    if ground in ancestry:
+                    if ground in store.ancestry[trigger.tid] or any(
+                        ground in store.ancestry[a] for a in antecedent_ids
+                    ):
                         continue  # self-supporting chain; adds nothing
                     derivation = RuleDerived(rule_index, trigger.tid, antecedent_ids)
                     onset = store.add_event(

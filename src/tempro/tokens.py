@@ -97,35 +97,42 @@ Token = EventToken | FactToken
 
 
 class TokenStore:
-    """All tokens of one projection problem, split into events and facts.
+    """All tokens of one projection problem, in one list indexed by id.
 
-    Tokens get consecutive ids in creation order; every id belongs to exactly
-    one of the two partitions.  ``ancestry`` maps each token to the set of
-    ground types its derivation passes through (including its own), which the
-    projector uses to cut self-supporting derivation chains.
+    Tokens get consecutive ids in creation order; ``events`` and ``facts``
+    are the list's two partitions.  ``ancestry`` maps each token to the ground
+    types its derivation passes through (its own included), which the
+    projector uses to cut self-supporting chains; a rule-derived fact shares
+    its onset event's derivation check and ancestry set.
 
-    Fact ids are also indexed by ``(name, arity, argument position, value)``,
-    each list in creation order, so the projector can look up the facts that
-    agree with an antecedent's bound arguments without scanning its type.
+    The indexes hold tokens in creation order: by type, and facts also by
+    ``(name, arity, argument position, value)``, so the projector can find the
+    facts agreeing with an antecedent's bound arguments without a type scan.
     """
 
     def __init__(self) -> None:
         self.events: list[EventToken] = []
         self.facts: list[FactToken] = []
-        self._by_id: dict[int, Token] = {}
-        self._events_by_key: dict[TypeKey, list[int]] = {}
-        self._facts_by_key: dict[TypeKey, list[int]] = {}
-        self._facts_by_arg: dict[tuple[str, int, int, str], list[int]] = {}
+        self._tokens: list[Token] = []
+        self._events_by_key: dict[TypeKey, list[EventToken]] = {}
+        self._facts_by_key: dict[TypeKey, list[FactToken]] = {}
+        self._facts_by_arg: dict[tuple[str, int, int, str], list[FactToken]] = {}
         self.ancestry: dict[int, frozenset[GroundKey]] = {}
         self.derivation_keys: set[tuple] = set()
-        self.always_tid: int | None = None
+        self.always: FactToken | None = None
         self.sweep_stats = None  # set by refinement.refine
 
     def __len__(self) -> int:
-        return len(self.events) + len(self.facts)
+        return len(self._tokens)
 
     def token(self, tid: int) -> Token:
-        return self._by_id[tid]
+        if (token := self._find(tid)) is None:
+            raise KeyError(tid)
+        return token
+
+    def _find(self, tid: int) -> Token | None:
+        """The token with id ``tid``, or None; a negative id names no token."""
+        return self._tokens[tid] if 0 <= tid < len(self._tokens) else None
 
     def add_event(
         self,
@@ -138,12 +145,20 @@ class TokenStore:
     ) -> EventToken:
         if not event_type.is_ground:
             raise ValueError(f"event token type must be ground, got {event_type}")
-        self._check_derivation(derivation)
-        token = EventToken(len(self._by_id), event_type, est, lst, kappa, derivation, density)
+        ancestry = {(event_type.name, event_type.args)}
+        if isinstance(derivation, RuleDerived):  # names only existing tokens, so smaller ids
+            if not isinstance(self._find(derivation.trigger), EventToken):
+                raise ValueError(f"trigger {derivation.trigger} names no event token")
+            ancestry.update(self.ancestry[derivation.trigger])
+            for ant in derivation.antecedents:
+                if not isinstance(self._find(ant), FactToken):
+                    raise ValueError(f"antecedent {ant} names no fact token")
+                ancestry.update(self.ancestry[ant])
+        token = EventToken(len(self._tokens), event_type, est, lst, kappa, derivation, density)
+        self._tokens.append(token)
         self.events.append(token)
-        self._by_id[token.tid] = token
-        self._events_by_key.setdefault(event_type.key, []).append(token.tid)
-        self._record_ancestry(token.tid, (event_type.name, event_type.args), derivation)
+        self._events_by_key.setdefault(event_type.key, []).append(token)
+        self.ancestry[token.tid] = frozenset(ancestry)
         return token
 
     def add_fact(
@@ -154,70 +169,53 @@ class TokenStore:
         est: float,
         derivation: Derivation,
     ) -> FactToken:
+        """A rule-derived fact must be initiated by its onset, the event of the
+        same type and derivation, whose derivation :meth:`add_event` checked;
+        the fact shares that event's ancestry set."""
         if not fact_type.is_ground:
             raise ValueError(f"fact token type must be ground, got {fact_type}")
-        if not (isinstance(derivation, BuiltIn) or self._is_event(initiating_event)):
+        onset = self._find(initiating_event)
+        if not (isinstance(derivation, BuiltIn) or isinstance(onset, EventToken)):
             raise ValueError(f"initiating event {initiating_event} names no event token")
-        self._check_derivation(derivation)
         if persistence is None and not isinstance(derivation, BuiltIn):
             raise ValueError(f"fact {fact_type} has no persistence survivor")
-        token = FactToken(len(self._by_id), fact_type, initiating_event, persistence, est, derivation)
+        if not isinstance(derivation, RuleDerived):
+            ancestry = frozenset({(fact_type.name, fact_type.args)})
+        elif isinstance(onset, EventToken) and (onset.derivation, onset.event_type) == (derivation, fact_type):
+            ancestry = self.ancestry[initiating_event]
+        else:
+            raise ValueError(f"initiating event {initiating_event} is not this derivation's onset")
+        token = FactToken(len(self._tokens), fact_type, initiating_event, persistence, est, derivation)
+        self._tokens.append(token)
         self.facts.append(token)
-        self._by_id[token.tid] = token
-        self._facts_by_key.setdefault(fact_type.key, []).append(token.tid)
+        self._facts_by_key.setdefault(fact_type.key, []).append(token)
         name, arity = fact_type.key
         for position, value in enumerate(fact_type.args):
-            self._facts_by_arg.setdefault((name, arity, position, value), []).append(token.tid)
-        self._record_ancestry(token.tid, (fact_type.name, fact_type.args), derivation)
+            self._facts_by_arg.setdefault((name, arity, position, value), []).append(token)
+        self.ancestry[token.tid] = ancestry
         return token
-
-    def _is_event(self, tid: int) -> bool:
-        return isinstance(self._by_id.get(tid), EventToken)
-
-    def _check_derivation(self, derivation: Derivation) -> None:
-        """A rule derivation may name only existing tokens of the right kind,
-        which therefore have smaller ids than the token being added."""
-        if not isinstance(derivation, RuleDerived):
-            return
-        if not self._is_event(derivation.trigger):
-            raise ValueError(f"trigger {derivation.trigger} names no event token")
-        for ant in derivation.antecedents:
-            if not isinstance(self._by_id.get(ant), FactToken):
-                raise ValueError(f"antecedent {ant} names no fact token")
-
-    def _record_ancestry(self, tid: int, ground: GroundKey, derivation: Derivation) -> None:
-        """``ground`` is the key of a type the caller has checked is ground."""
-        own = {ground}
-        if isinstance(derivation, RuleDerived):
-            own.update(self.ancestry[derivation.trigger])
-            for ant in derivation.antecedents:
-                own.update(self.ancestry[ant])
-        self.ancestry[tid] = frozenset(own)
 
     def ensure_always(self) -> FactToken:
         """The built-in ALWAYS fact token: timelessly true, never decays."""
-        if self.always_tid is None:
-            token = self.add_fact(
+        if self.always is None:
+            self.always = self.add_fact(
                 Pattern("ALWAYS"),
                 initiating_event=-1,
                 persistence=None,  # never consulted: the token is never updated
                 est=-math.inf,
                 derivation=BuiltIn(),
             )
-            self.always_tid = token.tid
-        token = self._by_id[self.always_tid]
-        assert isinstance(token, FactToken)
-        return token
+        return self.always
 
     def events_of_type(self, key: TypeKey) -> list[EventToken]:
-        return [self._by_id[t] for t in self._events_by_key.get(key, [])]  # type: ignore[misc]
+        return list(self._events_by_key.get(key, ()))
 
     def count_of_type(self, key: TypeKey) -> int:
         """The number of event and fact tokens of type ``key``."""
         return len(self._events_by_key.get(key, ())) + len(self._facts_by_key.get(key, ()))
 
     def facts_of_type(self, key: TypeKey) -> list[FactToken]:
-        return [self._by_id[t] for t in self._facts_by_key.get(key, [])]  # type: ignore[misc]
+        return list(self._facts_by_key.get(key, ()))
 
     def fact_candidates(self, pattern: Pattern) -> list[FactToken]:
         """The facts that could unify with ``pattern``, in creation order.
@@ -227,7 +225,7 @@ class TokenStore:
         Each such list is a subset of :meth:`facts_of_type` in the same
         order that holds every fact agreeing with that argument, so filtering
         it with ``unify`` gives the same facts in the same order as filtering
-        the whole type.
+        the whole type.  The list is the store's own: read only, add no fact.
         """
         name, arity = pattern.key
         bound = [
@@ -236,8 +234,8 @@ class TokenStore:
             if not is_variable(value)
         ]
         if not bound:
-            return self.facts_of_type(pattern.key)
-        return [self._by_id[t] for t in min(bound, key=len)]  # type: ignore[misc]
+            return self._facts_by_key.get(pattern.key, [])
+        return min(bound, key=len)
 
 
 def _norm_cdf(x: float) -> float:

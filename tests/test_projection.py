@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, reject
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import tempro.projection
@@ -349,8 +349,9 @@ def _oracle_project(theory, store, grid):
 
 
 # One name with two arities: type keys, not names, must keep facts apart, and
-# rules deriving A/1 from A/2 and back are mutually recursive.
-_TYPES = [("A", 1), ("A", 2)]
+# rules deriving A/1 from A/2 and back are mutually recursive.  B/1 lets a
+# rule's antecedent type grow while its trigger type does not.
+_TYPES = [("A", 1), ("A", 2), ("B", 1)]
 _CONSTANTS = ["X", "Y"]
 _VARIABLES = ["?x", "?y", "?z"]
 
@@ -433,10 +434,14 @@ def _projected_by_both(theory, events, facts):
 
 class TestIndexedJoinMatchesNestedLoop:
     PERSIST = [PersistenceRule(Pattern("A", ("?p",)), Exponential(0.1)),
-               PersistenceRule(Pattern("A", ("?p", "?q")), Exponential(0.1))]
+               PersistenceRule(Pattern("A", ("?p", "?q")), Exponential(0.1)),
+               PersistenceRule(Pattern("B", ("?p",)), Exponential(0.1))]
 
+    # At least two rules and 200 examples, so that most runs meet a later
+    # rule feeding an earlier rule's antecedent type.
+    @settings(max_examples=200)
     @given(
-        st.lists(_rules(), min_size=1, max_size=3),
+        st.lists(_rules(), min_size=2, max_size=3),
         st.lists(_windows(), max_size=5),
         st.lists(_windows(), max_size=8),
     )
@@ -516,3 +521,14 @@ def test_fresh_project_enumerates_once(monkeypatch):
     again = _join_unify_calls(monkeypatch, store, grid)
     assert len(store) == tokens
     assert fresh == again
+
+
+def test_derived_fact_shares_its_onset_ancestry():
+    # The onset event's derivation is checked and its ancestry built once;
+    # the fact keeps that very set rather than a copy.
+    store, grid = _join_store(100)
+    project(parse_theory(JOIN_THEORY), store, grid)
+    derived = [f for f in store.facts if isinstance(f.derivation, RuleDerived)]
+    assert len(derived) == 200
+    for fact in derived:
+        assert store.ancestry[fact.tid] is store.ancestry[fact.initiating_event]

@@ -1,8 +1,10 @@
-"""Smoke test: every study script runs to completion on a small input."""
+"""Smoke tests: every study script runs to completion on a small input, and
+every Python example in the README runs."""
 from __future__ import annotations
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,7 +19,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
         ["dock_curve.py", "--omega", "200"],
         ["mesh_study.py", "--halvings", "2"],
         ["scaling_study.py", "--sizes", "10", "20", "--repeats", "1"],
-        ["convergence_study.py"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -29,3 +30,16 @@ def test_script_runs(argv):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_python_blocks_run():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert blocks
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for code in blocks:
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, f"{code}\n{result.stderr}"

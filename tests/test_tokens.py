@@ -27,6 +27,12 @@ from tempro import (
 )
 
 ARRIVE_T14 = Pattern("ARRIVE", ("TRUCK14",))
+DOCK_T14 = Pattern("ATDOCK", ("TRUCK14",))
+
+
+def _onset(store, trigger, event_type, antecedents):
+    """A rule-derived event of ``event_type`` triggered by ``trigger``."""
+    return store.add_event(event_type, 0.0, 1.0, 1.0, RuleDerived(0, trigger.tid, antecedents))
 
 
 def _phi(z: float) -> float:
@@ -108,33 +114,54 @@ class TestTokenStore:
             add_basic_event(store, Pattern("ARRIVE", ("?t",)), 0.0, 5.0, 1.0, g)
 
     @pytest.mark.parametrize(
-        "add, message",
+        "add, message, size",
         [
             (lambda s, e, f: s.add_fact(ARRIVE_T14, 99, None, 0.0, UserSupplied()),
-             "initiating event 99 names no event token"),
+             "initiating event 99 names no event token", 2),
             (lambda s, e, f: s.add_fact(ARRIVE_T14, f.tid, None, 0.0, UserSupplied()),
-             "initiating event 1 names no event token"),
+             "initiating event 1 names no event token", 2),
             (lambda s, e, f: s.add_event(ARRIVE_T14, 0.0, 1.0, 1.0, RuleDerived(0, 99, ())),
-             "trigger 99 names no event token"),
+             "trigger 99 names no event token", 2),
             (lambda s, e, f: s.add_event(ARRIVE_T14, 0.0, 1.0, 1.0, RuleDerived(0, f.tid, ())),
-             "trigger 1 names no event token"),
+             "trigger 1 names no event token", 2),
             (lambda s, e, f: s.add_event(ARRIVE_T14, 0.0, 1.0, 1.0, RuleDerived(0, e.tid, (99,))),
-             "antecedent 99 names no fact token"),
-            (lambda s, e, f: s.add_fact(ARRIVE_T14, e.tid, None, 0.0, RuleDerived(0, e.tid, (e.tid,))),
-             "antecedent 0 names no fact token"),
+             "antecedent 99 names no fact token", 2),
+            (lambda s, e, f: s.add_event(ARRIVE_T14, 0.0, 1.0, 1.0, RuleDerived(0, e.tid, (-1,))),
+             "antecedent -1 names no fact token", 2),
+            (lambda s, e, f: s.add_event(ARRIVE_T14, 0.0, 1.0, 1.0, RuleDerived(0, e.tid, (e.tid,))),
+             "antecedent 0 names no fact token", 2),
+            (lambda s, e, f: s.add_fact(ARRIVE_T14, e.tid, Exponential(0.1), 0.0,
+                                        RuleDerived(0, e.tid, (e.tid,))),
+             "initiating event 0 is not this derivation's onset", 2),
+            (lambda s, e, f: s.add_fact(DOCK_T14, _onset(s, e, DOCK_T14, (f.tid,)).tid,
+                                        Exponential(0.1), 0.0, RuleDerived(0, e.tid, ())),
+             "initiating event 2 is not this derivation's onset", 3),
+            (lambda s, e, f: s.add_fact(ARRIVE_T14, _onset(s, e, DOCK_T14, ()).tid,
+                                        Exponential(0.1), 0.0, RuleDerived(0, e.tid, ())),
+             "initiating event 2 is not this derivation's onset", 3),
         ],
         ids=[
             "fact-missing-event", "fact-event-is-fact", "missing-trigger",
-            "trigger-is-fact", "missing-antecedent", "antecedent-is-event",
+            "trigger-is-fact", "missing-antecedent", "negative-antecedent",
+            "event-antecedent-of-event", "antecedent-is-event",
+            "onset-of-other-derivation", "onset-of-other-type",
         ],
     )
-    def test_dangling_reference_rejected(self, add, message):
+    def test_dangling_reference_rejected(self, add, message, size):
         store = TokenStore()
         e = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, TimeGrid(0.0, 1.0, 10))
         f = store.ensure_always()
         with pytest.raises(ValueError, match=f"^{message}$"):
             add(store, e, f)
-        assert len(store) == 2
+        assert len(store) == size
+
+    def test_token_refuses_ids_naming_no_token(self):
+        store = TokenStore()
+        add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, TimeGrid(0.0, 1.0, 10))
+        store.ensure_always()
+        for tid in (-1, len(store)):
+            with pytest.raises(KeyError):
+                store.token(tid)
 
     @pytest.mark.parametrize("derivation", [UserSupplied(), RuleDerived(0, 0, ())])
     def test_fact_without_persistence_rejected(self, derivation):
