@@ -31,8 +31,6 @@ from .refinement import (
     SweepStats,
     clip,
     convolve_direct,
-    density_update,
-    mass_update_exp,
     refine,
     survivor_eval,
     within_cell_factor,
@@ -73,7 +71,6 @@ from .tokens import (
     TokenStore,
     UserSupplied,
     add_basic_event,
-    init_vectors,
     load_basic_facts,
     parse_basic_facts,
 )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 
@@ -162,12 +163,16 @@ def load_state(text: str) -> AcquisitionStore:
 
 
 def save_state_file(store: AcquisitionStore, path: str) -> None:
-    """Atomic save: write to a temp file in the same directory, then rename."""
+    """Atomic save: write to a temp file in the same directory, then rename.
+    An existing file keeps its permission bits; ``mkstemp`` makes the temp
+    file 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".acquire-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(save_state(store))
+        if os.path.exists(path):
+            shutil.copymode(path, tmp_path)
         os.replace(tmp_path, path)
     except BaseException:
         try:

@@ -24,7 +24,7 @@ from .acquisition import (
     parse_observations,
     save_state_file,
 )
-from .core import GridError, TimeGrid, auto_mesh_factor
+from .core import SNAP_REL, GridError, TimeGrid, auto_mesh_factor
 from .projection import project
 from .refinement import CyclicOpenTokens, refine
 from .simulator import generate, parse_scenario, run_convergence
@@ -42,8 +42,6 @@ USAGE_ERROR = 1
 PARSE_ERROR = 2
 CYCLE_ERROR = 3
 IO_ERROR = 4
-
-_SNAP = 1e-9
 
 # The most cells a refined grid may have, --omega times the mesh factor.
 # Every curve takes 8 bytes per cell, so one curve of this many takes 80 MB.
@@ -100,13 +98,13 @@ def _resolve_mesh(delta: float, mesh: str, window_widths: list[float]) -> int:
         value = float(mesh)
     except ValueError:
         raise _UsageError(f"--mesh must be 'auto' or a number, got {mesh!r}")
-    if not (0 < value <= delta * (1 + _SNAP)):
+    if not (0 < value <= delta * (1 + SNAP_REL)):
         raise _UsageError(f"--mesh must lie in (0, delta]; got {value} with delta {delta}")
     ratio = delta / value
     if math.isinf(ratio):
         raise _UsageError(f"--mesh {value} is too fine to divide delta {delta}")
     factor = round(ratio)
-    if factor < 1 or abs(ratio - factor) > _SNAP * factor:
+    if factor < 1 or abs(ratio - factor) > SNAP_REL * factor:
         raise _UsageError(f"--mesh {value} does not evenly divide delta {delta}")
     return factor
 
@@ -390,11 +388,16 @@ def _seed(text: str) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     seed = None if args.seed is None else _seed(args.seed)
-    scenario = parse_scenario(_read(args.scenario))
+    text = _read(args.scenario)
+    scenario = parse_scenario(text)
     if seed is not None:
         scenario.seed = seed
     output = generate(scenario)
-    rows = run_convergence(scenario, args.family)
+    try:
+        rows = run_convergence(scenario, args.family)
+    except ValueError as exc:  # a class whose completed stays sum past the largest float
+        (statement,) = statements(text)
+        raise ParseError(str(exc), statement.lineno, 1) from exc
     os.makedirs(args.outdir, exist_ok=True)
     with open(os.path.join(args.outdir, "facts.txt"), "w") as handle:
         handle.write(output.facts_text)

@@ -12,9 +12,11 @@ import math
 from array import array
 from dataclasses import dataclass
 
-# Relative tolerance used to snap times sitting on a cell boundary, so that
-# e.g. 0.3 / 0.1 lands in the cell starting at 0.3 rather than the one below.
-_SNAP_REL = 1e-9
+# Relative tolerance for taking a float ratio as a whole number of cells: a
+# time on a cell boundary snaps onto it, so that e.g. 0.3 / 0.1 lands in the
+# cell starting at 0.3 rather than the one below, and a mesh within it of a
+# divisor of delta counts as that divisor.
+SNAP_REL = 1e-9
 
 
 class GridError(ValueError):
@@ -64,7 +66,7 @@ class TimeGrid:
         if math.isinf(k):  # off the grid, and too large for int()
             return 0 if k < 0 else self.omega + 1
         nearest = round(k)
-        if abs(k - nearest) <= _SNAP_REL * max(1.0, abs(k)):
+        if abs(k - nearest) <= SNAP_REL * max(1.0, abs(k)):
             k = nearest
         return int(math.floor(k)) + 1
 
@@ -151,4 +153,4 @@ def auto_mesh_factor(delta: float, window_widths: list[float]) -> int:
         raise GridError(
             f"the narrowest event window ({min(positive)!r}) is too narrow to divide delta {delta!r}"
         )
-    return math.ceil(ratio - _SNAP_REL)
+    return math.ceil(ratio - SNAP_REL)

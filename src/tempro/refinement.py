@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 from .core import StepSeries, TimeGrid
 from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
-from .tokens import EventToken, FactToken, RuleDerived, TokenStore, user_density
+from .tokens import EventToken, TokenStore, user_density
 
 logger = logging.getLogger(__name__)
 
@@ -153,45 +153,6 @@ def clip(f: StepSeries, rate: float, g: StepSeries) -> StepSeries:
         integral = cum[k + 1] - cum[:-1]  # integral of g over cells j..k
         sums.append((row * np.clip(1.0 - integral, 0.0, None)).sum())
     return StepSeries(grid, sums)
-
-
-def density_update(store: TokenStore, token, i: int) -> float:
-    """One cell of the derived-event density product; returns the new value.
-
-    Reference for one cell of what :func:`refine` computes over the event's
-    whole window.  Callers must have updated the trigger and antecedents at
-    cell ``i`` already.
-    """
-    derivation = token.derivation
-    if not isinstance(derivation, RuleDerived):
-        raise ValueError("density_update applies to rule-derived event tokens")
-    trigger = store.token(derivation.trigger)
-    value = token.kappa * float(trigger.density.values[i - 1])
-    for ant in derivation.antecedents:
-        value *= float(store.token(ant).mass.values[i - 1])
-    token.density.values[i - 1] = value
-    return value
-
-
-def mass_update_exp(store: TokenStore, token: FactToken, i: int) -> float:
-    """One cell of the exponential-survivor mass recurrence; returns the value.
-
-    Reference for one cell of what :func:`refine` computes over the fact's
-    whole live span (without the clamp bookkeeping).
-    """
-    survivor = token.persistence
-    if not isinstance(survivor, Exponential):
-        raise ValueError("mass_update_exp applies to exponential-survivor facts")
-    grid = token.mass.grid
-    delta = grid.delta
-    rate = survivor.rate
-    decay = 0.0 if math.isinf(rate) else math.exp(-rate * delta)
-    coef = delta * within_cell_factor(rate, delta)
-    density = float(store.token(token.initiating_event).density.values[i - 1])
-    prev = float(token.mass.values[i - 2]) if i >= 2 else 0.0
-    value = min(1.0, decay * prev + density * coef)
-    token.mass.values[i - 1] = value
-    return value
 
 
 def _exponential_masses(density: Iterable[float], rate: float, delta: float) -> Iterator[float]:

@@ -28,7 +28,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .acquisition import rate
+from .acquisition import AcquisitionClass, acquire, rate
 from .theory import ParseError, Pattern, parse_pattern, split_lines, statements
 
 
@@ -51,7 +51,8 @@ class UniformLifetime:
 
     @property
     def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        total = self.lo + self.hi
+        return 0.5 * total if total < math.inf else 0.5 * self.lo + 0.5 * self.hi
 
     def sample(self, rng: random.Random) -> float:
         return self.lo + (self.hi - self.lo) * rng.random()
@@ -166,8 +167,6 @@ def run_convergence(scenario: Scenario, family: str) -> list[ConvergenceRow]:
     compared against ``rate(family, true mean)`` of the generating
     distribution.
     """
-    from .acquisition import AcquisitionClass, acquire
-
     durations_by_class: list[list[float]] = [[] for _ in scenario.classes]
     for _, index, _, arrival, departure in _stays(scenario):
         if departure <= scenario.horizon:
@@ -182,8 +181,8 @@ def run_convergence(scenario: Scenario, family: str) -> list[ConvergenceRow]:
         for index, duration in enumerate(durations, start=1):
             cls = acquire(cls, duration)
             if index in checkpoints:
-                if math.isinf(reference):
-                    error = 0.0 if math.isinf(cls.lam) else math.inf
+                if reference in (0.0, math.inf):
+                    error = 0.0 if cls.lam == reference else math.inf
                 else:
                     error = abs(cls.lam - reference) / reference
                 rows.append(ConvergenceRow(str(pattern), index, cls.lam, reference, error))

@@ -53,12 +53,6 @@ class Pattern:
     def is_ground(self) -> bool:
         return not any(is_variable(a) for a in self.args)
 
-    @property
-    def ground_key(self) -> GroundKey:
-        if not self.is_ground:
-            raise ValueError(f"pattern {self} is not ground")
-        return (self.name, self.args)
-
     def variables(self) -> set[str]:
         return {a for a in self.args if is_variable(a)}
 

@@ -311,26 +311,6 @@ def user_density(event: EventToken, grid: TimeGrid) -> StepSeries:
     return event.density
 
 
-def init_vectors(store: TokenStore, grid: TimeGrid) -> None:
-    """(Re)allocate every token's curve on ``grid``.
-
-    User event densities come from :func:`user_density`; the ALWAYS mass is
-    constant 1; everything else starts at zero.  ``refine`` does not call
-    this: it builds every curve itself.  It stays public for callers that
-    want a store's curves allocated on a grid without refining it.
-    """
-    for event in store.events:
-        if event.is_user:
-            user_density(event, grid)
-        else:
-            event.density = StepSeries.zeros(grid)
-    for fact in store.facts:
-        if fact.is_builtin:
-            fact.mass = StepSeries.ones(grid)
-        else:
-            fact.mass = StepSeries.zeros(grid)
-
-
 @dataclass(frozen=True)
 class BasicEventSpec:
     event_type: Pattern

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tempro import (
+    CausalTheory,
     Exponential,
     Pattern,
     StepSeries,
@@ -23,8 +24,6 @@ from tempro import (
     add_basic_event,
     clip,
     convolve_direct,
-    init_vectors,
-    mass_update_exp,
     parse_scenario,
     parse_theory,
     project,
@@ -69,14 +68,11 @@ def _hand_built_fact(grid: TimeGrid, lam: float, density: np.ndarray):
     """A store holding one fact fed by an event with an explicit density."""
     store = TokenStore()
     event = store.add_event(
-        Pattern("E", ("X",)), grid.origin, grid.origin, 1.0, UserSupplied()
+        Pattern("E", ("X",)), grid.origin, grid.origin, 1.0, UserSupplied(), StepSeries(grid, density)
     )
     fact = store.add_fact(
         Pattern("F", ("X",)), event.tid, Exponential(lam), grid.origin, UserSupplied()
     )
-    init_vectors(store, grid)
-    event.density = StepSeries(grid, density.copy())
-    fact.mass = StepSeries.zeros(grid)
     return store, event, fact
 
 
@@ -111,7 +107,7 @@ def test_c01_incremental_matches_direct_convolution():
         worst = max(worst, float(np.abs(np.asarray(fact.mass.values) - np.asarray(direct.values)).max()))
         trials += 1
 
-    # (b) the recurrence helper on arbitrary density shapes
+    # (b) the recurrence on arbitrary density shapes
     for _ in range(60):
         delta = rng.uniform(0.1, 2.0)
         omega = rng.randint(10, 1000)
@@ -119,8 +115,7 @@ def test_c01_incremental_matches_direct_convolution():
         grid = TimeGrid(0.0, delta, omega)
         density = _random_density(rng, grid)
         store, event, fact = _hand_built_fact(grid, lam, density)
-        for i in range(1, omega + 1):
-            mass_update_exp(store, fact, i)
+        refine(store, CausalTheory(), grid, epsilon=0.0)
         direct = convolve_direct(event.density, Exponential(lam))
         worst = max(worst, float(np.abs(np.asarray(fact.mass.values) - np.asarray(direct.values)).max()))
         trials += 1

@@ -937,6 +937,28 @@ class TestBadInput:
         assert err.startswith("error: --seed must be an integer in [0, ") and err.count("\n") == 1
         assert not outdir.exists()
 
+    HUGE = "arrivals poisson 1.0 count {} horizon 1.7976931348623157e308\n"
+
+    def test_simulate_uniform_lifetime_near_the_largest_float(self, tmp_path, capsys):
+        # lo + hi overflows, yet the mean and so the reference rate stay finite and positive
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("scenario seed 1 class T(?x) uniform 1e308 1.7e308 " + self.HUGE.format(1))
+        outdir = tmp_path / "sim"
+        code, out, err = _run(capsys, "simulate", "--scenario", str(scenario), "--outdir", str(outdir))
+        assert (code, err) == (0, "")
+        reference = rate("exponential", 1.35e308)
+        assert 0.0 < reference and f"reference={_fmt(reference)} " in out
+        assert out.count("\n") == 1
+
+    def test_simulate_stays_summing_past_the_largest_float_is_parse_error(self, tmp_path, capsys):
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("scenario seed 1 class T(?x) fixed 1e308 " + self.HUGE.format(20))
+        outdir = tmp_path / "sim"
+        code, out, err = _run(capsys, "simulate", "--scenario", str(scenario), "--outdir", str(outdir))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, column 1: sum of T(?x) durations overflows: 1e+308 + 1e+308\n"
+        assert not outdir.exists()
+
     def test_simulate_outdir_naming_a_file_is_io_error(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(
@@ -1006,6 +1028,19 @@ class TestAcquire:
         assert code == 2
         assert "SHIPAT" in err
         assert state.read_text() == original
+
+    @pytest.mark.parametrize("departure,code", [("10", 0), ("inf", 2)], ids=["folded", "refused"])
+    def test_keeps_the_state_file_mode(self, tmp_path, capsys, data_dir, departure, code):
+        state = tmp_path / "trucks.state"
+        original = (data_dir / "trucks.state").read_text()
+        state.write_text(original)
+        state.chmod(0o644)
+        obs = tmp_path / "obs.txt"
+        obs.write_text(f"observe TRUCKAT(DOCK1) arrival 0 departure {departure}\n")
+        assert _run(capsys, "acquire", "--state", str(state), "--observations", str(obs))[0] == code
+        assert oct(state.stat().st_mode & 0o777) == oct(0o644)
+        assert (state.read_text() == original) == (code != 0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.txt", "trucks.state"]
 
     def test_fold_matches_left_to_right_sum(self, tmp_path, capsys, data_dir):
         """``acquire`` against an independent fold of a simulated fleet: the

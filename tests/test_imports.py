@@ -9,8 +9,9 @@ are the package's re-exports.
 
 A module-level function or class must be referenced outside its own body,
 in the package, ``bench`` or ``scripts``; a re-export in ``__init__.py`` is
-an import, so it does not count.  The few kept for the tests alone are
-listed with their reasons in ``KEPT_FOR_TESTS``.
+an import, so it does not count.  So must the name of each method and
+property, dunder methods aside.  The few kept for the tests alone are
+listed with their reasons in ``KEPT_FOR_TESTS`` and ``MEMBERS_KEPT_FOR_TESTS``.
 
 Curves are ``array('d')``, so the pipeline needs no numpy: only the
 functions in ``NUMPY_USERS``, the quadratic oracles the tests check it
@@ -29,11 +30,13 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 USERS = sorted([*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 KEPT_FOR_TESTS = {
-    "density_update": "a piece of the per-cell oracle sweep and of gate c01",
-    "mass_update_exp": "a piece of the per-cell oracle sweep and of gate c01",
-    "init_vectors": "allocates the curves the per-cell oracle sweep fills in",
     "survivor_eval": "the continuous survivor that gate c05 samples",
     "series_integral": "the window masses the token and refinement tests check",
+}
+
+MEMBERS_KEPT_FOR_TESTS = {
+    "CausalTheory.pretty": "the parser's Hypothesis round-trip test prints generated theories with it",
+    "FactToken.closed": "the refine and CLI tests and _assert_same_as_oracle read it",
 }
 
 NUMPY_USERS = {
@@ -87,15 +90,21 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {lineno})" for lineno, name in sorted(found)]
 
 
+def _nodes(tree: ast.AST, skip: ast.AST | None = None):
+    """The nodes of ``tree``, less those under ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """The names and attribute names read in ``tree``, less those under
     ``skip``, with the names inside string annotations."""
     names: set[str] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    for node in _nodes(tree, skip):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -103,8 +112,12 @@ def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
         for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
             if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
                 names |= _referenced(ast.parse(annotation.value, mode="eval"))
-        stack.extend(ast.iter_child_nodes(node))
     return names
+
+
+def _attributes(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The attribute names read in ``tree``, less those under ``skip``."""
+    return {node.attr for node in _nodes(tree, skip) if isinstance(node, ast.Attribute)}
 
 
 def unused_definitions(source: str, elsewhere: set[str]) -> list[str]:
@@ -117,6 +130,24 @@ def unused_definitions(source: str, elsewhere: set[str]) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name not in elsewhere
         and node.name not in _uses(tree, skip=node)
+    ]
+
+
+def unused_members(source: str, elsewhere: set[str]) -> list[str]:
+    """``Class.name`` for each method and property of ``source``'s classes,
+    dunder methods aside, that is read as an attribute neither in the module
+    outside its own body nor in ``elsewhere``, the attribute names other
+    files read.  A plain name, such as a local variable, does not count."""
+    tree = ast.parse(source)
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in elsewhere
+        and node.name not in _attributes(tree, skip=node)
     ]
 
 
@@ -190,12 +221,16 @@ def test_scan_finds_unused_names(source, unused):
 
 
 def test_every_definition_is_used():
-    uses = {path: _uses(ast.parse(path.read_text())) for path in USERS}
+    trees = {path: ast.parse(path.read_text()) for path in USERS}
+    uses = {path: _uses(tree) for path, tree in trees.items()}
+    attributes = {path: _attributes(tree) for path, tree in trees.items()}
     unused = set()
     for path in MODULES:
         elsewhere = set().union(*(names for other, names in uses.items() if other != path))
         unused.update(unused_definitions(path.read_text(), elsewhere))
-    assert unused == set(KEPT_FOR_TESTS)
+        elsewhere = set().union(*(names for other, names in attributes.items() if other != path))
+        unused.update(unused_members(path.read_text(), elsewhere))
+    assert unused == set(KEPT_FOR_TESTS) | set(MEMBERS_KEPT_FOR_TESTS)
 
 
 @pytest.mark.parametrize(
@@ -213,3 +248,24 @@ def test_every_definition_is_used():
 )
 def test_scan_finds_unused_definitions(source, elsewhere, unused):
     assert unused_definitions(source, elsewhere) == unused
+
+
+@pytest.mark.parametrize(
+    "source,elsewhere,unused",
+    [
+        ("class C:\n    def f(self): pass\n", set(), ["C.f"]),
+        ("class C:\n    def f(self): pass\n", {"f"}, []),
+        ("class C:\n    def f(self): pass\nC().f()\n", set(), []),
+        ("class C:\n    def f(self):\n        return self.f()\n", set(), ["C.f"]),  # its own body does not count
+        ("class C:\n    def f(self): pass\n    def g(self):\n        return self.f()\n", {"g"}, []),
+        ("class C:\n    @property\n    def p(self): return 1\n", set(), ["C.p"]),
+        ("class C:\n    @property\n    def p(self): return 1\nx = C().p\n", set(), []),
+        ("class C:\n    def __init__(self): pass\n    def __str__(self): return ''\n", set(), []),
+        ("class C:\n    class D:\n        def f(self): pass\n", set(), ["D.f"]),
+        ("def make():\n    class C:\n        def f(self): pass\n    return C\n", set(), ["C.f"]),
+        ("class C:\n    x = 1\n", set(), []),
+        ("class C:\n    def f(self): pass\nf = 1\nprint(f)\n", set(), ["C.f"]),  # a plain name
+    ],
+)
+def test_scan_finds_unused_members(source, elsewhere, unused):
+    assert unused_members(source, elsewhere) == unused

@@ -94,7 +94,7 @@ class TestProjectBasics:
         )
         project(theory, store, grid)
         assert len(store.facts_of_type(("ATDOCK", 1))) == 2
-        keys = {f.fact_type.ground_key for f in store.facts_of_type(("ATDOCK", 1))}
+        keys = {(f.fact_type.name, f.fact_type.args) for f in store.facts_of_type(("ATDOCK", 1))}
         assert keys == {("ATDOCK", ("TRUCK14",)), ("ATDOCK", ("TRUCK9",))}
 
     def test_rule_kappa_scales_onset(self):
@@ -332,7 +332,7 @@ def _oracle_project(theory, store, grid):
                     ancestry = store.ancestry[trigger.tid].union(
                         *(store.ancestry[a] for a in antecedent_ids)
                     )
-                    if consequent.ground_key in ancestry:
+                    if (consequent.name, consequent.args) in ancestry:
                         continue
                     derivation = RuleDerived(rule_index, trigger.tid, antecedent_ids)
                     onset = store.add_event(

@@ -31,10 +31,7 @@ from tempro import (
     add_basic_event,
     clip,
     convolve_direct,
-    density_update,
     dependency_graph,
-    init_vectors,
-    mass_update_exp,
     parse_theory,
     project,
     refine,
@@ -42,6 +39,7 @@ from tempro import (
     survivor_eval,
     within_cell_factor,
 )
+from tempro.tokens import user_density
 
 HALF_PER_15 = -math.log(0.95) / 15.0  # 5% loss per 15 minutes
 
@@ -70,8 +68,8 @@ def _oracle_convolve(f: StepSeries, survivor) -> list[float]:
 
 
 def _mass_update_lin(store: TokenStore, token, i: int, first: int) -> float:
-    """One cell of the linear-survivor convolution, unclamped: the twin of
-    ``mass_update_exp`` (summed over source cells ``first..i`` in order)."""
+    """One cell of the linear-survivor convolution, unclamped, summed over
+    source cells ``first..i`` in order."""
     delta = token.mass.grid.delta
     slope = token.persistence.slope
     if slope <= 0.0:
@@ -94,11 +92,15 @@ def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) ->
 
     Every cell, every token: each token's inputs at the cell are brought up
     to date first by recursive descent, then its value at the cell is
-    computed with ``density_update``, ``mass_update_exp`` or the linear twin.
-    The open-type cycle check runs at every cell where a fact opened or
-    closed since the last cell.
+    computed: a derived density as the product of its inputs, a mass by the
+    exponential recurrence or the linear convolution sum.  The open-type
+    cycle check runs at every cell where a fact opened or closed since the
+    last cell.
     """
-    init_vectors(store, grid)
+    for event in store.events:
+        event.density = user_density(event, grid) if event.is_user else StepSeries.zeros(grid)
+    for fact in store.facts:
+        fact.mass = StepSeries.ones(grid) if fact.is_builtin else StepSeries.zeros(grid)
     omega = grid.omega
     graph = dependency_graph(theory)
     stats = SweepStats()
@@ -130,11 +132,10 @@ def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) ->
             prev = float(fact.mass.values[i - 2]) if i >= 2 else 0.0
             density = float(store.token(fact.initiating_event).density.values[i - 1])
             raw = decay * prev + density * (delta * within_cell_factor(rate, delta))
-            value = mass_update_exp(store, fact, i)
         else:
             raw = _mass_update_lin(store, fact, i, first)
-            value = min(1.0, raw)
-            fact.mass.values[i - 1] = value
+        value = min(1.0, raw)
+        fact.mass.values[i - 1] = value
         stats.clamped += raw > 1.0
         if epsilon > 0.0:
             if value >= epsilon:
@@ -158,7 +159,10 @@ def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) ->
             for ant in token.derivation.antecedents:
                 ensure(ant, i)
             if first <= i <= last:
-                density_update(store, token, i)
+                value = token.kappa * store.token(token.derivation.trigger).density.values[i - 1]
+                for ant in token.derivation.antecedents:
+                    value *= store.token(ant).mass.values[i - 1]
+                token.density.values[i - 1] = value
         else:
             ensure(token.initiating_event, i)
             if first <= i and not token.closed:
@@ -648,17 +652,6 @@ class TestRefineSweep:
         # beyond the arrival window the curve is a pure survivor tail
         ratio = m[60] / m[40]
         assert ratio == pytest.approx(math.exp(-HALF_PER_15 * 20.0), rel=1e-9)
-
-    def test_helpers_reproduce_committed_cells(self):
-        theory, grid, store = _dock_setup(omega=50)
-        refine(store, theory, grid, epsilon=0.0)
-        (onset,) = store.events_of_type(("ATDOCK", 1))
-        (dock,) = store.facts_of_type(("ATDOCK", 1))
-        for i in (1, 2, 11, 30, 50):
-            before = float(onset.density.values[i - 1])
-            assert density_update(store, onset, i) == pytest.approx(before, abs=0)
-            before = float(dock.mass.values[i - 1])
-            assert mass_update_exp(store, dock, i) == pytest.approx(before, abs=0)
 
     def test_user_densities_preserved(self):
         theory, grid, store = _dock_setup()

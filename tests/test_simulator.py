@@ -44,6 +44,15 @@ class TestLifetimes:
         assert UniformLifetime(2.0, 6.0).mean == pytest.approx(4.0)
         assert FixedLifetime(7.0).mean == 7.0
 
+    def test_uniform_mean_where_lo_plus_hi_overflows(self):
+        assert UniformLifetime(1e308, 1.7e308).mean == 1.35e308
+        assert UniformLifetime(0.0, 1.7976931348623157e308).mean == 0.5 * 1.7976931348623157e308
+
+    # 0.5 * 5e-324 rounds to 0, so halving lo and hi apart would lose the first case
+    @pytest.mark.parametrize("lo,hi", [(5e-324, 5e-324), (0.1, 0.7), (3.0, 3.0), (0.0, 1e308)])
+    def test_uniform_mean_is_half_the_sum_where_it_is_finite(self, lo, hi):
+        assert UniformLifetime(lo, hi).mean == 0.5 * (lo + hi)
+
     def test_sampling_ranges(self):
         rng = random.Random(0)
         u = UniformLifetime(2.0, 6.0)
@@ -170,6 +179,18 @@ class TestConvergence:
         assert [(r.class_key, r.n) for r in rows] == [("TRUCK(?c)", 10), ("TRUCK(?d)", 10)]
         assert [r.reference for r in rows] == [rate("exponential", 10.0), rate("exponential", 30.0)]
         assert [r.relative_error for r in rows] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+    def test_zero_reference_rate_reads_as_the_infinite_one(self):
+        class Endless(FixedLifetime):
+            """Finite stays from a lifetime whose mean is infinite, as
+            ``ExponentialLifetime(5e-324)`` has."""
+
+            @property
+            def mean(self) -> float:
+                return math.inf
+
+        rows = run_convergence(_scenario(classes=[(TRUCK, Endless(5.0))], count=10), "exponential")
+        assert [(r.n, r.reference, r.relative_error) for r in rows] == [(10, 0.0, math.inf)]
 
     def test_golden_scenario_error_shrinks(self, data_dir):
         sc = parse_scenario((data_dir / "trucks.scenario").read_text())

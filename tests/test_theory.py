@@ -97,11 +97,6 @@ class TestPattern:
         assert not Pattern("ATDOCK", ("?t",)).is_ground
         assert Pattern("ALWAYS").is_ground
 
-    def test_ground_key_requires_ground(self):
-        assert Pattern("ATDOCK", ("TRUCK14",)).ground_key == ("ATDOCK", ("TRUCK14",))
-        with pytest.raises(ValueError):
-            Pattern("ATDOCK", ("?t",)).ground_key
-
     def test_substitute(self):
         p = Pattern("NEAR", ("?a", "?b", "?a"))
         q = p.substitute({"?a": "X", "?b": "Y"})

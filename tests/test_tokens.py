@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tempro import (
     ALWAYS,
+    CausalTheory,
     Exponential,
     ParseError,
     Pattern,
@@ -20,11 +21,12 @@ from tempro import (
     TokenStore,
     UserSupplied,
     add_basic_event,
-    init_vectors,
     load_basic_facts,
     parse_basic_facts,
+    refine,
     series_integral,
 )
+from tempro.tokens import user_density
 
 ARRIVE_T14 = Pattern("ARRIVE", ("TRUCK14",))
 DOCK_T14 = Pattern("ATDOCK", ("TRUCK14",))
@@ -180,8 +182,8 @@ class TestTokenStore:
         onset = store.add_event(
             dock, 0.0, 5.0, 1.0, RuleDerived(0, e.tid, ())
         )
-        assert e.event_type.ground_key in store.ancestry[onset.tid]
-        assert dock.ground_key in store.ancestry[onset.tid]
+        assert (e.event_type.name, e.event_type.args) in store.ancestry[onset.tid]
+        assert (dock.name, dock.args) in store.ancestry[onset.tid]
 
 
 class TestWindowDensity:
@@ -319,37 +321,30 @@ class TestWindowDensityCdfOnce:
         assert len(calls) == 2 + 11 + 1
 
 
-class TestInitVectors:
-    def test_roles(self):
-        g = TimeGrid(0.0, 1.0, 10)
-        store = TokenStore()
-        user = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, g)
-        always = store.ensure_always()
-        dock = Pattern("ATDOCK", ("TRUCK14",))
-        onset = store.add_event(dock, 0.0, 5.0, 1.0, RuleDerived(0, user.tid, ()))
-        fact = store.add_fact(dock, onset.tid, Exponential(0.0), 0.0, RuleDerived(0, user.tid, ()))
-        init_vectors(store, g)
-        assert np.all(np.asarray(always.mass.values) == 1.0)
-        assert np.all(np.asarray(onset.density.values) == 0.0)
-        assert np.all(np.asarray(fact.mass.values) == 0.0)
-        assert series_integral(user.density) == pytest.approx(1.0)
-
+class TestUserDensity:
     def test_reuses_user_density_on_same_grid(self):
         g = TimeGrid(0.0, 1.0, 10)
-        store = TokenStore()
-        user = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, g)
+        user = add_basic_event(TokenStore(), ARRIVE_T14, 0.0, 5.0, 1.0, g)
         built = user.density
-        init_vectors(store, TimeGrid(0.0, 1.0, 10))  # equal grid, another object
+        assert user_density(user, TimeGrid(0.0, 1.0, 10)) is built  # equal grid, another object
         assert user.density is built
 
-    def test_regrids_existing_vectors(self):
+    def test_regrids_existing_density(self):
         g = TimeGrid(0.0, 1.0, 10)
-        store = TokenStore()
-        user = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, g)
+        user = add_basic_event(TokenStore(), ARRIVE_T14, 0.0, 5.0, 1.0, g)
         fine = g.refined(2)
-        init_vectors(store, fine)
+        assert user_density(user, fine) is user.density
         assert user.density.grid == fine
         assert series_integral(user.density) == pytest.approx(1.0)
+
+    def test_event_added_without_density_gets_its_window_density(self):
+        g = TimeGrid(0.0, 1.0, 10)
+        store = TokenStore()
+        user = store.add_event(ARRIVE_T14, 2.5, 7.5, 0.8, UserSupplied())
+        refine(store, CausalTheory(), g)
+        built = add_basic_event(TokenStore(), ARRIVE_T14, 2.5, 7.5, 0.8, g).density
+        assert user.density.grid == g
+        assert user.density.values.tobytes() == built.values.tobytes()
 
 
 class TestBasicFactsFormat:
