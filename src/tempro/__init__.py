@@ -10,9 +10,7 @@ from .acquisition import (
     AcquisitionClass,
     AcquisitionStore,
     UnknownClassError,
-    acquire,
     load_state,
-    observe_lifetime,
     parse_observations,
     rate,
     save_state,

@@ -9,9 +9,12 @@ family from the running mean duration:
 * linear family: ``slope = 0.5 / mean`` (a slope whose area under the
   survivor equals the mean).
 
-Only completed observations are fed in; stays still in progress at the end
-of a run are censored and never reach :func:`acquire`, which biases the mean
-slightly low on busy horizons but keeps the update one line long.
+Each stay is folded into its class in place by
+:meth:`AcquisitionStore.observe`, which routes it to the first matching class
+and calls :meth:`AcquisitionClass.observe`.  Only completed observations are
+fed in; stays still in progress at the end of a run are censored and never
+reach it, which biases the mean slightly low on busy horizons but keeps the
+update one line long.
 
 State file format, one class per line::
 
@@ -49,7 +52,7 @@ def rate(family: str, mu: float) -> float:
     return math.log(2) / mu
 
 
-@dataclass(frozen=True)
+@dataclass
 class AcquisitionClass:
     """Running lifetime statistics for one tracked fact-type pattern.
 
@@ -75,18 +78,19 @@ class AcquisitionClass:
         """Current decay parameter; ``inf`` until the first observation."""
         return rate(self.family, self.mean) if self.insts else math.inf
 
+    def observe(self, duration: float) -> None:
+        """Fold one completed stay duration into the statistics, in place.
 
-def acquire(cls: AcquisitionClass, duration: float) -> AcquisitionClass:
-    """Fold one completed stay duration into the class statistics.
-
-    A total that overflows to ``inf`` is rejected: no state file could
-    hold it, since ``load_state`` requires a finite ``sum``."""
-    if math.isnan(duration) or math.isinf(duration) or duration < 0:
-        raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    total = cls.total + duration
-    if math.isinf(total):
-        raise ValueError(f"sum of {cls.key} durations overflows: {cls.total} + {duration}")
-    return AcquisitionClass(cls.key, cls.family, cls.insts + 1, total)
+        A total that overflows to ``inf`` is rejected: no state file could
+        hold it, since ``load_state`` requires a finite ``sum``.  A rejected
+        duration leaves the class unchanged."""
+        if math.isnan(duration) or math.isinf(duration) or duration < 0:
+            raise ValueError(f"duration must be finite and >= 0, got {duration}")
+        total = self.total + duration
+        if math.isinf(total):
+            raise ValueError(f"sum of {self.key} durations overflows: {self.total} + {duration}")
+        self.insts += 1
+        self.total = total
 
 
 class UnknownClassError(ValueError):
@@ -105,27 +109,13 @@ class AcquisitionStore:
     def __init__(self, classes: list[AcquisitionClass] | None = None):
         self.classes: list[AcquisitionClass] = list(classes or [])
 
-    def route(self, key: Pattern) -> int:
-        for index, cls in enumerate(self.classes):
+    def observe(self, key: Pattern, duration: float) -> None:
+        """Fold one completed stay of ``key`` into the first class it matches."""
+        for cls in self.classes:
             if unify(cls.key, key) is not None:
-                return index
+                cls.observe(duration)
+                return
         raise UnknownClassError(key, [c.key for c in self.classes])
-
-
-def observe_lifetime(
-    store: AcquisitionStore, class_key: Pattern, arrival: float, departure: float
-) -> AcquisitionClass:
-    """Route one completed stay into its class; returns the updated class."""
-    if not (math.isfinite(arrival) and math.isfinite(departure)):
-        raise ValueError("arrival and departure must be finite")
-    if departure < arrival:
-        raise ValueError(
-            f"departure {departure} precedes arrival {arrival}"
-        )
-    index = store.route(class_key)
-    updated = acquire(store.classes[index], departure - arrival)
-    store.classes[index] = updated
-    return updated
 
 
 def _format_number(x: float) -> str:
@@ -164,9 +154,11 @@ def load_state(text: str) -> AcquisitionStore:
 
 def save_state_file(store: AcquisitionStore, path: str) -> None:
     """Atomic save: write to a temp file in the same directory, then rename.
-    An existing file keeps its permission bits; ``mkstemp`` makes the temp
-    file 0600."""
-    directory = os.path.dirname(os.path.abspath(path))
+    A symlink is resolved first, so its target is replaced and the link
+    stays.  An existing file keeps its permission bits; ``mkstemp`` makes
+    the temp file 0600."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".acquire-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:

@@ -18,12 +18,7 @@ import os
 import sys
 import warnings
 
-from .acquisition import (
-    load_state,
-    observe_lifetime,
-    parse_observations,
-    save_state_file,
-)
+from .acquisition import load_state, parse_observations, save_state_file
 from .core import SNAP_REL, GridError, TimeGrid, auto_mesh_factor
 from .projection import project
 from .refinement import CyclicOpenTokens, refine
@@ -363,7 +358,7 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     observations = parse_observations(_read(args.observations))
     for obs in observations:
         try:
-            observe_lifetime(store, obs.key, obs.arrival, obs.departure)
+            store.observe(obs.key, obs.departure - obs.arrival)
         except ValueError as exc:  # an unknown class, or a stay or sum that overflows
             raise ParseError(str(exc), obs.line, 1) from exc
     save_state_file(store, args.state)

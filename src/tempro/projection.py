@@ -51,8 +51,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from .core import TimeGrid
-from .theory import CausalTheory, Pattern, unify
-from .tokens import FactToken, RuleDerived, TokenStore
+from .theory import ALWAYS, CausalTheory, Pattern, unify
+from .tokens import RuleDerived, TokenStore
 
 
 def _antecedent_matches(
@@ -68,11 +68,7 @@ def _antecedent_matches(
         yield tuple(chosen), binding
         return
     pattern = patterns[index].substitute(binding)
-    if pattern.name == "ALWAYS" and not pattern.args:
-        candidates: list[FactToken] = [store.ensure_always()]
-    else:
-        candidates = store.fact_candidates(pattern)
-    for fact in candidates:
+    for fact in store.fact_candidates(pattern):
         if fact.est > trigger_lst:  # not yet established when the trigger can fire
             continue
         extended = unify(pattern, fact.fact_type, binding)
@@ -85,11 +81,7 @@ def _antecedent_matches(
 
 def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenStore:
     """Apply every projection rule to fixpoint, mutating and returning ``store``."""
-    if any(
-        p.name == "ALWAYS" and not p.args
-        for rule in theory.projection_rules
-        for p in rule.antecedents
-    ):
+    if any(ALWAYS in rule.antecedents for rule in theory.projection_rules):
         store.ensure_always()
 
     # The token counts of each rule's trigger and antecedent types when its

@@ -3,9 +3,9 @@
 A scenario describes entities of one or more classes arriving over time and
 staying for a random lifetime.  ``generate`` turns it into (a) a basic-facts
 file of arrival events and (b) the completed-stay observations that
-:func:`tempro.acquisition.observe_lifetime` would receive.  Stays still in
-progress at the horizon are censored: they emit no observation, matching the
-acquisition sampling rule.
+:meth:`tempro.acquisition.AcquisitionStore.observe` would receive.  Stays
+still in progress at the horizon are censored: they emit no observation,
+matching the acquisition sampling rule.
 
 Randomness comes from :class:`random.Random` (Mersenne Twister, stable
 across platforms and Python versions) seeded from the scenario, with all
@@ -28,7 +28,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .acquisition import AcquisitionClass, acquire, rate
+from .acquisition import AcquisitionClass, rate
 from .theory import ParseError, Pattern, parse_pattern, split_lines, statements
 
 
@@ -179,7 +179,7 @@ def run_convergence(scenario: Scenario, family: str) -> list[ConvergenceRow]:
             checkpoints = [len(durations)]
         cls = AcquisitionClass(pattern, family)
         for index, duration in enumerate(durations, start=1):
-            cls = acquire(cls, duration)
+            cls.observe(duration)
             if index in checkpoints:
                 if reference in (0.0, math.inf):
                     error = 0.0 if cls.lam == reference else math.inf

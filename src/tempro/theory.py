@@ -11,7 +11,8 @@ A ``project`` statement lists one or more patterns before ``=>``; the last
 one is the triggering event pattern, the preceding ones (if any) are fact
 antecedents that must already hold.  The consequent fact after ``=>`` becomes
 true with probability ``kappa`` (after ``@``) when the trigger occurs while
-all antecedents hold.  ``ALWAYS`` is the built-in, timelessly true fact.
+all antecedents hold.  ``ALWAYS`` is the built-in, timelessly true fact: an
+antecedent may name it, and no rule may derive it.
 
 Patterns are ``NAME`` or ``NAME(arg, ...)`` with upper-case names and
 constants; variables are written ``?x``.
@@ -454,7 +455,12 @@ def parse_theory(text: str) -> CausalTheory:
             while cur.accept(",") or _starts_pattern(cur.peek()):
                 patterns.append(parse_pattern(cur))
             cur.take("=>")
+            start = cur.pos
             consequent = parse_pattern(cur)
+            if consequent == ALWAYS:
+                raise ParseError(
+                    "ALWAYS is built in and cannot be a consequent", cur.lineno, cur.col(start)
+                )
             at = cur.pos
             cur.take("@")
             kappa = cur.take_number(

@@ -14,9 +14,7 @@ from tempro import (
     ParseError,
     Pattern,
     UnknownClassError,
-    acquire,
     load_state,
-    observe_lifetime,
     parse_observations,
     rate,
     save_state,
@@ -69,60 +67,70 @@ class TestRate:
         assert rate(family, mu * 2) < r
 
 
-class TestAcquire:
+def _observed(family, *durations, key=TRUCK):
+    cls = AcquisitionClass(key, family)
+    for duration in durations:
+        cls.observe(duration)
+    return cls
+
+
+class TestObserve:
     def test_first_observation(self):
         cls = AcquisitionClass(TRUCK, "exponential")
         assert cls.insts == 0
         assert cls.lam == math.inf
-        updated = acquire(cls, 10.0)
-        assert updated.insts == 1
-        assert updated.total == 10.0
-        assert updated.mean == 10.0
-        assert updated.lam == rate("exponential", 10.0)
+        cls.observe(10.0)
+        assert cls.insts == 1
+        assert cls.total == 10.0
+        assert cls.mean == 10.0
+        assert cls.lam == rate("exponential", 10.0)
 
     def test_running_mean(self):
-        cls = AcquisitionClass(TRUCK, "exponential")
-        cls = acquire(cls, 10.0)
-        cls = acquire(cls, 20.0)
+        cls = _observed("exponential", 10.0, 20.0)
         assert cls.insts == 2
         assert cls.mean == 15.0
         assert cls.lam == rate("exponential", 15.0)
 
     def test_linear_family_mean(self):
-        cls = AcquisitionClass(Pattern("CHARGED", ("?b",)), "linear")
-        cls = acquire(cls, 4.0)
+        cls = _observed("linear", 4.0, key=Pattern("CHARGED", ("?b",)))
         assert cls.lam == 0.125
 
     def test_zero_duration_allowed(self):
-        cls = acquire(AcquisitionClass(TRUCK, "exponential"), 0.0)
+        cls = _observed("exponential", 0.0)
         assert cls.mean == 0.0
         assert cls.lam == math.inf
 
-    def test_negative_or_nonfinite_rejected(self):
+    @pytest.mark.parametrize("duration", [-1.0, math.inf, -math.inf, math.nan])
+    def test_negative_or_nonfinite_rejected(self, duration):
         cls = AcquisitionClass(TRUCK, "exponential")
-        with pytest.raises(ValueError):
-            acquire(cls, -1.0)
-        with pytest.raises(ValueError):
-            acquire(cls, math.inf)
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+            cls.observe(duration)
 
     def test_total_that_overflows_rejected(self):
-        cls = acquire(AcquisitionClass(TRUCK, "exponential"), 1e308)
-        with pytest.raises(ValueError, match="overflows"):
-            acquire(cls, 1.7e308)
+        cls = _observed("exponential", 1e308)
+        with pytest.raises(ValueError, match=r"sum of TRUCKAT\(\?d\) durations overflows"):
+            cls.observe(1.7e308)
 
-    def test_original_not_mutated(self):
-        cls = AcquisitionClass(TRUCK, "exponential")
-        acquire(cls, 10.0)
-        assert cls.insts == 0
+    @pytest.mark.parametrize("duration", [-1.0, math.inf, math.nan, 1.7e308])
+    def test_rejected_duration_leaves_insts_and_total_unchanged(self, duration):
+        cls = _observed("exponential", 1e308)
+        with pytest.raises(ValueError):
+            cls.observe(duration)
+        assert (cls.insts, cls.total) == (1, 1e308)
+
+    @given(st.lists(st.floats(0, 1e4, allow_nan=False), max_size=30))
+    def test_fold_matches_left_to_right_sum(self, durations):
+        cls = _observed("exponential", *durations)
+        total = 0.0
+        for d in durations:
+            total += d
+        assert cls.insts == len(durations)
+        assert cls.total == total
 
     @given(st.lists(st.floats(0, 1e4, allow_nan=False), min_size=1, max_size=30))
     def test_order_independent_within_tolerance(self, durations):
-        a = AcquisitionClass(TRUCK, "exponential")
-        b = AcquisitionClass(TRUCK, "exponential")
-        for d in durations:
-            a = acquire(a, d)
-        for d in reversed(durations):
-            b = acquire(b, d)
+        a = _observed("exponential", *durations)
+        b = _observed("exponential", *reversed(durations))
         assert a.insts == b.insts
         assert a.total == pytest.approx(b.total, rel=1e-9, abs=1e-12)
         if math.isfinite(a.lam):
@@ -130,13 +138,11 @@ class TestAcquire:
 
     @given(st.lists(st.floats(0.01, 1e4, allow_nan=False), min_size=1, max_size=30))
     def test_lambda_tracks_running_mean(self, durations):
-        cls = AcquisitionClass(TRUCK, "exponential")
-        for d in durations:
-            cls = acquire(cls, d)
+        cls = _observed("exponential", *durations)
         assert cls.lam == rate("exponential", cls.total / cls.insts)
 
 
-class TestRouting:
+class TestStoreObserve:
     def _store(self):
         return AcquisitionStore(
             [
@@ -147,28 +153,32 @@ class TestRouting:
 
     def test_first_matching_class_wins(self):
         store = self._store()
-        assert store.route(Pattern("TRUCKAT", ("DOCK1",))) == 0
-        assert store.route(Pattern("TRUCKAT", ("DOCK9",))) == 1
+        store.observe(Pattern("TRUCKAT", ("DOCK1",)), 5.0)
+        store.observe(Pattern("TRUCKAT", ("DOCK9",)), 20.0)
+        store.observe(Pattern("TRUCKAT", ("DOCK9",)), 1.0)
+        assert [(c.insts, c.total) for c in store.classes] == [(1, 5.0), (2, 21.0)]
 
     def test_unknown_key_lists_known_classes(self):
         store = self._store()
         with pytest.raises(UnknownClassError) as exc:
-            store.route(Pattern("SHIPAT", ("PIER1",)))
+            store.observe(Pattern("SHIPAT", ("PIER1",)), 1.0)
         assert "SHIPAT(PIER1)" in str(exc.value)
         assert "TRUCKAT(?d)" in str(exc.value)
 
-    def test_observe_lifetime_updates_routed_class(self):
-        store = self._store()
-        updated = observe_lifetime(store, Pattern("TRUCKAT", ("DOCK9",)), 5.0, 25.0)
-        assert updated.insts == 1
-        assert updated.total == 20.0
-        assert store.classes[1].insts == 1
-        assert store.classes[0].insts == 0
+    def test_routes_before_checking_the_duration(self):
+        # an unknown key is reported even when its duration is bad too
+        with pytest.raises(UnknownClassError):
+            self._store().observe(Pattern("SHIPAT", ("PIER1",)), -1.0)
 
-    def test_departure_before_arrival_rejected(self):
+    def test_negative_duration_rejected(self):
         store = self._store()
-        with pytest.raises(ValueError):
-            observe_lifetime(store, Pattern("TRUCKAT", ("DOCK9",)), 5.0, 4.0)
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+            store.observe(Pattern("TRUCKAT", ("DOCK9",)), -1.0)
+        assert [(c.insts, c.total) for c in store.classes] == [(0, 0.0), (0, 0.0)]
+
+    def test_empty_store_rejects_every_key(self):
+        with pytest.raises(UnknownClassError, match=r"known classes: \(none\)"):
+            AcquisitionStore().observe(TRUCK, 1.0)
 
 
 class TestStateFile:

@@ -25,10 +25,12 @@ from tempro import (
     load_basic_facts,
     load_state,
     parse_pattern_text,
+    parse_scenario,
     parse_theory,
     project,
     rate,
     refine,
+    run_convergence,
     unify,
 )
 from tempro import cli
@@ -796,6 +798,26 @@ class TestBadInput:
                   "--omega", str(cli.MAX_CELLS // 2), "--mesh", "1",
                   "--out", str(tmp_path / "x.csv")])
 
+    def test_always_consequent_is_parse_error(self, tmp_path, capsys):
+        # A derived ALWAYS fact would be a second ALWAYS that no antecedent
+        # ever joins with, so the rule is refused before anything is written.
+        theory = tmp_path / "t.rules"
+        theory.write_text(
+            "persist A(?x) exp 0.1\n"
+            "project E(?x) => ALWAYS @ 0.5\n"
+            "project ALWAYS, F(?x) => A(?x) @ 1.0\n"
+        )
+        facts = tmp_path / "t.facts"
+        facts.write_text("event E(X) est 1 lst 1 kappa 1.0\nevent F(Y) est 5 lst 5 kappa 1.0\n")
+        out = tmp_path / "x.csv"
+        code, _, err = _run(
+            capsys, "project", "--theory", str(theory), "--facts", str(facts),
+            "--delta", "1", "--omega", "10", "--out", str(out),
+        )
+        assert code == 2
+        assert err == "error: line 2, column 18: ALWAYS is built in and cannot be a consequent\n"
+        assert not out.exists()
+
     STATE = "class T(?x) exponential insts 0 sum 0.0 lambda inf\n"
     STAY = "observe T(A) arrival 0 departure 5\n"
 
@@ -1064,6 +1086,52 @@ class TestAcquire:
         (cls,) = load_state(state.read_text()).classes
         assert cls.insts == len(lines) == 10000
         assert cls.total == total
+
+
+class TestAcquireThroughSymlink:
+    @pytest.mark.parametrize("departure,code", [("10", 0), ("inf", 2)], ids=["folded", "refused"])
+    def test_replaces_the_target_and_keeps_the_link(
+        self, tmp_path, capsys, data_dir, departure, code
+    ):
+        real = tmp_path / "real"
+        real.mkdir()
+        target = real / "t.state"
+        original = (data_dir / "trucks.state").read_text()
+        target.write_text(original)
+        target.chmod(0o644)
+        link = tmp_path / "link.state"
+        link.symlink_to(target)
+        obs = tmp_path / "obs.txt"
+        obs.write_text(f"observe TRUCKAT(DOCK1) arrival 0 departure {departure}\n")
+        assert _run(capsys, "acquire", "--state", str(link), "--observations", str(obs))[0] == code
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        if code == 0:
+            assert load_state(target.read_text()).classes[0].insts == 1
+        else:
+            assert target.read_text() == original
+        assert oct(target.stat().st_mode & 0o777) == oct(0o644)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.state", "obs.txt", "real"]
+        assert sorted(p.name for p in real.iterdir()) == ["t.state"]
+
+
+class TestSimulateAgreesWithAcquire:
+    @pytest.mark.parametrize("family", ["exponential", "linear"])
+    def test_same_lambda(self, tmp_path, capsys, data_dir, family):
+        """``acquire`` on the stays ``simulate`` writes learns exactly the
+        decay parameter that ``simulate``'s own report ends on."""
+        scenario = data_dir / "trucks.scenario"
+        outdir = tmp_path / "sim"
+        assert _run(capsys, "simulate", "--scenario", str(scenario), "--outdir", str(outdir),
+                    "--family", family)[0] == 0
+        state = tmp_path / "trucks.state"
+        state.write_text(f"class TRUCKAT(?d) {family} insts 0 sum 0.0 lambda inf\n")
+        assert _run(capsys, "acquire", "--state", str(state),
+                    "--observations", str(outdir / "observations.txt"))[0] == 0
+        (cls,) = load_state(state.read_text()).classes
+        last = run_convergence(parse_scenario(scenario.read_text()), family)[-1]
+        assert last.n == cls.insts
+        assert last.acquired == cls.lam
 
 
 class TestSimulate:

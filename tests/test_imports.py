@@ -10,8 +10,10 @@ are the package's re-exports.
 A module-level function or class must be referenced outside its own body,
 in the package, ``bench`` or ``scripts``; a re-export in ``__init__.py`` is
 an import, so it does not count.  So must the name of each method and
-property, dunder methods aside.  The few kept for the tests alone are
-listed with their reasons in ``KEPT_FOR_TESTS`` and ``MEMBERS_KEPT_FOR_TESTS``.
+property, dunder methods aside.  An attribute read off a module from
+outside the project, such as ``np.clip``, is not a use.  The few kept for
+the tests alone are listed with their reasons in ``KEPT_FOR_TESTS`` and
+``MEMBERS_KEPT_FOR_TESTS``.
 
 Curves are ``array('d')``, so the pipeline needs no numpy: only the
 functions in ``NUMPY_USERS``, the quadratic oracles the tests check it
@@ -28,10 +30,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tempro"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 USERS = sorted([*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+# The package, and the bench and script modules that import each other.
+PROJECT_MODULES = {"tempro", *(p.stem for p in USERS)}
 
 KEPT_FOR_TESTS = {
     "survivor_eval": "the continuous survivor that gate c05 samples",
     "series_integral": "the window masses the token and refinement tests check",
+    "clip": "gate c02's ceiling-aware convolution",
 }
 
 MEMBERS_KEPT_FOR_TESTS = {
@@ -100,14 +105,29 @@ def _nodes(tree: ast.AST, skip: ast.AST | None = None):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _external_modules(tree: ast.AST) -> set[str]:
+    """The names ``tree`` binds by importing a module from outside the project."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] not in PROJECT_MODULES
+    }
+
+
 def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """The names and attribute names read in ``tree``, less those under
-    ``skip``, with the names inside string annotations."""
+    ``skip``, with the names inside string annotations.  An attribute read
+    off an outside module, such as ``np.clip``, names none of ours."""
+    external = _external_modules(tree)
     names: set[str] = set()
     for node in _nodes(tree, skip):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not (
+            isinstance(node.value, ast.Name) and node.value.id in external
+        ):
             names.add(node.attr)
         for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
             if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
@@ -242,8 +262,12 @@ def test_every_definition_is_used():
         ("def f():\n    return f()\n", set(), ["f"]),  # its own body does not count
         ("class C:\n    def make(self) -> 'C': pass\n", set(), ["C"]),
         ("class C: pass\ndef f(x: 'C'): return x\n", {"f"}, []),
-        ("import m\ndef f(): pass\nm.f\n", set(), []),  # an attribute read counts
+        ("from . import m\ndef f(): pass\nm.f\n", set(), []),  # an attribute read counts
         ("x = 1\n", set(), []),
+        # A read off a project module counts; one off an outside module does not.
+        ("import tempro\ndef f(): pass\ntempro.f\n", set(), []),
+        ("import numpy as np\ndef clip(): pass\nnp.clip\n", set(), ["clip"]),
+        ("import os.path\ndef sep(): pass\nos.sep\n", set(), ["sep"]),
     ],
 )
 def test_scan_finds_unused_definitions(source, elsewhere, unused):

@@ -77,6 +77,8 @@ CASES = [
      "expected a probability, got 'x'", 1, 18),
     ("theory-unsafe-variable", "theory", "project A(?x) => B(?y) @ 1",
      "consequent variable ?y appears in neither the trigger nor any antecedent", 1, 24),
+    ("theory-always-consequent", "theory", "project E(?x) => ALWAYS @ 0.5",
+     "ALWAYS is built in and cannot be a consequent", 1, 18),
     # Basic facts.
     ("facts-head", "facts", "evnt A est 0 lst 1 kappa 1", "expected 'event', got 'evnt'", 1, 1),
     ("facts-ground", "facts", "event A(?x) est 0 lst 1 kappa 1",
@@ -241,6 +243,8 @@ def test_integer_field_at_the_largest_float_is_read_exactly():
                      "window [5.0, 1.0] is invalid", 19, id="window-then-kappa"),
         pytest.param("facts", "event A est 0 lst 1 kappa 2 B",
                      "kappa must lie in [0, 1], got 2.0", 27, id="kappa-then-trailing"),
+        pytest.param("theory", "project E => ALWAYS @ 2",
+                     "ALWAYS is built in and cannot be a consequent", 14, id="always-then-kappa"),
         pytest.param("observations", "observe T(A) arrival 10 departure 5 X",
                      "invalid stay [10.0, 5.0]", 35, id="stay-then-trailing"),
         pytest.param("scenario", _S.replace("poisson 1 count 5", "at 1, 2 count 3") + " X",

@@ -1,5 +1,5 @@
-"""Smoke tests: every study script runs to completion on a small input, and
-every Python example in the README runs."""
+"""Smoke tests: ``scripts/dock_curve.py`` runs to completion on a small
+input, and every Python example in the README runs."""
 from __future__ import annotations
 
 import os
@@ -17,8 +17,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     "argv",
     [
         ["dock_curve.py", "--omega", "200"],
-        ["mesh_study.py", "--halvings", "2"],
-        ["scaling_study.py", "--sizes", "10", "20", "--repeats", "1"],
     ],
     ids=lambda argv: argv[0],
 )
