@@ -18,11 +18,7 @@ import os
 import sys
 import warnings
 
-from .acquisition import load_state, parse_observations, save_state_file
 from .core import SNAP_REL, GridError, TimeGrid, auto_mesh_factor
-from .projection import project
-from .refinement import CyclicOpenTokens, refine
-from .simulator import generate, parse_scenario, run_convergence
 from .theory import (
     ParseError,
     Pattern,
@@ -31,7 +27,46 @@ from .theory import (
     statements,
     unify,
 )
-from .tokens import TokenStore, load_basic_facts, parse_basic_facts
+
+# The names each command loads when it runs, by the module that defines
+# them.  ``theory`` and ``core`` serve every command and load with this one;
+# the rest load on first read, through ``__getattr__``, so ``query`` does
+# not pay for the projector nor ``acquire`` for the refiner.
+_LAYERS = {
+    "TokenStore": "tokens",
+    "load_basic_facts": "tokens",
+    "parse_basic_facts": "tokens",
+    "project": "projection",
+    "CyclicOpenTokens": "refinement",
+    "refine": "refinement",
+    "load_state": "acquisition",
+    "parse_observations": "acquisition",
+    "save_state_file": "acquisition",
+    "generate": "simulator",
+    "parse_scenario": "simulator",
+    "run_convergence": "simulator",
+}
+
+
+def __getattr__(name: str):
+    """Load ``name``'s layer and bind ``name`` here (PEP 562)."""
+    module = _LAYERS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # ``from .<module> import <name>``, which ``-X importtime`` reports.
+    value = globals()[name] = getattr(__import__(module, globals(), None, [name], 1), name)
+    return value
+
+
+def _load(*layers: str) -> None:
+    """Bind here each name of ``_LAYERS`` that ``layers`` define, before a
+    command calls it.  A name already bound, such as a wrapper set on this
+    module, stays as it is, so the command calls what the module holds."""
+    module = sys.modules[__name__]
+    for name, layer in _LAYERS.items():
+        if layer in layers:
+            getattr(module, name)
+
 
 USAGE_ERROR = 1
 PARSE_ERROR = 2
@@ -172,6 +207,7 @@ def _write_plot_script(path: str, csv_path: str, store: TokenStore) -> None:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
+    _load("tokens", "projection", "refinement")
     try:
         coarse = TimeGrid(args.origin, args.delta, args.omega)
     except GridError as exc:
@@ -196,7 +232,11 @@ def cmd_project(args: argparse.Namespace) -> int:
         project(theory, store, grid)
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-    refine(store, theory, grid, args.epsilon)
+    try:
+        refine(store, theory, grid, args.epsilon)
+    except CyclicOpenTokens as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CYCLE_ERROR
     metadata = {
         "generator": "tempro project",
         "theory": args.theory,
@@ -257,10 +297,10 @@ class _CsvRows:
             ) from None
 
 
-def _load_projection_csv(path: str) -> tuple[dict[str, str], _CsvRows]:
-    """The ``# key=value`` metadata and the data rows of a projection CSV,
-    read in one pass."""
-    metadata: dict[str, str] = {}
+def _load_projection_csv(path: str) -> tuple[dict[str, tuple[str, int]], _CsvRows]:
+    """The ``# key=value`` metadata, as ``key: (value, file line)``, and the
+    data rows of a projection CSV, read in one pass."""
+    metadata: dict[str, tuple[str, int]] = {}
     lines: list[str] = []
     runs: list[tuple[int, int]] = []
     after = 0  # the file line just after the last line kept
@@ -271,7 +311,7 @@ def _load_projection_csv(path: str) -> tuple[dict[str, str], _CsvRows]:
                 if line[0] == "#":
                     key, eq, value = line[1:].partition("=")
                     if eq:
-                        metadata[key.strip()] = value.strip()
+                        metadata[key.strip()] = (value.strip(), lineno)
                 elif not line.isspace():
                     if lineno != after:
                         runs.append((len(lines), lineno))
@@ -280,6 +320,33 @@ def _load_projection_csv(path: str) -> tuple[dict[str, str], _CsvRows]:
         except UnicodeDecodeError as exc:
             raise _undecodable(path, exc) from None
     return metadata, _CsvRows(lines, runs, lineno)
+
+
+# The metadata keys that give a projection CSV's grid, as the file writes
+# them, with how each value is read and what ``TimeGrid`` requires of it.
+_GRID_KEYS = (
+    ("origin", float, math.isfinite, "a finite number"),
+    ("mesh", float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    ("cells", int, lambda v: v >= 1, "an integer >= 1"),
+)
+
+
+def _metadata_grid(metadata: dict[str, tuple[str, int]]) -> TimeGrid:
+    """The grid that a projection CSV's metadata gives.  A missing key and a
+    bad value are parse errors that name the key, a bad value at its line."""
+    values = []
+    for key, read, valid, wanted in _GRID_KEYS:
+        if key not in metadata:
+            raise ParseError(f"projection CSV has no grid metadata line '# {key}=...'", 1, 1)
+        text, line = metadata[key]
+        try:
+            value = read(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise ParseError(f"grid metadata {key} must be {wanted}, got {text!r}", line, 1)
+        values.append(value)
+    return TimeGrid(*values)
 
 
 def _masses_at(rows: _CsvRows, pattern: Pattern, cell: int) -> dict[str, list[float]]:
@@ -323,12 +390,7 @@ def _masses_at(rows: _CsvRows, pattern: Pattern, cell: int) -> dict[str, list[fl
 
 def cmd_query(args: argparse.Namespace) -> int:
     metadata, rows = _load_projection_csv(args.csv)
-    try:
-        grid = TimeGrid(
-            float(metadata["origin"]), float(metadata["mesh"]), int(metadata["cells"])
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"projection CSV lacks grid metadata ({exc})", 1, 1) from exc
+    grid = _metadata_grid(metadata)
     if not (grid.origin <= args.time < grid.end):
         raise _UsageError(
             f"time {args.time} outside the horizon [{grid.origin}, {grid.end})"
@@ -354,6 +416,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_acquire(args: argparse.Namespace) -> int:
+    _load("acquisition")
     store = load_state(_read(args.state))
     observations = parse_observations(_read(args.observations))
     for obs in observations:
@@ -382,6 +445,7 @@ def _seed(text: str) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _load("simulator")
     seed = None if args.seed is None else _seed(args.seed)
     text = _read(args.scenario)
     scenario = parse_scenario(text)
@@ -467,9 +531,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except CyclicOpenTokens as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CYCLE_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import random
@@ -617,7 +618,7 @@ class TestCsvOracles:
             "0,F(X),mass,1,0,0.5\n\n0,F(X),mass,2,1,0.25\n"
         )
         metadata, rows = _load_projection_csv(str(path))
-        assert metadata == {"origin": "0", "mesh": "1"}
+        assert metadata == {"origin": ("0", 1), "mesh": ("1", 3)}
         assert len(rows) == 2
         assert [row[-1] for row in rows] == ["0.5", "0.25"]
 
@@ -1281,34 +1282,129 @@ class TestExitCodes:
         assert "project" in proc.stdout
 
 
-class TestStartup:
-    """No command imports numpy: curves are ``array('d')``, and only the
-    test oracles in ``refinement`` and ``core`` use numpy."""
+# The ``tempro`` modules every command imports: the package, the front end,
+# and the theory and grid that each command reads its input with.
+_BASE = {"tempro", "tempro.cli", "tempro.core", "tempro.theory"}
 
-    @staticmethod
-    def _numpy_modules(*argv) -> list[str]:
-        """The numpy modules that ``python -m tempro ARGV`` imports."""
+
+class TestStartup:
+    """Each command imports only the layers it runs, and none imports numpy:
+    curves are ``array('d')``, and only the test oracles in ``refinement``
+    and ``core`` use numpy."""
+
+    COMMANDS = {
+        "help": _BASE,
+        "project": _BASE | {"tempro.tokens", "tempro.projection", "tempro.refinement"},
+        "query": _BASE,
+        "query-pattern": _BASE,
+        "simulate": _BASE | {"tempro.acquisition", "tempro.simulator"},
+        "acquire": _BASE | {"tempro.acquisition"},
+    }
+
+    @pytest.fixture(scope="class")
+    def imported(self, tmp_path_factory, data_dir) -> dict[str, list[str]]:
+        """The modules that ``python -m tempro ARGV`` imports, by command,
+        in the order ``-X importtime`` lists them."""
+        tmp = tmp_path_factory.mktemp("startup")
+        projection, sim, state = tmp / "dock.csv", tmp / "sim", tmp / "t.state"
+        state.write_bytes((data_dir / "trucks.state").read_bytes())
+        runs = {
+            "help": ["--help"],
+            "project": ["project", "--theory", data_dir / "dock.rules",
+                        "--facts", data_dir / "dock.facts",
+                        "--delta", "2", "--omega", "100", "--out", projection],
+            "query": ["query", "--csv", projection, "--fact", "ATDOCK(TRUCK14)", "--time", "60"],
+            "query-pattern": ["query", "--csv", projection, "--fact", "ATDOCK(?t)", "--time", "60"],
+            "simulate": ["simulate", "--scenario", data_dir / "trucks.scenario", "--outdir", sim],
+            "acquire": ["acquire", "--state", state, "--observations", sim / "observations.txt"],
+        }
+        imported = {}
+        for command, argv in runs.items():  # in order: query reads what project wrote
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "tempro", *map(str, argv)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, (command, proc.stderr)
+            imported[command] = [
+                line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")
+            ]
+        return imported
+
+    def test_no_command_imports_numpy(self, imported):
+        for command, modules in imported.items():
+            assert [m for m in modules if m == "numpy" or m.startswith("numpy.")] == [], command
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_imports_only_its_layers(self, imported, command):
+        found = {m for m in imported[command] if m == "tempro" or m.startswith("tempro.")}
+        assert found == self.COMMANDS[command]
+
+
+# Run in a fresh interpreter: set a wrapper on ``cli`` for each name in
+# argv[1] (a JSON map of name to home module), run the commands in argv[2]
+# (a JSON list of argv lists), and print what the wrappers saw as JSON.  In
+# ``bound`` mode each name is read off ``cli`` first, as ``bench/traced.py``
+# does; otherwise the wrapper is set while the name's layer is unloaded.
+_PATCH_SCRIPT = """
+import importlib, json, sys
+from tempro import cli
+
+layers, runs, bound = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3] == "bound"
+loaded = sorted(set(layers.values()) & set(sys.modules))
+called = []
+
+def wrap(name, home):
+    original = getattr(cli, name) if bound else None
+    def wrapper(*args, **kwargs):
+        called.append(name)
+        return (original or getattr(importlib.import_module(home), name))(*args, **kwargs)
+    return wrapper
+
+for name, home in layers.items():
+    setattr(cli, name, wrap(name, home))
+codes = [cli.main(argv) for argv in runs]
+print(json.dumps({"loaded": loaded, "called": called, "codes": codes}))
+"""
+
+
+class TestPatchedLayers:
+    """A wrapper set on ``cli`` for a layer entry point is the one its
+    command calls, whether or not the layer has loaded, as
+    ``bench/traced.py`` and ``monkeypatch.setattr(cli, ...)`` rely on."""
+
+    LAYERS = {
+        "parse_basic_facts": "tempro.tokens",
+        "load_basic_facts": "tempro.tokens",
+        "project": "tempro.projection",
+        "refine": "tempro.refinement",
+        "load_state": "tempro.acquisition",
+        "parse_observations": "tempro.acquisition",
+        "save_state_file": "tempro.acquisition",
+        "parse_scenario": "tempro.simulator",
+        "generate": "tempro.simulator",
+        "run_convergence": "tempro.simulator",
+    }
+
+    @pytest.mark.parametrize("mode", ["unloaded", "bound"])
+    def test_wrapper_set_on_cli_is_called(self, tmp_path, data_dir, mode):
+        state = tmp_path / "t.state"
+        state.write_bytes((data_dir / "trucks.state").read_bytes())
+        runs = [
+            ["project", "--theory", str(data_dir / "dock.rules"),
+             "--facts", str(data_dir / "dock.facts"), "--delta", "2", "--omega", "100",
+             "--out", str(tmp_path / "dock.csv")],
+            ["simulate", "--scenario", str(data_dir / "trucks.scenario"),
+             "--outdir", str(tmp_path / "sim")],
+            ["acquire", "--state", str(state),
+             "--observations", str(tmp_path / "sim" / "observations.txt")],
+        ]
         proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "tempro", *map(str, argv)],
+            [sys.executable, "-c", _PATCH_SCRIPT, json.dumps(self.LAYERS), json.dumps(runs), mode],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        modules = [
-            line.rsplit("|", 1)[-1].strip()
-            for line in proc.stderr.splitlines() if line.startswith("import time:")
-        ]
-        return [m for m in modules if m == "numpy" or m.startswith("numpy.")]
-
-    def test_no_command_imports_numpy(self, tmp_path, data_dir):
-        projection, sim, state = tmp_path / "dock.csv", tmp_path / "sim", tmp_path / "t.state"
-        state.write_bytes((data_dir / "trucks.state").read_bytes())
-        for argv in [
-            ["--help"],
-            ["project", "--theory", data_dir / "dock.rules", "--facts", data_dir / "dock.facts",
-             "--delta", "2", "--omega", "100", "--out", projection],
-            ["query", "--csv", projection, "--fact", "ATDOCK(TRUCK14)", "--time", "60"],
-            ["query", "--csv", projection, "--fact", "ATDOCK(?t)", "--time", "60"],
-            ["simulate", "--scenario", data_dir / "trucks.scenario", "--outdir", sim],
-            ["acquire", "--state", state, "--observations", sim / "observations.txt"],
-        ]:
-            assert self._numpy_modules(*argv) == [], argv[0]
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["loaded"] == []
+        assert seen["codes"] == [0, 0, 0]
+        assert sorted(seen["called"]) == sorted(self.LAYERS)

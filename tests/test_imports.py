@@ -9,7 +9,8 @@ are the package's re-exports.
 
 A module-level function or class must be referenced outside its own body,
 in the package, ``bench`` or ``scripts``; a re-export in ``__init__.py`` is
-an import, so it does not count.  So must the name of each method and
+an import, so it does not count.  Module-level dunder hooks, such as a
+PEP 562 ``__getattr__``, are exempt: the interpreter calls them.  So must the name of each method and
 property, dunder methods aside.  An attribute read off a module from
 outside the project, such as ``np.clip``, is not a use.  The few kept for
 the tests alone are listed with their reasons in ``KEPT_FOR_TESTS`` and
@@ -142,12 +143,14 @@ def _attributes(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 def unused_definitions(source: str, elsewhere: set[str]) -> list[str]:
     """The module-level functions and classes of ``source`` that neither the
-    rest of the module nor ``elsewhere``, the names other files use, refers to."""
+    rest of the module nor ``elsewhere``, the names other files use, refers
+    to, dunder hooks aside."""
     tree = ast.parse(source)
     return [
         node.name
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in elsewhere
         and node.name not in _uses(tree, skip=node)
     ]
@@ -268,6 +271,10 @@ def test_every_definition_is_used():
         ("import tempro\ndef f(): pass\ntempro.f\n", set(), []),
         ("import numpy as np\ndef clip(): pass\nnp.clip\n", set(), ["clip"]),
         ("import os.path\ndef sep(): pass\nos.sep\n", set(), ["sep"]),
+        # The interpreter calls a module's dunder hooks (PEP 562).
+        ("def __getattr__(name): pass\ndef __dir__(): return []\n", set(), []),
+        ("def __f(): pass\ndef f__(): pass\n", set(), ["__f", "f__"]),
+        ("def f():\n    def __getattr__(name): pass\n", set(), ["f"]),
     ],
 )
 def test_scan_finds_unused_definitions(source, elsewhere, unused):

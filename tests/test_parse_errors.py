@@ -1,8 +1,9 @@
 """Golden table of parse errors: one single-fault line per error site.
 
 Every line-oriented format (rules, basic facts, acquisition state,
-observations, scenario) and the single-pattern reader must report each
-fault with exactly this message, line and column.  The reader's tokens are
+observations, scenario), the single-pattern reader and the grid metadata of
+a projection CSV must report each fault with exactly this message, line and
+column.  The reader's tokens are
 also checked against the match-loop tokenizer it replaced.
 """
 import re
@@ -24,6 +25,7 @@ from tempro import (
     parse_scenario,
     parse_theory,
 )
+from tempro.cli import main
 from tempro.theory import _kind, split_lines, statements
 
 
@@ -228,6 +230,36 @@ def test_integer_field_beyond_the_largest_float_is_rejected(parser, text, messag
 def test_integer_field_at_the_largest_float_is_read_exactly():
     largest = int(sys.float_info.max)
     assert parse_scenario(_S.replace("seed 1", f"seed {largest}")).seed == largest
+
+
+_HEADER = "token_id,type,kind,cell,time,value\n"
+
+
+@pytest.mark.parametrize(
+    "metadata,message,line",
+    [
+        pytest.param("# origin=0\n# mesh=nan\n# cells=10\n",
+                     "grid metadata mesh must be a finite number > 0, got 'nan'", 2, id="mesh-nan"),
+        pytest.param("# origin=0\n# mesh=1\n# cells=abc\n",
+                     "grid metadata cells must be an integer >= 1, got 'abc'", 3, id="cells-abc"),
+        pytest.param("# generator=x\n# origin=inf\n# mesh=1\n# cells=1\n",
+                     "grid metadata origin must be a finite number, got 'inf'", 2, id="origin-inf"),
+        pytest.param("# origin=0\n# mesh=1\n# cells=0\n",
+                     "grid metadata cells must be an integer >= 1, got '0'", 3, id="cells-zero"),
+        pytest.param("# origin=0\n# cells=10\n",
+                     "projection CSV has no grid metadata line '# mesh=...'", 1, id="mesh-missing"),
+        pytest.param("# mesh=1\n# cells=10\n",
+                     "projection CSV has no grid metadata line '# origin=...'", 1,
+                     id="origin-missing"),
+    ],
+)
+def test_projection_csv_grid_metadata(tmp_path, capsys, metadata, message, line):
+    # A missing key and a bad value are two faults; a bad value is named as
+    # the file writes it, at its own line.
+    path = tmp_path / "p.csv"
+    path.write_text(metadata + _HEADER)
+    code = main(["query", "--csv", str(path), "--fact", "F(X)", "--time", "0"])
+    assert (code, capsys.readouterr().err) == (2, f"error: line {line}, column 1: {message}\n")
 
 
 # A line is checked left to right, so of two faults the left one is reported:
