@@ -41,7 +41,7 @@ def main() -> None:
     for fact in store.facts:
         if fact.fact_type.name == "ALWAYS":
             continue
-        m = np.asarray(fact.mass.values)
+        m = np.asarray(fact.mass.window(1, grid.omega))
         peak = int(m.argmax())
         print(f"\n{fact.fact_type}")
         print(f"  peak: {m[peak]:.6f} at cell {peak + 1} (t={grid.cell_end(peak + 1)})")

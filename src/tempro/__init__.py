@@ -19,7 +19,7 @@ _EXPORTS = {
                        "parse_observations rate save_state save_state_file",
         "core": "GridError StepSeries TimeGrid auto_mesh_factor series_integral",
         "projection": "project",
-        "refinement": "CyclicOpenTokens SweepStats clip convolve_direct refine survivor_eval "
+        "refinement": "CyclicOpenTokens SweepStats convolve_direct refine survivor_eval "
                       "within_cell_factor",
         "simulator": "ConvergenceRow ExponentialLifetime FixedLifetime PoissonArrivals Scenario "
                      "ScheduledArrivals SimulationOutput UniformLifetime generate "

@@ -74,7 +74,7 @@ CYCLE_ERROR = 3
 IO_ERROR = 4
 
 # The most cells a refined grid may have, --omega times the mesh factor.
-# Every curve takes 8 bytes per cell, so one curve of this many takes 80 MB.
+# A curve takes 8 bytes per cell of its span, so one spanning this many takes 80 MB.
 MAX_CELLS = 10_000_000
 
 
@@ -168,20 +168,22 @@ def _write_projection_csv(
         handle.write(f"# {key}={value}\n")
     handle.write("token_id,type,kind,cell,time,value\n")
     cells = [f"{i},{_fmt(grid.cell_start(i))},%.12g\n" for i in range(1, grid.omega + 1)]
-    curves = [(e.tid, str(e.event_type), "density", e.density.values) for e in store.events]
-    curves += [(f.tid, str(f.fact_type), "mass", f.mass.values) for f in store.facts]
+    curves = [(e.tid, str(e.event_type), "density", e.density) for e in store.events]
+    curves += [(f.tid, str(f.fact_type), "mass", f.mass) for f in store.facts]
     quoted: dict[str, str] = {}
-    for tid, token_type, kind, values in curves:
+    for tid, token_type, kind, curve in curves:
         # +0.0 is the one float whose bits are all zero, so the written cells
-        # run from the cell of the first non-zero byte to that of the last.
-        live = values.tobytes().rstrip(b"\0")
-        first = (len(live) - len(live.lstrip(b"\0"))) // 8
-        stop = (len(live) + 7) // 8 or 1
+        # run from the cell of the span's first non-zero byte to that of its
+        # last; with none, the cell-1 row holds 0.
+        live = curve.values.tobytes().rstrip(b"\0")
+        skip = (len(live) - len(live.lstrip(b"\0"))) // 8
+        start = curve.first - 1 + skip if live else 0
+        span = curve.values[skip : (len(live) + 7) // 8] or (0.0,)
         field = quoted.get(token_type)
         if field is None:
             field = quoted[token_type] = _csv_field(token_type).replace("%", "%%")
         head = f"{tid},{field},{kind},"
-        handle.write((head + head.join(cells[first:stop])) % tuple(values[first:stop]))
+        handle.write((head + head.join(cells[start : start + len(span)])) % tuple(span))
 
 
 def _write_plot_script(path: str, csv_path: str, store: TokenStore) -> None:
@@ -404,10 +406,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             print(_fmt(0.0))
         return 0
     for type_text in sorted(masses):
-        survived = 1.0
+        combined = 0.0
         for m in masses[type_text]:
-            survived *= 1.0 - m
-        combined = 1.0 - survived
+            combined += m * (1.0 - combined)
         if pattern.is_ground:
             print(_fmt(combined))
         else:

@@ -82,40 +82,48 @@ class TimeGrid:
 
 @dataclass
 class StepSeries:
-    """A step function over a :class:`TimeGrid`: one value per cell.
+    """A step function over a :class:`TimeGrid`, stored as its span.
 
-    Used both for per-cell event densities and per-cell fact masses.  Values
-    must be finite and non-negative.  They are kept as an ``array('d')``,
-    8 bytes per cell: an ``array('d')`` passed in is kept as it is, and any
-    other sequence of numbers is copied into one.
+    Used both for per-cell event densities and per-cell fact masses.
+    ``values`` holds cells ``first .. first+len(values)-1``, which must lie
+    in ``1..omega``; every other cell reads ``+0.0``, and :meth:`window`
+    expands any run of cells.  Values must be finite and non-negative.  They
+    are kept as an ``array('d')``, 8 bytes per cell: an ``array('d')`` passed
+    in is kept as it is, and any other sequence of numbers is copied into one.
     """
 
     grid: TimeGrid
     values: array
+    first: int = 1
 
     def __post_init__(self) -> None:
         values = self.values
         if not (isinstance(values, array) and values.typecode == "d"):
             values = self.values = array("d", values)
-        if len(values) != self.grid.omega:
+        omega = self.grid.omega
+        if not (isinstance(self.first, int) and 1 <= self.first <= omega + 1 - len(values)):
             raise GridError(
-                f"series length {len(values)} does not match omega={self.grid.omega}"
+                f"a span of {len(values)} cells from cell {self.first!r} does not fit in 1..{omega}"
             )
         # min may skip a NaN, so finiteness is checked first: any NaN or
         # infinity makes the sum non-finite, and a sum that overflowed is told
         # apart by checking each value.
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise ValueError("series values must be finite")
-        if min(values) < 0:
+        if values and min(values) < 0:
             raise ValueError("series values must be non-negative")
-
-    @classmethod
-    def zeros(cls, grid: TimeGrid) -> "StepSeries":
-        return cls(grid, array("d", [0.0]) * grid.omega)
 
     @classmethod
     def ones(cls, grid: TimeGrid) -> "StepSeries":
         return cls(grid, array("d", [1.0]) * grid.omega)
+
+    def window(self, lo: int, hi: int) -> array:
+        """The values of cells ``lo..hi``, ``+0.0`` outside the span."""
+        # The span's cells inside lo..hi are a..b-1 (a = b when there are none).
+        a = min(max(lo, self.first), hi + 1)
+        b = max(min(hi + 1, self.first + len(self.values)), a)
+        zero = array("d", [0.0])
+        return zero * (a - lo) + self.values[a - self.first : b - self.first] + zero * (hi + 1 - b)
 
 
 def series_integral(s: StepSeries, from_cell: int = 1, to_cell: int | None = None) -> float:
@@ -131,7 +139,7 @@ def series_integral(s: StepSeries, from_cell: int = 1, to_cell: int | None = Non
         )
     import numpy as np
 
-    return float(np.frombuffer(s.values)[from_cell - 1 : to_cell].sum() * s.grid.delta)
+    return float(np.frombuffer(s.window(from_cell, to_cell)).sum() * s.grid.delta)
 
 
 def auto_mesh_factor(delta: float, window_widths: list[float]) -> int:

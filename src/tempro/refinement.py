@@ -111,45 +111,40 @@ def _rows(f: StepSeries, weights) -> Iterator:
     that every row is summed in the same pairwise order."""
     import numpy as np
 
-    values = np.frombuffer(f.values)
+    values = np.frombuffer(f.window(1, f.grid.omega))
     row = np.zeros(len(values))
     for k in range(len(values)):
         np.multiply(values[: k + 1], weights[k::-1], out=row[: k + 1])
         yield row
 
 
-def convolve_direct(f: StepSeries, survivor: Survivor) -> StepSeries:
-    """Direct (quadratic) evaluation of the persistence convolution.
+def convolve_direct(f: StepSeries, survivor: Survivor, g: StepSeries | None = None) -> StepSeries:
+    """Direct (quadratic) evaluation of the persistence convolution, the
+    independent reference for the recurrences in :func:`refine`.
 
     ``out[k] = sum_{j<=k} f[j] * delta * rho(j, k)`` where ``rho`` is the
     survivor evaluated from cell j's contribution to the end of cell k, as
-    :func:`_lag_weights` states it.  Serves as the independent reference for
-    the recurrence in :func:`refine`.
+    :func:`_lag_weights` states it.  Given annihilating events ``g``, each
+    contribution is also scaled by ``max(0, 1 - integral(g, j..k))``, the
+    probability that no annihilating event has occurred since it; with
+    ``g = 0`` the result equals the unclipped one exactly, and it never
+    exceeds it.  Mass
+    clipped this way is not returned to the unclipped curve, so overlapping
+    windows double-count the annihilation; callers wanting exact semantics
+    must keep ``g`` disjoint from surviving contributions.
     """
-    sums = [row.sum() for row in _rows(f, _lag_weights(survivor, f.grid))]
-    return StepSeries(f.grid, sums)
-
-
-def clip(f: StepSeries, rate: float, g: StepSeries) -> StepSeries:
-    """Exponential persistence of ``f`` clipped by annihilating events ``g``.
-
-    Each contribution from cell j to cell k is scaled by
-    ``max(0, 1 - integral(g, j..k))``, the probability that no annihilating
-    event has occurred since the contribution.  With ``g = 0`` this equals
-    ``convolve_direct(f, Exponential(rate))`` exactly; it never exceeds it.
-    Note that mass clipped here is not returned to the unclipped curve, so
-    overlapping windows double-count the annihilation; callers wanting exact
-    semantics must keep ``g`` disjoint from surviving contributions.
-    """
+    grid = f.grid
+    rows = _rows(f, _lag_weights(survivor, grid))
+    if g is None:
+        return StepSeries(grid, [row.sum() for row in rows])
     import numpy as np
 
-    grid = f.grid
     if g.grid != grid:
         raise ValueError("f and g must share a grid")
     cum = np.zeros(grid.omega + 1)
-    np.cumsum(np.frombuffer(g.values) * grid.delta, out=cum[1:])
+    np.cumsum(np.frombuffer(g.window(1, grid.omega)) * grid.delta, out=cum[1:])
     sums = []
-    for k, row in enumerate(_rows(f, _lag_weights(Exponential(rate), grid))):
+    for k, row in enumerate(rows):
         integral = cum[k + 1] - cum[:-1]  # integral of g over cells j..k
         sums.append((row * np.clip(1.0 - integral, 0.0, None)).sum())
     return StepSeries(grid, sums)
@@ -251,7 +246,9 @@ def refine(
 
     The store must already be projected.  User event densities are kept when
     already on ``grid``; every other curve is recomputed, so refining twice
-    is idempotent.  Each fact's first cell, close cell, peak mass and clamps
+    is idempotent.  A derived event's curve spans its window's cells, and a
+    fact's its first cell through its close cell, or through ``omega`` if it
+    never closes.  Each fact's first cell, close cell, peak mass and clamps
     are logged at DEBUG level.  :class:`CyclicOpenTokens` is raised after
     every curve and the stats are in place.
     """
@@ -262,55 +259,48 @@ def refine(
     debug = logger.isEnabledFor(logging.DEBUG)
     stats = SweepStats(cells=omega)
     opened: list[tuple[int, int | None, TypeKey]] = []
-    curves: list[array] = []  # indexed by tid
     for tid in range(len(store)):
         token = store.token(tid)
         if isinstance(token, EventToken):
             if token.is_user:
-                curves.append(user_density(token, grid).values)
+                user_density(token, grid)
                 continue
             derivation = token.derivation
-            values = array("d", [0.0]) * omega
             first = max(1, grid.time_to_cell(token.est))
             last = min(omega, grid.time_to_cell(token.lst))
+            span: list[float] = []
             if first <= last:
                 kappa = token.kappa
-                span = [kappa * d for d in curves[derivation.trigger][first - 1 : last]]
+                span = [kappa * d for d in store.token(derivation.trigger).density.window(first, last)]
                 for ant in derivation.antecedents:
-                    span = [v * m for v, m in zip(span, curves[ant][first - 1 : last])]
-                values[first - 1 : last] = array("d", span)
-            token.density = StepSeries(grid, values)
-            curves.append(values)
+                    span = [v * m for v, m in zip(span, store.token(ant).mass.window(first, last))]
+            token.density = StepSeries(grid, span, first if span else 1)
             continue
         token.close_cell = None
         if token.is_builtin:
             token.mass = StepSeries.ones(grid)
-            curves.append(token.mass.values)
             continue
-        values = array("d", [0.0]) * omega
         first = max(1, grid.time_to_cell(token.est))
+        span = []
         if first <= omega:
-            density = curves[token.initiating_event][first - 1 :]
+            density = store.token(token.initiating_event).density.window(first, omega)
             survivor = token.persistence
             if isinstance(survivor, Exponential):
                 masses = _exponential_masses(density, survivor.rate, delta)
             else:
                 masses = _linear_masses(density, survivor.slope, delta)
             span, clamped, closed = _clamp_and_close(masses, epsilon)
-            end = first - 1 + len(span)
-            values[first - 1 : end] = array("d", span)
             stats.clamped += clamped
             if closed:
-                token.close_cell = end
+                token.close_cell = first - 1 + len(span)
                 stats.closures += 1
             opened.append((first, token.close_cell, token.fact_type.key))
             if debug:
                 logger.debug(
                     "fact %d %s: first cell %d, close cell %s, peak mass %.12g, clamps %d",
-                    tid, token.fact_type, first, token.close_cell, max(values), clamped,
+                    tid, token.fact_type, first, token.close_cell, max(span), clamped,
                 )
-        token.mass = StepSeries(grid, values)
-        curves.append(values)
+        token.mass = StepSeries(grid, span, first if span else 1)
     store.sweep_stats = stats
     _check_open_types(theory, opened)
     return store

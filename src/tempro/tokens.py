@@ -249,18 +249,17 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
     are dropped, so a window sticking out of the horizon keeps only the mass
     that falls inside.
     """
-    values = array("d", [0.0]) * grid.omega
     if est == lst:
         cell = grid.time_to_cell(est)
         if not grid.contains_cell(cell):
             raise ValueError(f"point event at {est} lies outside the horizon")
-        values[cell - 1] = kappa / grid.delta
-        return StepSeries(grid, values)
+        return StepSeries(grid, [kappa / grid.delta], cell)
     mu = 0.5 * (est + lst)
     sigma = (lst - est) / 6.0
     z = _norm_cdf((lst - mu) / sigma) - _norm_cdf((est - mu) / sigma)
     first = max(1, grid.time_to_cell(est))
     last = min(grid.omega, grid.time_to_cell(lst))
+    values = array("d", [0.0]) * (last + 1 - first)
     # Cell i covers [lo, hi] = its edges clipped to the window.  Clipping is
     # monotone and cell_end(i) is the same float as cell_start(i + 1), so one
     # CDF value per clipped boundary serves both cells that share it; a cell
@@ -273,9 +272,9 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
             continue
         cdf_hi = _norm_cdf((hi - mu) / sigma)
         weight = (cdf_hi - cdf_lo) / z
-        values[i - 1] = kappa * weight / grid.delta
+        values[i - first] = kappa * weight / grid.delta
         lo, cdf_lo = hi, cdf_hi
-    return StepSeries(grid, values)
+    return StepSeries(grid, values, first)
 
 
 def add_basic_event(

@@ -22,7 +22,6 @@ from tempro import (
     TokenStore,
     UserSupplied,
     add_basic_event,
-    clip,
     convolve_direct,
     parse_scenario,
     parse_theory,
@@ -104,7 +103,7 @@ def test_c01_incremental_matches_direct_convolution():
         (onset,) = store.events_of_type(("F", 1))
         (fact,) = store.facts_of_type(("F", 1))
         direct = convolve_direct(onset.density, Exponential(lam))
-        worst = max(worst, float(np.abs(np.asarray(fact.mass.values) - np.asarray(direct.values)).max()))
+        worst = max(worst, float(np.abs(np.asarray(fact.mass.window(1, omega)) - np.asarray(direct.values)).max()))
         trials += 1
 
     # (b) the recurrence on arbitrary density shapes
@@ -117,7 +116,7 @@ def test_c01_incremental_matches_direct_convolution():
         store, event, fact = _hand_built_fact(grid, lam, density)
         refine(store, CausalTheory(), grid, epsilon=0.0)
         direct = convolve_direct(event.density, Exponential(lam))
-        worst = max(worst, float(np.abs(np.asarray(fact.mass.values) - np.asarray(direct.values)).max()))
+        worst = max(worst, float(np.abs(np.asarray(fact.mass.window(1, omega)) - np.asarray(direct.values)).max()))
         trials += 1
 
     elapsed = time.perf_counter() - started
@@ -138,10 +137,10 @@ def test_c02_clipping_never_exceeds_plain_convolution():
         grid = TimeGrid(0.0, delta, omega)
         f = StepSeries(grid, _random_density(rng, grid))
         g = StepSeries(grid, _random_density(rng, grid) * rng.uniform(0.0, 2.0))
-        clipped = clip(f, lam, g)
+        clipped = convolve_direct(f, Exponential(lam), g)
         direct = convolve_direct(f, Exponential(lam))
         assert np.all(np.asarray(clipped.values) <= np.asarray(direct.values)), "clipped curve exceeded plain"
-        zero = clip(f, lam, StepSeries.zeros(grid))
+        zero = convolve_direct(f, Exponential(lam), StepSeries(grid, []))
         worst_equal = max(worst_equal, float(np.abs(np.asarray(zero.values) - np.asarray(direct.values)).max()))
     assert worst_equal <= 1e-9
     _report(2, f"dominance on 100 random pairs; zero-ceiling gap {worst_equal:.2e}")
@@ -204,7 +203,7 @@ def test_c04_half_life_halves_mass():
     add_basic_event(store, Pattern("E", ("X",)), 0.0, 0.0, 1.0, grid)
     project(theory, store, grid)
     refine(store, theory, grid, epsilon=0.0)
-    m = store.facts_of_type(("F", 1))[0].mass.values
+    m = store.facts_of_type(("F", 1))[0].mass.window(1, grid.omega)
     steps = int(h / delta)
     r1 = m[0 + steps] / m[0]
     r2 = m[0 + 2 * steps] / m[0 + steps]
@@ -304,9 +303,13 @@ def test_c09_evaluation_orders_bit_identical():
         want = _oracle_refine(_layered_store(theory, grid, events), theory, grid, epsilon)
         assert len(got.facts) == len(want.facts) and len(got.facts) >= 2
         for a, b in zip(got.events, want.events):
-            assert np.array_equal(a.density.values, b.density.values), f"trial {trial}: densities differ"
+            assert np.array_equal(a.density.window(1, grid.omega), b.density.window(1, grid.omega)), (
+                f"trial {trial}: densities differ"
+            )
         for a, b in zip(got.facts, want.facts):
-            assert np.array_equal(a.mass.values, b.mass.values), f"trial {trial}: masses differ"
+            assert np.array_equal(a.mass.window(1, grid.omega), b.mass.window(1, grid.omega)), (
+                f"trial {trial}: masses differ"
+            )
         assert [f.close_cell for f in got.facts] == [f.close_cell for f in want.facts]
         assert got.sweep_stats == want.sweep_stats
         compared += 1
@@ -330,7 +333,7 @@ def test_c10_mesh_halving_converges(data_dir):
         add_basic_event(store, Pattern("ARRIVE", ("TRUCK14",)), 0.0, 10.0, 1.0, grid)
         project(theory, store, grid)
         refine(store, theory, grid, epsilon=0.0)
-        return np.asarray(store.facts_of_type(("ATDOCK", 1))[0].mass.values)
+        return np.asarray(store.facts_of_type(("ATDOCK", 1))[0].mass.window(1, grid.omega))
 
     reference = curve(reference_delta)
 

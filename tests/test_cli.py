@@ -139,7 +139,7 @@ class TestProject:
             if r["type"] == "ATDOCK(TRUCK14)" and r["kind"] == "mass"
         ]
         assert len(got) == 200
-        assert np.allclose(got, dock.mass.values, rtol=1e-10, atol=1e-12)
+        assert np.allclose(got, dock.mass.window(1, grid.omega), rtol=1e-10, atol=1e-12)
 
     def test_deterministic_output(self, tmp_path, data_dir, capsys):
         outs = []
@@ -299,6 +299,43 @@ class TestQuery:
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.75)
 
+    @pytest.mark.parametrize(
+        "masses,want",
+        [
+            (["0.5", "0.5"], "0.75"),
+            (["1e-20", "1e-20"], "2e-20"),
+            (["1e-300"], "1e-300"),
+            (["1", "0.3"], "1"),
+            (["0.3", "1"], "1"),
+            (["-0", "0.25"], "0.25"),
+        ],
+    )
+    def test_combination_keeps_small_masses(self, tmp_path, capsys, masses, want):
+        # c += m * (1 - c): the same noisy-OR as 1 - prod(1 - m), exact for
+        # one mass and 1 once any mass is 1.
+        csv_path = tmp_path / "hand.csv"
+        csv_path.write_text(
+            "# origin=0\n# mesh=1\n# cells=1\ntoken_id,type,kind,cell,time,value\n"
+            + "".join(f"{k},F(X),mass,1,0,{m}\n" for k, m in enumerate(masses))
+        )
+        code, out, _ = _run(capsys, "query", "--csv", str(csv_path), "--fact", "F(X)", "--time", "0")
+        assert (code, out) == (0, want + "\n")
+
+    def test_small_projected_mass_is_queried_as_written(self, tmp_path, data_dir, capsys):
+        facts = tmp_path / "faint.facts"
+        facts.write_text("event ARRIVE(TRUCK14) est 0 lst 10 kappa 1e-20\n")
+        out = tmp_path / "faint.csv"
+        code, _, err = _run(
+            capsys, "project", "--theory", str(data_dir / "dock.rules"), "--facts", str(facts),
+            "--delta", "2", "--omega", "100", "--epsilon", "0", "--out", str(out),
+        )
+        assert code == 0, err
+        assert "3,ATDOCK(TRUCK14),mass,10,18,9.50018633009e-21\n" in out.read_text()
+        code, got, _ = _run(
+            capsys, "query", "--csv", str(out), "--fact", "ATDOCK(TRUCK14)", "--time", "19"
+        )
+        assert (code, got) == (0, "9.50018633009e-21\n")
+
     def test_unmatched_ground_fact_reports_zero(self, dock_csv, capsys):
         code, out, err = _run(
             capsys, "query", "--csv", str(dock_csv),
@@ -339,9 +376,10 @@ def _oracle_csv(store, grid, metadata):
         handle.write(f"# {key}={value}\n")
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["token_id", "type", "kind", "cell", "time", "value"])
-    curves = [(e.tid, e.event_type, "density", e.density.values) for e in store.events]
-    curves += [(f.tid, f.fact_type, "mass", f.mass.values) for f in store.facts]
-    for tid, token_type, kind, values in curves:
+    curves = [(e.tid, e.event_type, "density", e.density) for e in store.events]
+    curves += [(f.tid, f.fact_type, "mass", f.mass) for f in store.facts]
+    for tid, token_type, kind, curve in curves:
+        values = curve.window(1, grid.omega)
         for i in range(grid.omega):
             writer.writerow(
                 [tid, str(token_type), kind, i + 1, _fmt(grid.cell_start(i + 1)), _fmt(values[i])]
@@ -368,10 +406,9 @@ def _oracle_query(path, fact, time):
         return _fmt(0.0) + "\n" if pattern.is_ground else ""
     out = []
     for type_text in sorted(masses):
-        survived = 1.0
+        combined = 0.0
         for m in masses[type_text]:
-            survived *= 1.0 - m
-        combined = 1.0 - survived
+            combined += m * (1.0 - combined)
         out.append(_fmt(combined) if pattern.is_ground else f"{type_text} {_fmt(combined)}")
     return "".join(line + "\n" for line in out)
 
@@ -510,6 +547,37 @@ class TestCsvOracles:
             else:  # all +0.0: only the cell-1 row
                 assert span == ["0"], event.tid
         assert spans["0"] == ["-0", "1", "0", "4.94065645841e-324", "-0"]
+
+    @pytest.mark.parametrize(
+        "values,first,rows",
+        [
+            ([0.0, 0.0, 1.0, 0.0, 2.0, 0.0], 2, [(4, "1"), (5, "0"), (6, "2")]),
+            ([-0.0, 0.0, 1.0, -0.0, 0.0], 3, [(3, "-0"), (4, "0"), (5, "1"), (6, "-0")]),
+            ([0.0, -0.0, 0.0], 4, [(5, "-0")]),
+            ([1.0, 0.0, 0.0], 6, [(6, "1")]),
+            ([5e-324], 8, [(8, "4.94065645841e-324")]),
+            ([0.0, 0.0], 5, [(1, "0")]),  # no written cell: the cell-1 row
+            ([], 1, [(1, "0")]),
+        ],
+    )
+    def test_span_writes_the_rows_of_its_whole_curve(self, values, first, rows):
+        # +0.0 at a span's edges is trimmed, -0.0 is written, and a span
+        # writes the rows of the same curve stored over all omega cells.
+        grid = TimeGrid(0.0, 0.5, 8)
+        metadata = {"origin": "0", "mesh": "0.5", "cells": 8}
+        span = StepSeries(grid, values, first)
+        written = []
+        for density in (span, StepSeries(grid, span.window(1, 8))):
+            store = TokenStore()
+            store.add_event(Pattern("E", ("X",)), 0.0, 1.0, 1.0, UserSupplied(), density)
+            handle = io.StringIO()
+            _write_projection_csv(handle, store, grid, metadata)
+            written.append(handle.getvalue())
+        assert written[0] == written[1]
+        assert _expand_csv(written[0]) == _oracle_csv(store, grid, metadata)
+        assert written[0].splitlines()[4:] == [
+            f"0,E(X),density,{cell},{_fmt(grid.cell_start(cell))},{value}" for cell, value in rows
+        ]
 
     @given(
         st.lists(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -113,10 +114,47 @@ class TestTimeGrid:
 
 
 class TestStepSeries:
-    def test_shape_checked(self):
+    @pytest.mark.parametrize(
+        "length,first",
+        [(6, 1), (1, 6), (2, 5), (4, 3), (0, 7), (0, 0), (1, 0), (1, -1), (1, 1.0)],
+    )
+    def test_span_that_does_not_fit_rejected(self, length, first):
         g = TimeGrid(0.0, 1.0, 5)
-        with pytest.raises(GridError):
-            StepSeries(g, np.ones(4))
+        with pytest.raises(GridError, match="does not fit in 1..5"):
+            StepSeries(g, np.ones(length), first)
+
+    @pytest.mark.parametrize("length,first", [(5, 1), (4, 1), (1, 5), (2, 4), (0, 1), (0, 6)])
+    def test_span_that_fits_kept(self, length, first):
+        g = TimeGrid(0.0, 1.0, 5)
+        s = StepSeries(g, np.ones(length), first)
+        assert (list(s.values), s.first) == ([1.0] * length, first)
+
+    def test_empty_span_reads_zero_everywhere(self):
+        g = TimeGrid(0.0, 1.0, 4)
+        s = StepSeries(g, [])
+        assert s.window(1, 4).tobytes() == bytes(32)
+        assert series_integral(s) == 0.0
+
+    def test_window_across_and_outside_the_span(self):
+        g = TimeGrid(0.0, 1.0, 8)
+        s = StepSeries(g, [1.0, -0.0, 3.0], 3)  # cells 3..5
+        assert list(s.window(1, 8)) == [0.0, 0.0, 1.0, 0.0, 3.0, 0.0, 0.0, 0.0]
+        assert list(s.window(2, 4)) == [0.0, 1.0, 0.0]
+        assert list(s.window(4, 7)) == [0.0, 3.0, 0.0, 0.0]
+        assert list(s.window(3, 5)) == [1.0, 0.0, 3.0]
+        assert list(s.window(6, 8)) == [0.0] * 3
+        assert list(s.window(1, 2)) == [0.0] * 2
+        assert list(s.window(5, 4)) == []
+        # cells outside the span read +0.0; the span's own -0.0 keeps its sign
+        assert np.signbit(s.window(1, 8)).tolist() == [False] * 3 + [True] + [False] * 4
+        assert isinstance(s.window(1, 8), array) and s.window(1, 8).typecode == "d"
+
+    def test_checks_read_the_span_only(self):
+        g = TimeGrid(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="finite"):
+            StepSeries(g, [math.nan], 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            StepSeries(g, [0.5, -1.0], 2)
 
     def test_non_finite_rejected(self):
         g = TimeGrid(0.0, 1.0, 3)
@@ -160,8 +198,9 @@ class TestStepSeries:
 
     def test_constructors(self):
         g = TimeGrid(0.0, 1.0, 4)
-        assert np.array_equal(StepSeries.zeros(g).values, np.zeros(4))
+        assert np.array_equal(StepSeries(g, []).window(1, 4), np.zeros(4))
         assert np.array_equal(StepSeries.ones(g).values, np.ones(4))
+        assert StepSeries.ones(g).first == 1
 
 
 # ---------------------------------------------------------------------------

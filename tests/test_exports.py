@@ -16,7 +16,7 @@ EXPORTS = {
                     "parse_observations", "rate", "save_state", "save_state_file"],
     "core": ["GridError", "StepSeries", "TimeGrid", "auto_mesh_factor", "series_integral"],
     "projection": ["project"],
-    "refinement": ["CyclicOpenTokens", "SweepStats", "clip", "convolve_direct", "refine",
+    "refinement": ["CyclicOpenTokens", "SweepStats", "convolve_direct", "refine",
                    "survivor_eval", "within_cell_factor"],
     "simulator": ["ConvergenceRow", "ExponentialLifetime", "FixedLifetime", "PoissonArrivals",
                   "Scenario", "ScheduledArrivals", "SimulationOutput", "UniformLifetime",
@@ -42,7 +42,7 @@ def _fresh(code: str) -> str:
 
 
 def test_all_is_the_exported_set():
-    assert len(HOMES) == 54
+    assert len(HOMES) == 53
     assert sorted(tempro.__all__) == sorted(name for name, _ in HOMES)
     assert set(tempro.__all__) <= set(dir(tempro))
     assert tempro.__version__ == "0.1.0"

@@ -37,7 +37,6 @@ PROJECT_MODULES = {"tempro", *(p.stem for p in USERS)}
 KEPT_FOR_TESTS = {
     "survivor_eval": "the continuous survivor that gate c05 samples",
     "series_integral": "the window masses the token and refinement tests check",
-    "clip": "gate c02's ceiling-aware convolution",
 }
 
 MEMBERS_KEPT_FOR_TESTS = {
@@ -49,7 +48,7 @@ NUMPY_USERS = {
     ("core.py", "series_integral"),
     ("refinement.py", "_lag_weights"),
     ("refinement.py", "_rows"),
-    ("refinement.py", "clip"),
+    ("refinement.py", "convolve_direct"),
 }
 
 

@@ -29,7 +29,6 @@ from tempro import (
     TimeGrid,
     TokenStore,
     add_basic_event,
-    clip,
     convolve_direct,
     dependency_graph,
     parse_theory,
@@ -48,10 +47,16 @@ def _series(grid: TimeGrid, values) -> StepSeries:
     return StepSeries(grid, np.asarray(values, dtype=float))
 
 
+def _cells(s: StepSeries):
+    """Every cell of ``s``, ``1..omega``, for reading by position."""
+    return s.window(1, s.grid.omega)
+
+
 def _oracle_convolve(f: StepSeries, survivor) -> list[float]:
     """Scalar double-loop rendering of the survivor convolution."""
     grid = f.grid
     d = grid.delta
+    values = _cells(f)
     out = []
     for k in range(1, grid.omega + 1):
         total = 0.0
@@ -59,10 +64,10 @@ def _oracle_convolve(f: StepSeries, survivor) -> list[float]:
             if isinstance(survivor, Exponential):
                 lam = survivor.rate
                 c = within_cell_factor(lam, d)
-                total += float(f.values[j - 1]) * d * c * math.exp(-lam * (k - j) * d) \
+                total += float(values[j - 1]) * d * c * math.exp(-lam * (k - j) * d) \
                     if not math.isinf(lam) else 0.0
             else:
-                total += float(f.values[j - 1]) * d * max(0.0, 1.0 - survivor.slope * (k - j) * d)
+                total += float(values[j - 1]) * d * max(0.0, 1.0 - survivor.slope * (k - j) * d)
         out.append(total)
     return out
 
@@ -97,11 +102,11 @@ def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) ->
     cycle check runs at every cell where a fact opened or closed since the
     last cell.
     """
-    for event in store.events:
-        event.density = user_density(event, grid) if event.is_user else StepSeries.zeros(grid)
-    for fact in store.facts:
-        fact.mass = StepSeries.ones(grid) if fact.is_builtin else StepSeries.zeros(grid)
     omega = grid.omega
+    for event in store.events:
+        event.density = _series(grid, _cells(user_density(event, grid)) if event.is_user else np.zeros(omega))
+    for fact in store.facts:
+        fact.mass = StepSeries.ones(grid) if fact.is_builtin else _series(grid, np.zeros(omega))
     graph = dependency_graph(theory)
     stats = SweepStats()
     spans = {}  # derived tid -> (first, last cell it is updated in)
@@ -194,11 +199,9 @@ def _assert_same_as_oracle(build, epsilon: float) -> None:
     _oracle_refine(want, theory, grid, epsilon)
     assert len(store.events) == len(want.events) and len(store.facts) == len(want.facts)
     for got, exp in zip(store.events, want.events):
-        assert np.array_equal(got.density.values, exp.density.values), f"density of {got.tid}"
-        assert np.array_equal(np.signbit(got.density.values), np.signbit(exp.density.values))
+        assert _cells(got.density).tobytes() == _cells(exp.density).tobytes(), f"density of {got.tid}"
     for got, exp in zip(store.facts, want.facts):
-        assert np.array_equal(got.mass.values, exp.mass.values), f"mass of {got.tid}"
-        assert np.array_equal(np.signbit(got.mass.values), np.signbit(exp.mass.values))
+        assert _cells(got.mass).tobytes() == _cells(exp.mass).tobytes(), f"mass of {got.tid}"
         assert (got.closed, got.close_cell) == (exp.closed, exp.close_cell)
     assert store.sweep_stats == want.sweep_stats
 
@@ -353,8 +356,7 @@ class TestConvolveDirect:
         # for a one-cell burst gives m_k = v*d*c * exp(-lam*(k-1)*d) exactly.
         grid = TimeGrid(0.0, 0.5, 40)
         lam = 0.8
-        f = StepSeries.zeros(grid)
-        f.values[0] = 2.0
+        f = StepSeries(grid, [2.0])
         got = convolve_direct(f, Exponential(lam))
         c = within_cell_factor(lam, grid.delta)
         for k in range(1, 41):
@@ -384,8 +386,7 @@ class TestConvolveDirect:
     def test_half_life_halves_peak(self):
         h = 4.0
         grid = TimeGrid(0.0, 0.5, 40)
-        f = StepSeries.zeros(grid)
-        f.values[0] = 1.0
+        f = StepSeries(grid, [1.0])
         got = convolve_direct(f, Exponential(math.log(2.0) / h))
         steps = int(h / grid.delta)
         assert got.values[steps] == pytest.approx(got.values[0] / 2.0, rel=1e-9)
@@ -400,8 +401,7 @@ class TestConvolveDirect:
     def test_impulse_linear_ramp(self):
         grid = TimeGrid(0.0, 1.0, 12)
         s = 0.125  # survivor hits zero after 8 time units
-        f = StepSeries.zeros(grid)
-        f.values[0] = 1.0
+        f = StepSeries(grid, [1.0])
         got = convolve_direct(f, Linear(s))
         for k in range(1, 13):
             want = 1.0 * max(0.0, 1.0 - s * (k - 1))
@@ -436,28 +436,25 @@ class TestClip:
         f = _series(grid, rng.uniform(0, 1, 30))
         lam = 0.4
         a = convolve_direct(f, Exponential(lam))
-        b = clip(f, lam, StepSeries.zeros(grid))
+        b = convolve_direct(f, Exponential(lam), StepSeries(grid, []))
         assert np.array_equal(a.values, b.values)  # bitwise, same reduction
 
     def test_saturating_ceiling_kills_later_contributions(self):
         grid = TimeGrid(0.0, 1.0, 8)
-        f = StepSeries.zeros(grid)
-        f.values[0] = 1.0
-        g = StepSeries.zeros(grid)
-        g.values[1] = 1.0  # ceiling uses up the whole budget within cell 2
+        f = StepSeries(grid, [1.0])
+        g = StepSeries(grid, [1.0], 2)  # ceiling uses up the whole budget within cell 2
         lam = 0.2
-        got = clip(f, lam, g)
+        got = convolve_direct(f, Exponential(lam), g)
         c = within_cell_factor(lam, 1.0)
         assert got.values[0] == pytest.approx(c, rel=1e-12)
         assert np.all(np.asarray(got.values)[1:] == 0.0)
 
     def test_partial_ceiling_scales_bracket(self):
         grid = TimeGrid(0.0, 1.0, 6)
-        f = StepSeries.zeros(grid)
-        f.values[0] = 1.0
+        f = StepSeries(grid, [1.0])
         g = _series(grid, [0.0, 0.25, 0.0, 0.0, 0.0, 0.0])
         lam = 0.0
-        got = clip(f, lam, g)
+        got = convolve_direct(f, Exponential(lam), g)
         # with no decay, the source mass is 1.0; from cell 2 on, the bracket
         # drops to 1 - 0.25 = 0.75
         assert got.values[0] == pytest.approx(1.0)
@@ -471,7 +468,7 @@ class TestClip:
         f = _series(grid, rng.uniform(0, 1, n))
         g = _series(grid, rng.uniform(0, 0.5, n))
         lam = float(rng.uniform(0, 2))
-        clipped = clip(f, lam, g)
+        clipped = convolve_direct(f, Exponential(lam), g)
         direct = convolve_direct(f, Exponential(lam))
         assert np.all(np.asarray(clipped.values) <= np.asarray(direct.values))
 
@@ -480,7 +477,7 @@ class TestClip:
         grid = TimeGrid(0.0, 1.0, 5)
         f = _series(grid, [1.0, 0.0, 0.0, 0.0, 0.0])
         g = _series(grid, [0.0, 3.0, 0.0, 0.0, 0.0])
-        got = clip(f, 0.0, g)
+        got = convolve_direct(f, Exponential(0.0), g)
         assert np.all(np.asarray(got.values) >= 0.0)
         assert np.all(np.asarray(got.values)[1:] == 0.0)
 
@@ -489,48 +486,40 @@ class TestClip:
 # the row-at-a-time forms against the omega x omega matrix forms they replaced
 
 
-def _matrix_terms(f: StepSeries, rate: float) -> np.ndarray:
-    """Contribution of source cell j (column) to evaluation cell k (row)
-    under an exponential survivor, before any clipping."""
+def _matrix_terms(f: StepSeries, survivor) -> np.ndarray:
+    """Contribution of source cell j (column) to evaluation cell k (row),
+    before any clipping."""
     grid = f.grid
     n = grid.omega
     delta = grid.delta
     idx = np.arange(n)
     elapsed = (idx[:, None] - idx[None, :]) * delta
     mask = elapsed >= 0
-    if math.isinf(rate):
-        return np.zeros((n, n))
-    coef = delta * within_cell_factor(rate, delta)
-    kernel = coef * np.exp(-rate * np.where(mask, elapsed, 0.0))
-    return np.where(mask, np.asarray(f.values)[None, :] * kernel, 0.0)
-
-
-def _matrix_convolve(f: StepSeries, survivor) -> np.ndarray:
-    """``convolve_direct`` as one omega x omega matrix summed by rows."""
-    grid = f.grid
     if isinstance(survivor, Exponential):
-        return _matrix_terms(f, survivor.rate).sum(axis=1)
-    n = grid.omega
-    delta = grid.delta
-    idx = np.arange(n)
-    elapsed = (idx[:, None] - idx[None, :]) * delta
-    mask = elapsed >= 0
-    slope = survivor.slope
-    if math.isinf(slope):
-        weight = np.where(elapsed == 0, 1.0, 0.0)
+        rate = survivor.rate
+        if math.isinf(rate):
+            return np.zeros((n, n))
+        coef = delta * within_cell_factor(rate, delta)
+        kernel = coef * np.exp(-rate * np.where(mask, elapsed, 0.0))
     else:
-        weight = np.clip(1.0 - slope * np.where(mask, elapsed, 0.0), 0.0, None)
-    terms = np.where(mask, np.asarray(f.values)[None, :] * (delta * weight), 0.0)
-    return terms.sum(axis=1)
+        slope = survivor.slope
+        if math.isinf(slope):
+            weight = np.where(elapsed == 0, 1.0, 0.0)
+        else:
+            weight = np.clip(1.0 - slope * np.where(mask, elapsed, 0.0), 0.0, None)
+        kernel = delta * weight
+    return np.where(mask, np.asarray(_cells(f))[None, :] * kernel, 0.0)
 
 
-def _matrix_clip(f: StepSeries, rate: float, g: StepSeries) -> np.ndarray:
-    """``clip`` with the whole terms and bracket matrices in memory."""
+def _matrix_convolve(f: StepSeries, survivor, g: StepSeries | None = None) -> np.ndarray:
+    """``convolve_direct`` with the whole terms and bracket matrices in
+    memory, summed by rows."""
+    terms = _matrix_terms(f, survivor)
+    if g is None:
+        return terms.sum(axis=1)
     grid = f.grid
-    n = grid.omega
-    terms = _matrix_terms(f, rate)
-    cum = np.zeros(n + 1)
-    np.cumsum(np.asarray(g.values) * grid.delta, out=cum[1:])
+    cum = np.zeros(grid.omega + 1)
+    np.cumsum(np.asarray(_cells(g)) * grid.delta, out=cum[1:])
     integral = cum[1:, None] - cum[None, :-1]
     bracket = np.clip(1.0 - integral, 0.0, None)
     return (terms * bracket).sum(axis=1)
@@ -554,7 +543,11 @@ def _convolution_case(draw):
     omega = draw(_OMEGAS)
     grid = TimeGrid(0.0, draw(st.sampled_from([0.25, 1.0]) | st.floats(0.01, 10.0)), omega)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    f = _series(grid, _values(rng, omega, draw(st.sampled_from([1e-300, 1.0, 5.0]))))
+    # f stores cells first..last only, as refine's curves do
+    first = draw(st.integers(1, omega))
+    last = draw(st.integers(first - 1, omega))
+    values = _values(rng, omega, draw(st.sampled_from([1e-300, 1.0, 5.0])))
+    f = StepSeries(grid, values[first - 1 : last], first)
     # from no annihilation at all to a bracket that reaches 0 within a cell
     g = _series(grid, _values(rng, omega, draw(st.sampled_from([0.0, 1e-3, 1.0, 100.0]))))
     return f, g, draw(_RATES), draw(_RATES)
@@ -567,7 +560,8 @@ def test_row_forms_equal_matrix_forms_bit_for_bit(case):
     for survivor in (Exponential(rate), Linear(slope)):
         got = convolve_direct(f, survivor).values
         assert got.tobytes() == _matrix_convolve(f, survivor).tobytes()
-    assert clip(f, rate, g).values.tobytes() == _matrix_clip(f, rate, g).tobytes()
+        got = convolve_direct(f, survivor, g).values
+        assert got.tobytes() == _matrix_convolve(f, survivor, g).tobytes()
 
 
 def test_quadratic_forms_run_in_linear_memory():
@@ -578,7 +572,7 @@ def test_quadratic_forms_run_in_linear_memory():
     f = _series(grid, rng.uniform(0, 1, omega))
     g = _series(grid, rng.uniform(0, 1e-4, omega))
     runs = {
-        "clip": lambda: clip(f, 0.01, g),
+        "annihilated": lambda: convolve_direct(f, Exponential(0.01), g),
         "exponential": lambda: convolve_direct(f, Exponential(0.01)),
         "linear": lambda: convolve_direct(f, Linear(0.001)),
     }
@@ -615,7 +609,7 @@ class TestRefineSweep:
         (dock,) = store.facts_of_type(("ATDOCK", 1))
         (arrive,) = store.events_of_type(("ARRIVE", 1))
         want = convolve_direct(arrive.density, Exponential(HALF_PER_15))
-        assert np.allclose(dock.mass.values, want.values, rtol=0, atol=1e-9)
+        assert np.allclose(_cells(dock.mass), want.values, rtol=0, atol=1e-9)
 
     def test_sweep_equals_scalar_oracle(self):
         theory, grid, store = _dock_setup(delta=2.0, omega=40)
@@ -623,15 +617,15 @@ class TestRefineSweep:
         (dock,) = store.facts_of_type(("ATDOCK", 1))
         (arrive,) = store.events_of_type(("ARRIVE", 1))
         want = _oracle_convolve(arrive.density, Exponential(HALF_PER_15))
-        assert np.allclose(dock.mass.values, want, rtol=0, atol=1e-9)
+        assert np.allclose(_cells(dock.mass), want, rtol=0, atol=1e-9)
 
     def test_kappa_scales_curve_linearly(self):
         theory1, grid, store1 = _dock_setup(kappa=1.0, omega=60)
         refine(store1, theory1, grid, epsilon=0.0)
         theory2, _, store2 = _dock_setup(kappa=0.5, omega=60)
         refine(store2, theory2, grid, epsilon=0.0)
-        m1 = np.asarray(store1.facts_of_type(("ATDOCK", 1))[0].mass.values)
-        m2 = store2.facts_of_type(("ATDOCK", 1))[0].mass.values
+        m1 = np.asarray(_cells(store1.facts_of_type(("ATDOCK", 1))[0].mass))
+        m2 = _cells(store2.facts_of_type(("ATDOCK", 1))[0].mass)
         assert np.allclose(m2, 0.5 * m1, rtol=1e-12, atol=1e-15)
 
     def test_unimodal_rise_then_decay(self):
@@ -639,8 +633,8 @@ class TestRefineSweep:
         refine(store, theory, grid)
         (dock,) = store.facts_of_type(("ATDOCK", 1))
         (arrive,) = store.events_of_type(("ARRIVE", 1))
-        m = dock.mass.values
-        last_density = int(np.nonzero(arrive.density.values)[0].max())
+        m = _cells(dock.mass)
+        last_density = int(np.nonzero(_cells(arrive.density))[0].max())
         assert np.all(np.diff(m[: last_density + 1]) >= 0)
         end = dock.close_cell or grid.omega
         assert np.all(np.diff(m[last_density + 1 : end]) < 0)
@@ -648,7 +642,7 @@ class TestRefineSweep:
     def test_mass_decays_exponentially_after_window(self):
         theory, grid, store = _dock_setup(omega=100)
         refine(store, theory, grid, epsilon=0.0)
-        m = store.facts_of_type(("ATDOCK", 1))[0].mass.values
+        m = _cells(store.facts_of_type(("ATDOCK", 1))[0].mass)
         # beyond the arrival window the curve is a pure survivor tail
         ratio = m[60] / m[40]
         assert ratio == pytest.approx(math.exp(-HALF_PER_15 * 20.0), rel=1e-9)
@@ -674,9 +668,9 @@ class TestRefineSweep:
     def test_rerefine_is_idempotent(self):
         theory, grid, store = _dock_setup()
         refine(store, theory, grid)
-        first = np.asarray(store.facts_of_type(("ATDOCK", 1))[0].mass.values).copy()
+        first = np.asarray(_cells(store.facts_of_type(("ATDOCK", 1))[0].mass)).copy()
         refine(store, theory, grid)
-        second = store.facts_of_type(("ATDOCK", 1))[0].mass.values
+        second = _cells(store.facts_of_type(("ATDOCK", 1))[0].mass)
         assert np.array_equal(first, second)
 
 
@@ -694,9 +688,9 @@ class TestLinearFactSweep:
         (fact,) = store.facts_of_type(("CHARGED", 1))
         (plug,) = store.events_of_type(("PLUG", 1))
         want = convolve_direct(plug.density, Linear(0.125))
-        assert np.allclose(fact.mass.values, want.values, rtol=0, atol=1e-9)
+        assert np.allclose(_cells(fact.mass), want.values, rtol=0, atol=1e-9)
         # every source cell is dead after the 8-unit ramp runs out
-        assert fact.mass.values[-1] == 0.0
+        assert _cells(fact.mass)[-1] == 0.0
 
     def test_infinite_slope_keeps_the_occurrence_cell(self):
         # Lag 0 weighs 1 at every slope; 1 - inf*0*delta would be NaN.
@@ -712,7 +706,7 @@ class TestLinearFactSweep:
         (fact,) = store.facts_of_type(("F", 1))
         (event,) = store.events_of_type(("E", 1))
         want = convolve_direct(event.density, Linear(math.inf))
-        assert list(fact.mass.values) == list(want.values) == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        assert list(_cells(fact.mass)) == list(want.values) == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
 
 
 class TestClosure:
@@ -722,7 +716,7 @@ class TestClosure:
         (dock,) = store.facts_of_type(("ATDOCK", 1))
         assert dock.closed
         assert dock.close_cell is not None
-        m = np.asarray(dock.mass.values)
+        m = np.asarray(_cells(dock.mass))
         assert m[dock.close_cell - 1] < 1e-4
         assert np.all(m[dock.close_cell :] == 0.0)
         assert store.sweep_stats.closures == 1
@@ -732,7 +726,7 @@ class TestClosure:
         refine(store, theory, grid, epsilon=0.0)
         (dock,) = store.facts_of_type(("ATDOCK", 1))
         assert not dock.closed
-        assert dock.mass.values[-1] > 0.0
+        assert _cells(dock.mass)[-1] > 0.0
 
     def test_never_supported_fact_never_closes(self):
         # peak mass stays below epsilon, so there is nothing to close
@@ -740,7 +734,7 @@ class TestClosure:
         refine(store, theory, grid, epsilon=1e-4)
         (dock,) = store.facts_of_type(("ATDOCK", 1))
         assert not dock.closed
-        assert np.asarray(dock.mass.values).max() < 1e-4
+        assert np.asarray(_cells(dock.mass)).max() < 1e-4
 
     def test_downstream_density_sees_closure(self):
         theory = parse_theory(
@@ -758,8 +752,44 @@ class TestClosure:
         (b_onset,) = store.events_of_type(("B", 1))
         assert a.closed
         c = a.close_cell
-        assert np.all(np.asarray(b_onset.density.values)[c:] == 0.0)
-        assert np.any(np.asarray(b_onset.density.values)[:c] > 0.0)
+        assert np.all(np.asarray(_cells(b_onset.density))[c:] == 0.0)
+        assert np.any(np.asarray(_cells(b_onset.density))[:c] > 0.0)
+
+
+class TestSpans:
+    """Each curve stores only its span, so memory follows the live cells."""
+
+    @staticmethod
+    def _arrivals(count, omega, epsilon):
+        theory = parse_theory("persist F(?x) exp 0.2\nproject ALWAYS, E(?x) => F(?x) @ 1.0\n")
+        grid = TimeGrid(0.0, 1.0, omega)
+        store = TokenStore()
+        for k in range(count):
+            t = float(k * 10)
+            add_basic_event(store, Pattern("E", (f"X{k}",)), t, t, 1.0, grid)
+        project(theory, store, grid)
+        refine(store, theory, grid, epsilon)
+        return grid, store
+
+    def test_stored_cells_far_below_tokens_times_omega(self):
+        grid, store = self._arrivals(500, 5000, 1e-4)
+        stored = sum(len(e.density.values) for e in store.events)
+        stored += sum(len(f.mass.values) for f in store.facts)
+        assert len(store) == 1501
+        # 500 one-cell arrivals and onsets, 500 facts of at most 47 cells
+        # each, and ALWAYS over every cell: about 30 000 of 7.5 million.
+        assert stored < len(store) * grid.omega / 100
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.0])
+    def test_fact_spans_first_cell_to_close_cell_or_omega(self, epsilon):
+        grid, store = self._arrivals(20, 400, epsilon)
+        for event in store.events:
+            assert (event.density.first, len(event.density.values)) == (grid.time_to_cell(event.est), 1)
+        for fact in store.facts[1:]:
+            end = fact.close_cell if epsilon else grid.omega
+            assert fact.closed == bool(epsilon)
+            assert fact.mass.first == grid.time_to_cell(fact.est)
+            assert fact.mass.first + len(fact.mass.values) - 1 == end
 
 
 class TestCycleDetection:
@@ -917,7 +947,7 @@ class TestOrderEquivalence:
         store = _layered_store(theory, grid, events)
         refine(store, theory, grid, 1e-4)
         (onset,) = store.events_of_type(("NZD", 1))
-        assert np.any(np.signbit(onset.density.values))
+        assert np.any(np.signbit(_cells(onset.density)))
 
 
 class TestDebugSummary:
@@ -930,7 +960,7 @@ class TestDebugSummary:
         message = record.getMessage()
         assert message.startswith(f"fact {dock.tid} ATDOCK(TRUCK14): first cell 1, ")
         assert f"close cell {dock.close_cell}," in message
-        assert f"peak mass {np.asarray(dock.mass.values).max():.12g}," in message
+        assert f"peak mass {np.asarray(_cells(dock.mass)).max():.12g}," in message
         assert message.endswith("clamps 0")
 
     def test_silent_when_debug_is_off(self, caplog):

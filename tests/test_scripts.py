@@ -1,7 +1,9 @@
 """Smoke tests: ``scripts/dock_curve.py`` runs to completion on a small
-input, and every Python example in the README runs."""
+input, ``scripts/make_golden.py`` renders the committed golden file, and
+every Python example in the README runs."""
 from __future__ import annotations
 
+import importlib.util
 import os
 import pathlib
 import re
@@ -28,6 +30,14 @@ def test_script_runs(argv):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_make_golden_renders_the_committed_file():
+    spec = importlib.util.spec_from_file_location("make_golden", ROOT / "scripts" / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    text = module.golden_text()
+    assert text.encode() == (ROOT / "tests" / "golden" / "dock_mass.csv").read_bytes()
 
 
 def test_readme_python_blocks_run():

@@ -191,7 +191,7 @@ class TestWindowDensity:
         g = TimeGrid(0.0, 1.0, 20)
         store = TokenStore()
         e = add_basic_event(store, ARRIVE_T14, 5.0, 5.0, 1.0, g)
-        d = e.density.values
+        d = e.density.window(1, g.omega)
         assert d[5] == pytest.approx(1.0)  # cell 6 holds [5, 6); density 1/delta
         assert np.count_nonzero(d) == 1
         assert series_integral(e.density) == pytest.approx(1.0)
@@ -200,7 +200,7 @@ class TestWindowDensity:
         g = TimeGrid(0.0, 0.25, 40)
         store = TokenStore()
         e = add_basic_event(store, ARRIVE_T14, 5.0, 5.0, 0.5, g)
-        assert e.density.values[20] == pytest.approx(0.5 / 0.25)
+        assert e.density.window(1, g.omega)[20] == pytest.approx(0.5 / 0.25)
         assert series_integral(e.density) == pytest.approx(0.5)
 
     def test_window_matches_truncated_normal_oracle(self):
@@ -209,14 +209,14 @@ class TestWindowDensity:
         e = add_basic_event(store, ARRIVE_T14, 0.0, 10.0, 1.0, g)
         expected = _oracle_window_masses(g, 0.0, 10.0, 1.0)
         for k in range(1, g.omega + 1):
-            got = e.density.values[k - 1] * g.delta
+            got = e.density.window(1, g.omega)[k - 1] * g.delta
             assert got == pytest.approx(expected[k - 1], abs=1e-12), f"cell {k}"
 
     def test_window_density_is_symmetric_and_unimodal(self):
         g = TimeGrid(0.0, 1.0, 10)
         store = TokenStore()
         e = add_basic_event(store, ARRIVE_T14, 0.0, 10.0, 1.0, g)
-        d = e.density.values
+        d = e.density.window(1, g.omega)
         assert np.allclose(d, d[::-1], atol=1e-12)
         mid = len(d) // 2
         assert np.all(np.diff(d[:mid]) > 0)
@@ -240,7 +240,7 @@ class TestWindowDensity:
         store = TokenStore()
         e = add_basic_event(store, ARRIVE_T14, 5.0, 15.0, 1.0, g)
         expected = _oracle_window_masses(g, 5.0, 15.0, 1.0)
-        assert np.allclose(np.asarray(e.density.values) * g.delta, expected, atol=1e-12)
+        assert np.allclose(np.asarray(e.density.window(1, g.omega)) * g.delta, expected, atol=1e-12)
         assert series_integral(e.density) == pytest.approx(0.5, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -264,7 +264,7 @@ class TestWindowDensity:
         g = TimeGrid(0.0, 1.0, 10)
         store = TokenStore()
         e = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 0.0, g)
-        assert np.all(np.asarray(e.density.values) == 0.0)
+        assert np.all(np.asarray(e.density.window(1, g.omega)) == 0.0)
 
     @given(
         st.floats(0.0, 30.0, allow_nan=False),
@@ -298,7 +298,7 @@ class TestWindowDensityCdfOnce:
         lst = est + width
         if est >= g.end or lst < g.origin:
             return
-        got = add_basic_event(TokenStore(), ARRIVE_T14, est, lst, kappa, g).density.values
+        got = add_basic_event(TokenStore(), ARRIVE_T14, est, lst, kappa, g).density.window(1, g.omega)
         # tobytes also tells -0.0 from 0.0
         assert got.tobytes() == _two_cdf_window_density(g, est, lst, kappa).tobytes()
 
@@ -306,7 +306,7 @@ class TestWindowDensityCdfOnce:
         g = TimeGrid(0.0, 0.1, 50)
         windows = [(0.3, 0.7), (0.0, 5.0), (0.25, 0.30000000000000004), (1.0, 9.0)]
         for (est, lst), kappa in itertools.product(windows, [1.0, -0.0]):
-            got = add_basic_event(TokenStore(), ARRIVE_T14, est, lst, kappa, g).density.values
+            got = add_basic_event(TokenStore(), ARRIVE_T14, est, lst, kappa, g).density.window(1, g.omega)
             assert got.tobytes() == _two_cdf_window_density(g, est, lst, kappa).tobytes()
 
     def test_one_cdf_per_cell_boundary(self, monkeypatch):
@@ -344,7 +344,7 @@ class TestUserDensity:
         refine(store, CausalTheory(), g)
         built = add_basic_event(TokenStore(), ARRIVE_T14, 2.5, 7.5, 0.8, g).density
         assert user.density.grid == g
-        assert user.density.values.tobytes() == built.values.tobytes()
+        assert (user.density.values.tobytes(), user.density.first) == (built.values.tobytes(), built.first)
 
 
 class TestBasicFactsFormat:
