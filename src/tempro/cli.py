@@ -17,6 +17,8 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Callable
+from itertools import chain
 
 from .core import SNAP_REL, GridError, TimeGrid, auto_mesh_factor
 from .theory import (
@@ -257,87 +259,20 @@ def cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
-class _CsvRows:
-    """The data rows of a projection CSV, less the header, with the file
-    line number of each.  Iterating parses them with ``csv.reader``."""
-
-    def __init__(self, lines: list[str], runs: list[tuple[int, int]], end: int) -> None:
-        # ``lines`` are the file's lines that are neither blank nor ``#``
-        # lines; the first is the header.  ``runs`` holds ``(index, file
-        # line)`` where each stretch of consecutive file lines begins, and
-        # ``end`` is the file's last line number.
-        self.header = next(csv.reader(lines[:1]), None)
-        self._kept = len(lines)
-        self._runs = runs
-        self._end = end
-        del lines[:1]
-        self._rows = lines
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self):
-        return csv.reader(self._rows)
-
-    def line_of(self, row: int) -> int:
-        """File line number of data row ``row`` (1-based; 0 is the header)."""
-        if row < self._kept:
-            for index, line in reversed(self._runs):
-                if index <= row:
-                    return line + row - index
-        return self._end
-
-    def column(self, name: str) -> int:
-        """Index of the header column ``name``."""
-        if self.header is None:
-            raise ParseError("projection CSV has no header line", 1, 1)
-        try:
-            return self.header.index(name)
-        except ValueError:
-            raise ParseError(
-                f"projection CSV header lacks the {name!r} column", self.line_of(0), 1
-            ) from None
-
-
-def _load_projection_csv(path: str) -> tuple[dict[str, tuple[str, int]], _CsvRows]:
-    """The ``# key=value`` metadata, as ``key: (value, file line)``, and the
-    data rows of a projection CSV, read in one pass."""
-    metadata: dict[str, tuple[str, int]] = {}
-    lines: list[str] = []
-    runs: list[tuple[int, int]] = []
-    after = 0  # the file line just after the last line kept
-    lineno = 0
-    with open(path, "r") as handle:
-        try:
-            for lineno, line in enumerate(handle, 1):
-                if line[0] == "#":
-                    key, eq, value = line[1:].partition("=")
-                    if eq:
-                        metadata[key.strip()] = (value.strip(), lineno)
-                elif not line.isspace():
-                    if lineno != after:
-                        runs.append((len(lines), lineno))
-                    lines.append(line)
-                    after = lineno + 1
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from None
-    return metadata, _CsvRows(lines, runs, lineno)
-
-
 # The metadata keys that give a projection CSV's grid, as the file writes
 # them, with how each value is read and what ``TimeGrid`` requires of it.
-_GRID_KEYS = (
-    ("origin", float, math.isfinite, "a finite number"),
-    ("mesh", float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
-    ("cells", int, lambda v: v >= 1, "an integer >= 1"),
-)
+_GRID_KEYS = {
+    "origin": (float, math.isfinite, "a finite number"),
+    "mesh": (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    "cells": (int, lambda v: v >= 1, "an integer >= 1"),
+}
 
 
 def _metadata_grid(metadata: dict[str, tuple[str, int]]) -> TimeGrid:
     """The grid that a projection CSV's metadata gives.  A missing key and a
     bad value are parse errors that name the key, a bad value at its line."""
     values = []
-    for key, read, valid, wanted in _GRID_KEYS:
+    for key, (read, valid, wanted) in _GRID_KEYS.items():
         if key not in metadata:
             raise ParseError(f"projection CSV has no grid metadata line '# {key}=...'", 1, 1)
         text, line = metadata[key]
@@ -351,55 +286,113 @@ def _metadata_grid(metadata: dict[str, tuple[str, int]]) -> TimeGrid:
     return TimeGrid(*values)
 
 
-def _masses_at(rows: _CsvRows, pattern: Pattern, cell: int) -> dict[str, list[float]]:
-    """The mass values at ``cell`` of every type matching ``pattern``, by
-    type text in row order.  A type with a mass row at any cell is listed,
-    with no values where it has no row at ``cell``, which reads as mass 0.
-    Each distinct cell and type text is parsed once."""
-    kind_at, cell_at, type_at, value_at = (
-        rows.column(name) for name in ("kind", "cell", "type", "value")
-    )
+def _load_projection_csv(
+    path: str, locate: Callable[[TimeGrid], tuple[Pattern, int]]
+) -> tuple[TimeGrid, dict[str, list[float]]]:
+    """Read the projection CSV at ``path`` once, line by line: its grid, and
+    the mass values at the queried cell of every type that matches, by type
+    text in row order.
+
+    At the first data row, or at the end of a file that has none, the grid
+    is built from the ``# origin=``, ``# mesh=`` and ``# cells=`` lines read
+    so far, and ``locate(grid)`` gives the pattern and the cell to read.
+    Such a line after the first data row is a parse error at its line.  A
+    type with a mass row at any cell is listed, with no values where it has
+    no row at the cell, which reads as mass 0.  Only those lines and values
+    are kept; each distinct cell and type text is parsed once.
+    """
+    grid_lines: dict[str, tuple[str, int]] = {}
+    at = 0  # the file line of the last line handed to the CSV reader
+
+    def kept(handle):
+        """The lines that are neither blank nor ``#`` lines; the first is the header."""
+        nonlocal at
+        data = -1  # data rows yielded so far (the header is not one)
+        for lineno, line in enumerate(handle, 1):
+            if not line.isascii():
+                try:  # an undecodable byte reads as a lone surrogate, whose byte fails again
+                    line.encode(handle.encoding, "surrogateescape").decode(handle.encoding)
+                except UnicodeDecodeError as exc:
+                    raise _undecodable(path, exc) from None
+            if line[0] == "#":
+                key, eq, value = line[1:].partition("=")
+                key = key.strip()
+                if eq and key in _GRID_KEYS:
+                    if data > 0:
+                        raise ParseError(
+                            f"grid metadata line '# {key}=...' after the first data row", lineno, 1
+                        )
+                    grid_lines[key] = (value.strip(), lineno)
+            elif not line.isspace():
+                at = lineno
+                data += 1
+                yield line
+
     at_cell: dict[str, bool] = {}
     matches: dict[str, bool] = {}
     masses: dict[str, list[float]] = {}
-    reader = iter(rows)
-    try:
-        for row in reader:
-            if row[kind_at] != "mass":
-                continue
-            cell_text = row[cell_at]
-            in_cell = at_cell.get(cell_text)
-            if in_cell is None:
-                in_cell = at_cell[cell_text] = int(cell_text) == cell
-            type_text = row[type_at]
-            matched = matches.get(type_text)
-            if matched is None:
-                ground = parse_pattern_text(type_text)
-                matched = matches[type_text] = unify(pattern, ground) is not None
-                if matched:
-                    masses[type_text] = []
-            if matched and in_cell:
-                masses[type_text].append(float(row[value_at]))
-    except ParseError:
-        raise
-    except (IndexError, ValueError, csv.Error) as exc:
-        problem = "too few fields" if isinstance(exc, IndexError) else str(exc)
-        raise ParseError(
-            f"bad projection CSV row: {problem}", rows.line_of(reader.line_num), 1
-        ) from None
-    return masses
+    with open(path, "r", errors="surrogateescape") as handle:
+        lines = kept(handle)
+        try:
+            header = next(lines, None)
+            names = next(csv.reader((header,))) if header else None
+            header_at = at
+            first = next(lines, None)
+            grid = _metadata_grid(grid_lines)
+            pattern, cell = locate(grid)
+            if names is None:
+                raise ParseError("projection CSV has no header line", 1, 1)
+            columns = []
+            for name in ("kind", "cell", "type", "value"):
+                if name not in names:
+                    raise ParseError(
+                        f"projection CSV header lacks the {name!r} column", header_at, 1
+                    )
+                columns.append(names.index(name))
+            kind_at, cell_at, type_at, value_at = columns
+            for row in csv.reader(chain((first,), lines)) if first else ():
+                if row[kind_at] != "mass":
+                    continue
+                cell_text = row[cell_at]
+                in_cell = at_cell.get(cell_text)
+                if in_cell is None:
+                    in_cell = at_cell[cell_text] = int(cell_text) == cell
+                type_text = row[type_at]
+                matched = matches.get(type_text)
+                if matched is None:
+                    try:
+                        ground = parse_pattern_text(type_text)
+                    except ParseError as exc:  # placed in the type text, not in the file
+                        raise ValueError(exc.message) from None
+                    matched = matches[type_text] = unify(pattern, ground) is not None
+                    if matched:
+                        masses[type_text] = []
+                if matched and in_cell:
+                    masses[type_text].append(float(row[value_at]))
+        except ParseError:
+            raise
+        except (IndexError, ValueError, csv.Error) as exc:
+            problem = "too few fields" if isinstance(exc, IndexError) else str(exc)
+            raise ParseError(f"bad projection CSV row: {problem}", at, 1) from None
+    return grid, masses
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    metadata, rows = _load_projection_csv(args.csv)
-    grid = _metadata_grid(metadata)
-    if not (grid.origin <= args.time < grid.end):
-        raise _UsageError(
-            f"time {args.time} outside the horizon [{grid.origin}, {grid.end})"
-        )
-    cell = grid.time_to_cell(args.time)
-    pattern = parse_pattern_text(args.fact)
-    masses = _masses_at(rows, pattern, cell)
+    pattern = None
+
+    def locate(grid: TimeGrid) -> tuple[Pattern, int]:
+        """Check ``--time`` against ``grid``'s horizon by the cell it snaps
+        to, then parse ``--fact``."""
+        nonlocal pattern
+        cell = 0 if math.isnan(args.time) else grid.time_to_cell(args.time)
+        if not grid.contains_cell(cell):
+            raise _UsageError(
+                f"time {args.time} outside the horizon [{grid.origin}, {grid.end})"
+            )
+        pattern = parse_pattern_text(args.fact)
+        return pattern, cell
+
+    _, masses = _load_projection_csv(args.csv, locate)
     if not masses:
         print(f"warning: no fact matching {pattern} in {args.csv}", file=sys.stderr)
         if pattern.is_ground:

@@ -172,6 +172,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

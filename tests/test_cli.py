@@ -9,10 +9,13 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from tempro import (
@@ -35,7 +38,7 @@ from tempro import (
     unify,
 )
 from tempro import cli
-from tempro.cli import _load_projection_csv, _write_projection_csv, main
+from tempro.cli import _write_projection_csv, main
 
 
 def _run(capsys, *argv):
@@ -353,6 +356,53 @@ class TestQuery:
         assert code == 1
         assert "horizon" in err
 
+    @pytest.mark.parametrize(
+        "time,code,out",
+        [
+            ("0", 0, "0.5\n"),
+            ("2.5", 0, "0.5\n"),
+            ("-1e-12", 0, "0.5\n"),  # snaps onto the origin, in cell 1
+            ("2.9999999999", 1, ""),  # snaps onto the end, past cell 3
+            ("3", 1, ""),
+            ("-0.5", 1, ""),
+            ("nan", 1, ""),
+        ],
+    )
+    def test_horizon_is_decided_by_the_snapped_cell(self, tmp_path, capsys, time, code, out):
+        path = tmp_path / "hand.csv"
+        path.write_text(
+            "# origin=0\n# mesh=1\n# cells=3\ntoken_id,type,kind,cell,time,value\n"
+            + "".join(f"0,F(X),mass,{cell},{cell - 1},0.5\n" for cell in (1, 2, 3))
+        )
+        got = _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", f"--time={time}")
+        outside = f"error: time {float(time)} outside the horizon [0.0, 3.0)\n"
+        assert got == (code, out, outside if code else "")
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path, capsys):
+        # The same types and cells with ten times the tokens: a ground query
+        # keeps the grid and the masses of one type at one cell, not the rows.
+        def peak(tokens):
+            path = tmp_path / f"{tokens}.csv"
+            with open(path, "w") as handle:
+                handle.write(
+                    "# origin=0\n# mesh=1\n# cells=20\ntoken_id,type,kind,cell,time,value\n"
+                )
+                for tid in range(tokens):
+                    head = f"{tid},F(T{tid % 10}),mass,"
+                    handle.write("".join(f"{head}{c},{c - 1},0.25\n" for c in range(1, 21)))
+            argv = ["query", "--csv", str(path), "--fact", "F(T3)", "--time", "7"]
+            main(argv)  # warm: imports, argparse and the pattern caches
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(300), peak(3000)
+        capsys.readouterr()
+        assert large - small < 64 * 1024, (small, large)
+
     def test_malformed_pattern(self, dock_csv, capsys):
         code, _, _ = _run(
             capsys, "query", "--csv", str(dock_csv),
@@ -464,6 +514,55 @@ def _yard_store(seed, grid, epsilon=1e-3, count=12):
 # Names and arguments the parsers reject but a Pattern holds: CSV and
 # %-format specials, line breaks, and the empty text.
 _LIBRARY_TEXT = st.text(st.sampled_from(['%', '"', ',', '\n', '\r', 'A', '(', ' ', 'é']), max_size=5)
+
+
+_COLUMNS = ["token_id", "type", "kind", "cell", "time", "value"]
+_HAND_TYPES = ["F(X)", "F(Y)", "F(A,B)", "G(X)", "H"]
+_HAND_FACTS = ["F(X)", "F(A,B)", "H", "G(Z)", "F(?x)", "F(?x,?y)", "F(A,?y)", "G(?x)", "H(?x)"]
+
+
+@st.composite
+def _hand_csv(draw):
+    """A projection CSV laid out by hand, and a time near one of its cells.
+
+    The grid lines come first in any order; the columns are permuted, the
+    rows shuffled, some tokens given a zero row at every unwritten cell (the
+    dense form), some rows written with every field quoted, and comments
+    and blank lines put between the rows."""
+    grid = TimeGrid(
+        draw(st.sampled_from([0.0, -2.5, 10.0])),
+        draw(st.sampled_from([1.0, 0.5, 0.25])),
+        draw(st.integers(1, 5)),
+    )
+    rows = []
+    for tid in range(draw(st.integers(0, 6))):
+        token_type = draw(st.sampled_from(_HAND_TYPES))
+        kind = draw(st.sampled_from(["mass", "mass", "density"]))
+        written = draw(st.sets(st.integers(1, grid.omega), min_size=1))
+        dense = draw(st.booleans())
+        for cell in range(1, grid.omega + 1):
+            if cell in written or dense:
+                value = draw(st.sampled_from(["0", "-0", "0.5", "0.25", "1", "1e-20", "0.3"]))
+                rows.append([tid, token_type, kind, cell, _fmt(grid.cell_start(cell)),
+                             value if cell in written else "0"])
+    metadata = [("origin", _fmt(grid.origin)), ("mesh", _fmt(grid.delta)),
+                ("cells", grid.omega), ("generator", "hand")]
+    out = io.StringIO()
+    out.writelines(f"# {key}={value}\n" for key, value in draw(st.permutations(metadata)))
+    columns = draw(st.permutations(_COLUMNS))
+    csv.writer(out, lineterminator="\n").writerow(columns)
+    for row in draw(st.permutations(rows)):
+        out.write(draw(st.sampled_from(["", "", "\n", "# remark\n", "# note=1\n", "#\n"])))
+        quoting = csv.QUOTE_ALL if draw(st.booleans()) else csv.QUOTE_MINIMAL
+        csv.writer(out, lineterminator="\n", quoting=quoting).writerow(
+            [row[_COLUMNS.index(c)] for c in columns]
+        )
+    cell = draw(st.integers(1, grid.omega))
+    # a time just below a cell's start snaps onto it, so -1e-12 reads ``cell``
+    # and 1 - 1e-12 the cell after it
+    offset = draw(st.sampled_from([0.0, 0.5, 0.75, -1e-12, 1 - 1e-12]))
+    time = grid.cell_start(cell) + offset * grid.delta
+    return out.getvalue(), time
 
 
 class TestCsvOracles:
@@ -679,16 +778,36 @@ class TestCsvOracles:
         code, got, _ = _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", "--time", "0")
         assert float(got) == pytest.approx(1 - 0.75 * 0.5)
 
-    def test_rows_exclude_header_and_comment_lines(self, tmp_path):
+    @given(_hand_csv())
+    def test_hand_laid_out_csv_matches_dict_reader_scan(self, case):
+        text, time = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "hand.csv")
+            with open(path, "w") as handle:
+                handle.write(text)
+            metadata, _ = _read_csv(path)
+            grid = TimeGrid(
+                float(metadata["origin"]), float(metadata["mesh"]), int(metadata["cells"])
+            )
+            assume(grid.contains_cell(grid.time_to_cell(time)))
+            for fact in _HAND_FACTS:
+                with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+                    code = main(["query", "--csv", path, "--fact", fact, f"--time={time!r}"])
+                assert (code, out.getvalue()) == (0, _oracle_query(path, fact, time)), fact
+
+    def test_rows_exclude_header_and_comment_lines(self, tmp_path, capsys):
+        # Grid lines before and after the header and a blank line between
+        # the rows: the two data rows are read, each at its own cell.
         path = tmp_path / "hand.csv"
         path.write_text(
-            "# origin=0\ntoken_id,type,kind,cell,time,value\n# mesh=1\n"
+            "# origin=0\ntoken_id,type,kind,cell,time,value\n# mesh=1\n# cells=2\n"
             "0,F(X),mass,1,0,0.5\n\n0,F(X),mass,2,1,0.25\n"
         )
-        metadata, rows = _load_projection_csv(str(path))
-        assert metadata == {"origin": ("0", 1), "mesh": ("1", 3)}
-        assert len(rows) == 2
-        assert [row[-1] for row in rows] == ["0.5", "0.25"]
+        got = [
+            _run(capsys, "query", "--csv", str(path), "--fact", "F(?x)", "--time", time)
+            for time in ("0", "1")
+        ]
+        assert got == [(0, "F(X) 0.5\n", ""), (0, "F(X) 0.25\n", "")]
 
 
 class TestBadInput:
@@ -742,6 +861,8 @@ class TestBadInput:
             ("1,F(X)", "too few fields"),
             ("1,F(X),mass,1,0,high", "could not convert string to float: 'high'"),
             ("1,F(X),mass,one,0,0.5", "invalid literal for int() with base 10: 'one'"),
+            ("1,f(x),mass,1,0,0.5", "pattern name 'f' must be upper-case"),
+            ('1,"F(X)\nG(Y)",mass,1,0,0.5', "expected a single pattern"),
         ],
     )
     def test_bad_row_is_parse_error_at_its_line(self, tmp_path, capsys, row, problem):
@@ -750,19 +871,61 @@ class TestBadInput:
             "# origin=0\n# mesh=1\n# cells=2\n"
             f"token_id,type,kind,cell,time,value\n0,F(X),mass,1,0,0.5\n# note\n{row}\n",
         )
+        line = 7 + row.count("\n")  # the line on which the row ends
         assert code == 2
-        assert err == f"error: line 7, column 1: bad projection CSV row: {problem}\n"
+        assert err == f"error: line {line}, column 1: bad projection CSV row: {problem}\n"
 
-    def test_field_over_the_csv_module_limit_is_parse_error_at_its_line(self, tmp_path, capsys):
-        limit = csv.field_size_limit()
-        code, _, err = self._query(
-            capsys, tmp_path,
-            "# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\n"
-            f"0,F(X),mass,1,0,0.5\n\n1,F(X),mass,1,0,{'9' * (limit + 1)}\n",
+    @pytest.mark.parametrize(
+        "tail,message",
+        [
+            ("1,F(X),mass,1,0,high\n# caf\xe9 \udcff\n",
+             "line 5, column 1: bad projection CSV row: "
+             "could not convert string to float: 'high'"),
+            ("# caf\xe9 \udcff\n1,F(X),mass,1,0,high\n",
+             "line 5, column 8: {path} is not utf-8 text: byte 0xff, invalid start byte"),
+        ],
+        ids=["row-first", "byte-first"],
+    )
+    def test_first_fault_in_the_file_is_reported(self, tmp_path, capsys, tail, message):
+        # The file is read once, so of a bad row and an undecodable byte the
+        # one on the earlier line is reported.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(
+            ("# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\n" + tail)
+            .encode("utf-8", "surrogateescape")
         )
+        got = _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", "--time", "0")
+        assert got == (2, "", f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("key", ["origin", "mesh", "cells"])
+    def test_grid_line_after_the_first_data_row_is_parse_error_at_its_line(
+        self, tmp_path, capsys, key
+    ):
+        code, out, err = self._query(
+            capsys, tmp_path,
+            "# origin=0\n# mesh=1\ntoken_id,type,kind,cell,time,value\n# cells=2\n"
+            f"0,F(X),mass,1,0,0.5\n# note=1\n# {key} = 3\n0,F(X),mass,2,1,0.5\n",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line 7, column 1: grid metadata line '# {key}=...' after the first data row\n"
+        )
+
+    @pytest.mark.parametrize("line", [4, 7], ids=["header", "row"])
+    def test_field_over_the_csv_module_limit_is_parse_error_at_its_line(
+        self, tmp_path, capsys, line
+    ):
+        limit = csv.field_size_limit()
+        lines = [
+            "# origin=0", "# mesh=1", "# cells=2", "token_id,type,kind,cell,time,value",
+            "0,F(X),mass,1,0,0.5", "", "1,F(X),mass,1,0,0.5",
+        ]
+        lines[line - 1] += "," + "9" * (limit + 1)
+        code, _, err = self._query(capsys, tmp_path, "\n".join(lines) + "\n")
         assert code == 2
         assert err == (
-            f"error: line 7, column 1: bad projection CSV row: field larger than field limit ({limit})\n"
+            f"error: line {line}, column 1: bad projection CSV row: "
+            f"field larger than field limit ({limit})\n"
         )
 
     def test_window_outside_horizon_is_parse_error_at_its_line(self, tmp_path, data_dir, capsys):
