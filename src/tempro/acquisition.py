@@ -27,11 +27,22 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .theory import Pattern, parse_ground_pattern, parse_pattern, statements, unify
+from .theory import (
+    Pattern,
+    TokenCursor,
+    line_cursor,
+    parse_ground_pattern,
+    parse_pattern,
+    split_lines,
+    statements,
+    unify,
+)
 
 FAMILIES = ("linear", "exponential")
 
@@ -174,29 +185,62 @@ def save_state_file(store: AcquisitionStore, path: str) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     key: Pattern
     arrival: float
     departure: float
     line: int
 
 
+_NAME = r"[A-Z][A-Z0-9_]*"
+_NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+# The layout ``simulate`` writes: a ground key without blanks, numbers in
+# ASCII digits, spaces or tabs between the fields, and no comment.  Each
+# group is a whole token of the statement reader, so a line it matches reads
+# to the same key and numbers there.
+_OBSERVE_RE = re.compile(
+    rf"[ \t]*observe[ \t]+({_NAME})(?:\(({_NAME}(?:,{_NAME})*)\))?"
+    rf"[ \t]+arrival[ \t]+({_NUMBER})[ \t]+departure[ \t]+({_NUMBER})[ \t]*"
+)
+
+
 def parse_observations(text: str) -> list[Observation]:
     """Parse completed-stay observations, one per line::
 
         observe TRUCK(ACME) arrival 0 departure 12.5
+
+    A line in the layout of ``_OBSERVE_RE`` whose stay is valid is read
+    from the regex match alone.  Every other line, such as one with a
+    comment or a fault, goes to the statement reader, :func:`_observation`,
+    which reads it or raises its positioned error.
     """
     out: list[Observation] = []
-    for cur in statements(text):
-        cur.take("observe")
-        key = parse_ground_pattern(cur, "observation key")
-        cur.take("arrival")
-        arrival = cur.take_number("an arrival time")
-        cur.take("departure")
-        departure = cur.take_number("a departure time")
-        if not (math.isfinite(arrival) and math.isfinite(departure)) or departure < arrival:
-            raise cur.error(f"invalid stay [{arrival}, {departure}]", back=1)
-        cur.expect_end()
-        out.append(Observation(key, arrival, departure, cur.lineno))
+    fast = _OBSERVE_RE.fullmatch
+    for lineno, line in enumerate(split_lines(text), start=1):
+        match = fast(line)
+        if match is not None:
+            name, args, arrival, departure = match.groups()
+            arrival, departure = float(arrival), float(departure)
+            if -math.inf < arrival <= departure < math.inf:  # _observation's stay check
+                key = Pattern(name, tuple(args.split(",")) if args else ())
+                out.append(Observation(key, arrival, departure, lineno))
+                continue
+        cur = line_cursor(line, lineno)
+        if cur is not None:
+            out.append(_observation(cur))
     return out
+
+
+def _observation(cur: TokenCursor) -> Observation:
+    """The observation on ``cur``'s line, read token by token, or the
+    :class:`ParseError` of its leftmost fault."""
+    cur.take("observe")
+    key = parse_ground_pattern(cur, "observation key")
+    cur.take("arrival")
+    arrival = cur.take_number("an arrival time")
+    cur.take("departure")
+    departure = cur.take_number("a departure time")
+    if not (math.isfinite(arrival) and math.isfinite(departure)) or departure < arrival:
+        raise cur.error(f"invalid stay [{arrival}, {departure}]", back=1)
+    cur.expect_end()
+    return Observation(key, arrival, departure, cur.lineno)

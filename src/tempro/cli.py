@@ -260,11 +260,12 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 # The metadata keys that give a projection CSV's grid, as the file writes
-# them, with how each value is read and what ``TimeGrid`` requires of it.
+# them, with how each value is read, what ``TimeGrid`` requires of it and the
+# largest value accepted: a grid has at most the cells ``project`` writes.
 _GRID_KEYS = {
-    "origin": (float, math.isfinite, "a finite number"),
-    "mesh": (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
-    "cells": (int, lambda v: v >= 1, "an integer >= 1"),
+    "origin": (float, math.isfinite, "a finite number", math.inf),
+    "mesh": (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0", math.inf),
+    "cells": (int, lambda v: v >= 1, "an integer >= 1", MAX_CELLS),
 }
 
 
@@ -272,7 +273,7 @@ def _metadata_grid(metadata: dict[str, tuple[str, int]]) -> TimeGrid:
     """The grid that a projection CSV's metadata gives.  A missing key and a
     bad value are parse errors that name the key, a bad value at its line."""
     values = []
-    for key, (read, valid, wanted) in _GRID_KEYS.items():
+    for key, (read, valid, wanted, most) in _GRID_KEYS.items():
         if key not in metadata:
             raise ParseError(f"projection CSV has no grid metadata line '# {key}=...'", 1, 1)
         text, line = metadata[key]
@@ -282,6 +283,8 @@ def _metadata_grid(metadata: dict[str, tuple[str, int]]) -> TimeGrid:
             value = None
         if value is None or not valid(value):
             raise ParseError(f"grid metadata {key} must be {wanted}, got {text!r}", line, 1)
+        if value > most:
+            raise ParseError(f"grid metadata {key} must be at most {most}, got {text!r}", line, 1)
         values.append(value)
     return TimeGrid(*values)
 

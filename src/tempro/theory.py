@@ -230,20 +230,28 @@ def statements(text: str) -> Iterator["TokenCursor"]:
 
     This is the line loop of every format: ``#`` starts a comment that runs
     to the end of the line, and blank or comment-only lines yield nothing.
-    A character that starts no token is reported before the line is read.
     """
     for lineno, line in enumerate(split_lines(text), start=1):
-        texts = _TOKEN_RE.findall(line)
-        if texts and texts[-1][0] == "#":
-            texts.pop()
-        if not texts:
-            continue
-        cur = TokenCursor(texts, lineno, line)
-        for tok in texts:
-            if len(tok) == 1 and tok not in _SINGLES and not tok.isdecimal():
-                col = cur.col(texts.index(tok))  # this is the first time ``tok`` occurs
-                raise ParseError(f"unexpected character {tok!r}", lineno, col)
-        yield cur
+        cur = line_cursor(line, lineno)
+        if cur is not None:
+            yield cur
+
+
+def line_cursor(line: str, lineno: int) -> "TokenCursor | None":
+    """A cursor over the tokens of ``line``, file line ``lineno``, or None
+    when it holds only blanks and a comment.  A character that starts no
+    token is reported before the line is read."""
+    texts = _TOKEN_RE.findall(line)
+    if texts and texts[-1][0] == "#":
+        texts.pop()
+    if not texts:
+        return None
+    cur = TokenCursor(texts, lineno, line)
+    for tok in texts:
+        if len(tok) == 1 and tok not in _SINGLES and not tok.isdecimal():
+            col = cur.col(texts.index(tok))  # this is the first time ``tok`` occurs
+            raise ParseError(f"unexpected character {tok!r}", lineno, col)
+    return cur
 
 
 class TokenCursor:

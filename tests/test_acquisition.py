@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempro import (
@@ -14,12 +15,16 @@ from tempro import (
     ParseError,
     Pattern,
     UnknownClassError,
+    generate,
     load_state,
     parse_observations,
+    parse_scenario,
     rate,
     save_state,
     save_state_file,
 )
+from tempro.acquisition import _OBSERVE_RE, _observation
+from tempro.theory import statements
 
 TRUCK = Pattern("TRUCKAT", ("?d",))
 
@@ -272,3 +277,99 @@ class TestObservationFormat:
 
     def test_blank_and_comment_lines(self):
         assert parse_observations("# nothing yet\n\n") == []
+
+
+def _cursor_observations(text):
+    """The observations of ``text`` read by the statement reader alone."""
+    return [_observation(cur) for cur in statements(text)]
+
+
+def _outcome(read, text):
+    """What ``read`` makes of ``text``: each observation with its times as
+    bits, or the message, line and column of its error."""
+    try:
+        return [
+            (obs.key, struct.pack("<dd", obs.arrival, obs.departure), obs.line)
+            for obs in read(text)
+        ]
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.col)
+
+
+_NUMBERS = st.one_of(
+    st.floats(0, 1e6).map(repr),
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from([
+        "1e999", "-1e999", "inf", "INF", "-inf", "nan", "\u0663", "1\u0663", ".5", "5.",
+        "+.5e-3", "1E5", "1e", "1e+", "-", "1_0", "0x10", "1.5.2", "-0", "-0.0", "1.e3",
+    ]),
+)
+_SEPARATOR = st.sampled_from(["  ", "\t", " \t ", "", "\x0c", "\u00a0", "#"])
+_WORD = st.sampled_from(["Observe", "observed", "arrive", "leave", "departure", "X"])
+# What may replace each field of a line in the layout ``simulate`` writes.
+_VARIANTS = [
+    st.sampled_from([" ", "\t", "\x0c"]),
+    _WORD, _SEPARATOR,
+    st.sampled_from([
+        "T", "T(A,B)", "A_1(B_2,C3)", "T(A, B)", "T( A)", "T (A)", "T()", "T(A,)", "T(A",
+        "T(?x)", "t(A)", "T(a)", "_T(A)", "T\u00c9(A)",
+    ]),
+    _SEPARATOR, _WORD, _SEPARATOR, _NUMBERS, _SEPARATOR, _WORD, _SEPARATOR, _NUMBERS,
+    st.sampled_from([" ", "\t", " # done", "#", " X", " 5", "\x0c"]),
+]
+
+
+@st.composite
+def _observation_lines(draw):
+    """A line in the layout ``simulate`` writes with up to three of its
+    fields replaced by a fault or a legal variation."""
+    arrival, departure = sorted(draw(st.lists(st.floats(0, 1e6), min_size=2, max_size=2)))
+    fields = ["", "observe", " ", "TRUCKAT(E1)", " ", "arrival", " ", repr(arrival), " ",
+              "departure", " ", repr(departure), ""]
+    for i in draw(st.lists(st.integers(0, len(fields) - 1), max_size=3)):
+        fields[i] = draw(_VARIANTS[i])
+    return "".join(fields)
+
+
+_TEXTS = st.builds(
+    lambda lines, end: end.join(lines) + end,
+    st.lists(_observation_lines() | st.sampled_from(["", "# note"]), min_size=1, max_size=4),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+
+
+class TestObservationFastPath:
+    """``parse_observations`` reads the layout ``simulate`` writes with one
+    regex match per line; the statement reader, which reads every other
+    line, is its oracle."""
+
+    @settings(max_examples=1000)  # each variant of a field is in few drawn lines
+    @given(_TEXTS)
+    @example("observe T(A) arrival -1e999 departure 0\n")
+    @example("observe T(A) arrival 0 departure 1e999\n")
+    @example("observe DOCKFREE arrival 0 departure 1\n")
+    @example("observe t(A) arrival 0 departure 1\n")
+    @example("observe T(A) arrival 0 departure 1 # done\n")
+    @example("observe\tT(A,B)\tarrival\t0\tdeparture\t1\t\n")
+    @example("observe T(A) arrival \u0663 departure 5\n")
+    @example("observe T(A) arrival 1departure 5\n")
+    @example("observe T(A) arrival0 departure 5\n")
+    @example("observe Tarrival 0 departure 5\n")
+    @example("observe T(A) arrival 1.5.2 departure 5\n")
+    @example("observe T(A) arrival 0 departure INF\n")
+    @example("observe T(A) arrival 0 departure 1\r\nobserve T(B) arrival 2 departure 3\r\n")
+    def test_same_observations_or_error_as_the_statement_reader(self, text):
+        assert _outcome(parse_observations, text) == _outcome(_cursor_observations, text)
+
+    def test_every_line_simulate_writes_takes_the_fast_path(self):
+        scenario = parse_scenario(
+            "scenario seed 3 class T(?x) exp 0.5 class U(?x) uniform 0 1e-300 "
+            "arrivals poisson 1e6 count 200 horizon 1e300\n"
+        )
+        text = generate(scenario).observations_text
+        lines = text.splitlines()
+        assert len(lines) == 200
+        assert all(_OBSERVE_RE.fullmatch(line) for line in lines)
+        assert _outcome(parse_observations, text) == _outcome(_cursor_observations, text)
+

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file formats, and exit codes."""
 from __future__ import annotations
 
+import collections.abc
 import csv
 import io
 import json
@@ -35,10 +36,13 @@ from tempro import (
     rate,
     refine,
     run_convergence,
+    save_state,
     unify,
 )
 from tempro import cli
+from tempro.acquisition import _observation
 from tempro.cli import _write_projection_csv, main
+from tempro.theory import statements
 
 
 def _run(capsys, *argv):
@@ -417,6 +421,31 @@ class TestQuery:
             capsys, "query", "--csv", str(bad), "--fact", "F(X)", "--time", "0",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "cells,code,err",
+        [
+            ("10000000", 1, "time -5.0 outside the horizon [0.0, 10000000.0)"),
+            ("10000001", 2, "line 3, column 1: grid metadata cells must be at most 10000000, "
+                            "got '10000001'"),
+            ("1" + "0" * 400, 2, "line 3, column 1: grid metadata cells must be at most "
+                                 f"10000000, got '1{'0' * 400}'"),
+        ],
+        ids=["max", "max-plus-one", "past-float-range"],
+    )
+    def test_grid_of_more_cells_than_project_writes_is_parse_error(
+        self, tmp_path, capsys, cells, code, err
+    ):
+        """``# cells=`` is bounded by ``MAX_CELLS``, the most cells ``project``
+        writes, so a value past float range ends with one line at its
+        metadata line, not with an ``OverflowError`` from the horizon check."""
+        path = tmp_path / "big.csv"
+        path.write_text(
+            f"# origin=0\n# mesh=1\n# cells={cells}\ntoken_id,type,kind,cell,time,value\n"
+            "1,F(X),mass,1,0,0.5\n"
+        )
+        got = _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", "--time=-5")
+        assert got == (code, "", f"error: {err}\n")
 
 
 def _oracle_csv(store, grid, metadata):
@@ -1283,6 +1312,49 @@ class TestAcquire:
         assert "SHIPAT" in err
         assert state.read_text() == original
 
+    def test_parse_error_on_a_later_line_beats_an_unknown_class(self, tmp_path, capsys):
+        """Every line is parsed before any stay is folded, so a parse error
+        is reported even when an earlier line's key matches no class."""
+        state = tmp_path / "trucks.state"
+        original = "class TRUCKAT(?d) exponential insts 0 sum 0.0 lambda inf\n"
+        state.write_text(original)
+        obs = tmp_path / "obs.txt"
+        obs.write_text(
+            "observe SHIPAT(PIER1) arrival 0 departure 4\n"
+            "observe TRUCKAT(DOCK1) arrival 10 departure 5\n"
+        )
+        got = _run(capsys, "acquire", "--state", str(state), "--observations", str(obs))
+        assert got == (2, "", "error: line 2, column 45: invalid stay [10.0, 5.0]\n")
+        assert state.read_text() == original
+
+    def test_two_classes_fold_as_the_statement_reader_reads(self, tmp_path, capsys):
+        """``acquire`` on a simulated fleet of two round-robin classes writes
+        the state that folding the statement reader's observations gives."""
+        scenario = tmp_path / "two.scenario"
+        scenario.write_text(
+            "scenario seed 11 class TRUCKAT(?d) exp 0.1 class SHIPAT(?p) uniform 2 30 "
+            "arrivals poisson 0.5 count 400 horizon 1e9\n"
+        )
+        _run(capsys, "simulate", "--scenario", str(scenario), "--outdir", str(tmp_path / "sim"))
+        text = (tmp_path / "sim" / "observations.txt").read_text()
+        initial = (
+            "class TRUCKAT(?d) exponential insts 0 sum 0.0 lambda inf\n"
+            "class SHIPAT(?p) linear insts 2 sum 7.5 lambda 0.06666666666666667\n"
+        )
+        store = load_state(initial)
+        for cur in statements(text):
+            obs = _observation(cur)
+            store.observe(obs.key, obs.departure - obs.arrival)
+        assert [cls.insts for cls in store.classes] == [200, 202]
+        state = tmp_path / "two.state"
+        state.write_text(initial)
+        got = _run(
+            capsys, "acquire", "--state", str(state),
+            "--observations", str(tmp_path / "sim" / "observations.txt"),
+        )
+        assert got == (0, "folded 400 observations into 2 classes\n", "")
+        assert state.read_text() == save_state(store)
+
     @pytest.mark.parametrize("departure,code", [("10", 0), ("inf", 2)], ids=["folded", "refused"])
     def test_keeps_the_state_file_mode(self, tmp_path, capsys, data_dir, departure, code):
         state = tmp_path / "trucks.state"
@@ -1318,6 +1390,45 @@ class TestAcquire:
         (cls,) = load_state(state.read_text()).classes
         assert cls.insts == len(lines) == 10000
         assert cls.total == total
+
+
+class TestTracedAcquireEntryPoint:
+    """What ``bench/traced.py`` relies on in ``acquire``: it wraps
+    ``cli.parse_observations`` by name and counts the observations with
+    ``len()`` of what the wrapped call returns."""
+
+    def test_parse_observations_is_a_layer_name(self):
+        assert cli._LAYERS["parse_observations"] == "acquisition"
+
+    def test_returns_a_sized_sequence_of_one_entry_per_observation_line(self):
+        text = (
+            "# stays\n\nobserve T(A) arrival 0 departure 1\n"
+            "observe T(B) arrival 1 departure 1 # same time\n"
+            "\x0cobserve T(C) arrival 2 departure 3\n"
+        )
+        result = cli.parse_observations(text)
+        assert isinstance(result, collections.abc.Sequence)
+        assert len(result) == 3
+
+    def test_acquire_calls_it_through_the_cli_namespace(
+        self, tmp_path, capsys, data_dir, monkeypatch
+    ):
+        parse, results = cli.parse_observations, []
+
+        def recorded(text):
+            results.append(parse(text))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "parse_observations", recorded)
+        state = tmp_path / "t.state"
+        state.write_text((data_dir / "trucks.state").read_text())
+        obs = tmp_path / "obs.txt"
+        obs.write_text(
+            "observe TRUCKAT(A) arrival 0 departure 1\nobserve TRUCKAT(B) arrival 0 departure 2\n"
+        )
+        got = _run(capsys, "acquire", "--state", str(state), "--observations", str(obs))
+        assert got == (0, "folded 2 observations into 1 classes\n", "")
+        assert [len(result) for result in results] == [2]
 
 
 class TestAcquireThroughSymlink:

@@ -246,6 +246,9 @@ _HEADER = "token_id,type,kind,cell,time,value\n"
                      "grid metadata origin must be a finite number, got 'inf'", 2, id="origin-inf"),
         pytest.param("# origin=0\n# mesh=1\n# cells=0\n",
                      "grid metadata cells must be an integer >= 1, got '0'", 3, id="cells-zero"),
+        pytest.param("# origin=0\n# mesh=1\n# cells=10000001\n",
+                     "grid metadata cells must be at most 10000000, got '10000001'", 3,
+                     id="cells-above-max"),
         pytest.param("# origin=0\n# cells=10\n",
                      "projection CSV has no grid metadata line '# mesh=...'", 1, id="mesh-missing"),
         pytest.param("# mesh=1\n# cells=10\n",
