@@ -30,9 +30,9 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
+from . import _Record
 from .theory import (
     Pattern,
     TokenCursor,
@@ -63,22 +63,22 @@ def rate(family: str, mu: float) -> float:
     return math.log(2) / mu
 
 
-@dataclass
-class AcquisitionClass:
+class AcquisitionClass(_Record):
     """Running lifetime statistics for one tracked fact-type pattern.
 
     ``total`` is kept as the exact running sum so saved state reloads
     bit-identically; the decay parameter is always derived from it.
     """
 
-    key: Pattern
-    family: str
-    insts: int = 0
-    total: float = 0.0
+    __slots__ = ("key", "family", "insts", "total")
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown survivor family {self.family!r}")
+    def __init__(self, key: Pattern, family: str, insts: int = 0, total: float = 0.0) -> None:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown survivor family {family!r}")
+        self.key = key
+        self.family = family
+        self.insts = insts
+        self.total = total
 
     @property
     def mean(self) -> float:
@@ -185,11 +185,7 @@ def save_state_file(store: AcquisitionStore, path: str) -> None:
         raise
 
 
-class Observation(NamedTuple):
-    key: Pattern
-    arrival: float
-    departure: float
-    line: int
+Observation = namedtuple("Observation", "key arrival departure line")
 
 
 _NAME = r"[A-Z][A-Z0-9_]*"

@@ -301,8 +301,9 @@ def _load_projection_csv(
     so far, and ``locate(grid)`` gives the pattern and the cell to read.
     Such a line after the first data row is a parse error at its line.  A
     type with a mass row at any cell is listed, with no values where it has
-    no row at the cell, which reads as mass 0.  Only those lines and values
-    are kept; each distinct cell and type text is parsed once.
+    no row at the cell, which reads as mass 0.  Each value kept must be a
+    number in [0, 1]; anything else is a bad row.  Only those lines and
+    values are kept; each distinct cell and type text is parsed once.
     """
     grid_lines: dict[str, tuple[str, int]] = {}
     at = 0  # the file line of the last line handed to the CSV reader
@@ -371,7 +372,10 @@ def _load_projection_csv(
                     if matched:
                         masses[type_text] = []
                 if matched and in_cell:
-                    masses[type_text].append(float(row[value_at]))
+                    mass = float(row[value_at])
+                    if not 0.0 <= mass <= 1.0:  # also refuses nan
+                        raise ValueError(f"mass must be a number in [0, 1], got {row[value_at]!r}")
+                    masses[type_text].append(mass)
         except ParseError:
             raise
         except (IndexError, ValueError, csv.Error) as exc:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+
+from . import _FrozenRecord, _Record
 
 # Relative tolerance for taking a float ratio as a whole number of cells: a
 # time on a cell boundary snaps onto it, so that e.g. 0.3 / 0.1 lands in the
@@ -23,8 +24,7 @@ class GridError(ValueError):
     """Invalid grid construction or an operation across mismatched grids."""
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(_FrozenRecord):
     """Uniform discretization of the projection window.
 
     origin: left edge of cell 1 (abstract time units).
@@ -32,17 +32,18 @@ class TimeGrid:
     omega:  number of cells, at least 1.
     """
 
-    origin: float
-    delta: float
-    omega: int
+    __slots__ = ("origin", "delta", "omega")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise GridError(f"delta must be finite and > 0, got {self.delta!r}")
-        if not (isinstance(self.omega, int) and self.omega >= 1):
-            raise GridError(f"omega must be an integer >= 1, got {self.omega!r}")
-        if not math.isfinite(self.origin):
-            raise GridError(f"origin must be finite, got {self.origin!r}")
+    def __init__(self, origin: float, delta: float, omega: int) -> None:
+        if not (math.isfinite(delta) and delta > 0):
+            raise GridError(f"delta must be finite and > 0, got {delta!r}")
+        if not (isinstance(omega, int) and omega >= 1):
+            raise GridError(f"omega must be an integer >= 1, got {omega!r}")
+        if not math.isfinite(origin):
+            raise GridError(f"origin must be finite, got {origin!r}")
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "omega", omega)
 
     @property
     def end(self) -> float:
@@ -80,8 +81,7 @@ class TimeGrid:
         return TimeGrid(self.origin, self.delta / factor, self.omega * factor)
 
 
-@dataclass
-class StepSeries:
+class StepSeries(_Record):
     """A step function over a :class:`TimeGrid`, stored as its span.
 
     Used both for per-cell event densities and per-cell fact masses.
@@ -92,18 +92,15 @@ class StepSeries:
     in is kept as it is, and any other sequence of numbers is copied into one.
     """
 
-    grid: TimeGrid
-    values: array
-    first: int = 1
+    __slots__ = ("grid", "values", "first")
 
-    def __post_init__(self) -> None:
-        values = self.values
+    def __init__(self, grid: TimeGrid, values: array, first: int = 1) -> None:
         if not (isinstance(values, array) and values.typecode == "d"):
-            values = self.values = array("d", values)
-        omega = self.grid.omega
-        if not (isinstance(self.first, int) and 1 <= self.first <= omega + 1 - len(values)):
+            values = array("d", values)
+        omega = grid.omega
+        if not (isinstance(first, int) and 1 <= first <= omega + 1 - len(values)):
             raise GridError(
-                f"a span of {len(values)} cells from cell {self.first!r} does not fit in 1..{omega}"
+                f"a span of {len(values)} cells from cell {first!r} does not fit in 1..{omega}"
             )
         # min may skip a NaN, so finiteness is checked first: any NaN or
         # infinity makes the sum non-finite, and a sum that overflowed is told
@@ -112,6 +109,9 @@ class StepSeries:
             raise ValueError("series values must be finite")
         if values and min(values) < 0:
             raise ValueError("series values must be non-negative")
+        self.grid = grid
+        self.values = values
+        self.first = first
 
     @classmethod
     def ones(cls, grid: TimeGrid) -> "StepSeries":

@@ -48,7 +48,7 @@ Termination and idempotence:
 """
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core import TimeGrid
 from .theory import ALWAYS, CausalTheory, Pattern, unify

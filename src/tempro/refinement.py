@@ -32,9 +32,9 @@ import itertools
 import logging
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
+from . import _Record
 from .core import StepSeries, TimeGrid
 from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
 from .tokens import EventToken, TokenStore, user_density
@@ -52,11 +52,13 @@ class CyclicOpenTokens(RuntimeError):
         self.cycle = cycle
 
 
-@dataclass
-class SweepStats:
-    cells: int = 0
-    clamped: int = 0  # mass values clipped into [0, 1]
-    closures: int = 0
+class SweepStats(_Record):
+    __slots__ = ("cells", "clamped", "closures")
+
+    def __init__(self, cells: int = 0, clamped: int = 0, closures: int = 0) -> None:
+        self.cells = cells
+        self.clamped = clamped  # mass values clipped into [0, 1]
+        self.closures = closures
 
 
 def within_cell_factor(rate: float, delta: float) -> float:

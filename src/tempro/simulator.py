@@ -26,15 +26,17 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from . import _FrozenRecord, _Record
 from .acquisition import AcquisitionClass, rate
 from .theory import ParseError, Pattern, parse_pattern, split_lines, statements
 
 
-@dataclass(frozen=True)
-class ExponentialLifetime:
-    rate: float
+class ExponentialLifetime(_FrozenRecord):
+    __slots__ = ("rate",)
+
+    def __init__(self, rate: float) -> None:
+        object.__setattr__(self, "rate", rate)
 
     @property
     def mean(self) -> float:
@@ -44,10 +46,12 @@ class ExponentialLifetime:
         return -math.log(1.0 - rng.random()) / self.rate
 
 
-@dataclass(frozen=True)
-class UniformLifetime:
-    lo: float
-    hi: float
+class UniformLifetime(_FrozenRecord):
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def mean(self) -> float:
@@ -58,9 +62,11 @@ class UniformLifetime:
         return self.lo + (self.hi - self.lo) * rng.random()
 
 
-@dataclass(frozen=True)
-class FixedLifetime:
-    duration: float
+class FixedLifetime(_FrozenRecord):
+    __slots__ = ("duration",)
+
+    def __init__(self, duration: float) -> None:
+        object.__setattr__(self, "duration", duration)
 
     @property
     def mean(self) -> float:
@@ -73,30 +79,50 @@ class FixedLifetime:
 Lifetime = ExponentialLifetime | UniformLifetime | FixedLifetime
 
 
-@dataclass(frozen=True)
-class PoissonArrivals:
-    rate: float
+class PoissonArrivals(_FrozenRecord):
+    __slots__ = ("rate",)
+
+    def __init__(self, rate: float) -> None:
+        object.__setattr__(self, "rate", rate)
 
 
-@dataclass(frozen=True)
-class ScheduledArrivals:
-    times: tuple[float, ...]
+class ScheduledArrivals(_FrozenRecord):
+    __slots__ = ("times",)
+
+    def __init__(self, times: tuple[float, ...]) -> None:
+        object.__setattr__(self, "times", times)
 
 
-@dataclass
-class Scenario:
-    seed: int
-    classes: list[tuple[Pattern, Lifetime]]
-    arrivals: PoissonArrivals | ScheduledArrivals
-    count: int
-    horizon: float
+class Scenario(_Record):
+    __slots__ = ("seed", "classes", "arrivals", "count", "horizon")
+
+    def __init__(
+        self,
+        seed: int,
+        classes: list[tuple[Pattern, Lifetime]],
+        arrivals: PoissonArrivals | ScheduledArrivals,
+        count: int,
+        horizon: float,
+    ) -> None:
+        self.seed = seed
+        self.classes = classes
+        self.arrivals = arrivals
+        self.count = count
+        self.horizon = horizon
 
 
-@dataclass
-class SimulationOutput:
-    facts_text: str
-    observations: list[tuple[Pattern, float, float]]  # (class instance key, arrival, departure)
-    observations_text: str
+class SimulationOutput(_Record):
+    __slots__ = ("facts_text", "observations", "observations_text")
+
+    def __init__(
+        self,
+        facts_text: str,
+        observations: list[tuple[Pattern, float, float]],  # (class instance key, arrival, departure)
+        observations_text: str,
+    ) -> None:
+        self.facts_text = facts_text
+        self.observations = observations
+        self.observations_text = observations_text
 
 
 def _stays(scenario: Scenario) -> Iterator[tuple[int, int, Pattern, float, float]]:
@@ -146,13 +172,17 @@ def generate(scenario: Scenario) -> SimulationOutput:
     return SimulationOutput(facts_text, observations, observations_text)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    class_key: str
-    n: int
-    acquired: float
-    reference: float
-    relative_error: float
+class ConvergenceRow(_FrozenRecord):
+    __slots__ = ("class_key", "n", "acquired", "reference", "relative_error")
+
+    def __init__(
+        self, class_key: str, n: int, acquired: float, reference: float, relative_error: float
+    ) -> None:
+        object.__setattr__(self, "class_key", class_key)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "acquired", acquired)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "relative_error", relative_error)
 
 
 _CHECKPOINTS = (10, 100, 1000, 10000)

@@ -24,8 +24,9 @@ import re
 import sys
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from itertools import islice
+
+from . import _FrozenRecord, _Record
 
 TypeKey = tuple[str, int]  # (name, arity): a fact or event type ignoring bindings
 GroundKey = tuple[str, tuple[str, ...]]  # fully instantiated type
@@ -35,16 +36,18 @@ def is_variable(term: str) -> bool:
     return term.startswith("?")
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_FrozenRecord):
     """A possibly-variable fact or event type, e.g. ``ATDOCK(?t)``.
 
     The same shape describes fact types and event types; which one a pattern
     is follows from its position in a rule.
     """
 
-    name: str
-    args: tuple[str, ...] = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
 
     @property
     def key(self) -> TypeKey:
@@ -89,18 +92,22 @@ def unify(pattern: Pattern, ground: Pattern, binding: dict[str, str] | None = No
     return out
 
 
-@dataclass(frozen=True)
-class Exponential:
+class Exponential(_FrozenRecord):
     """Survivor ``exp(-rate * elapsed)``; ``rate = ln(2) / half_life``."""
 
-    rate: float
+    __slots__ = ("rate",)
+
+    def __init__(self, rate: float) -> None:
+        object.__setattr__(self, "rate", rate)
 
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(_FrozenRecord):
     """Survivor ``max(0, 1 - slope * elapsed)``."""
 
-    slope: float
+    __slots__ = ("slope",)
+
+    def __init__(self, slope: float) -> None:
+        object.__setattr__(self, "slope", slope)
 
 
 Survivor = Exponential | Linear
@@ -109,28 +116,36 @@ Survivor = Exponential | Linear
 DEFAULT_SURVIVOR = Exponential(0.0)
 
 
-@dataclass(frozen=True)
-class PersistenceRule:
-    subject: Pattern
-    survivor: Survivor
+class PersistenceRule(_FrozenRecord):
+    __slots__ = ("subject", "survivor")
+
+    def __init__(self, subject: Pattern, survivor: Survivor) -> None:
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "survivor", survivor)
 
 
-@dataclass(frozen=True)
-class ProjectionRule:
-    antecedents: tuple[Pattern, ...]
-    trigger: Pattern
-    consequent: Pattern
-    kappa: float
+class ProjectionRule(_FrozenRecord):
+    __slots__ = ("antecedents", "trigger", "consequent", "kappa")
+
+    def __init__(
+        self, antecedents: tuple[Pattern, ...], trigger: Pattern, consequent: Pattern, kappa: float
+    ) -> None:
+        object.__setattr__(self, "antecedents", antecedents)
+        object.__setattr__(self, "trigger", trigger)
+        object.__setattr__(self, "consequent", consequent)
+        object.__setattr__(self, "kappa", kappa)
 
 
-@dataclass
-class CausalTheory:
-    projection_rules: tuple[ProjectionRule, ...] = ()
-    persistence_rules: tuple[PersistenceRule, ...] = ()
+class CausalTheory(_Record):
+    __slots__ = ("projection_rules", "persistence_rules")
 
-    def __post_init__(self):
-        object.__setattr__(self, "projection_rules", tuple(self.projection_rules))
-        object.__setattr__(self, "persistence_rules", tuple(self.persistence_rules))
+    def __init__(
+        self,
+        projection_rules: tuple[ProjectionRule, ...] = (),
+        persistence_rules: tuple[PersistenceRule, ...] = (),
+    ) -> None:
+        self.projection_rules = tuple(projection_rules)
+        self.persistence_rules = tuple(persistence_rules)
 
     def persistence_for(self, fact: Pattern) -> Survivor:
         """Survivor for a ground fact: first matching rule, else no decay.
@@ -494,13 +509,19 @@ def parse_theory(text: str) -> CausalTheory:
     return CausalTheory(tuple(projection_rules), tuple(persistence_rules))
 
 
-@dataclass
-class DependencyGraph:
+class DependencyGraph(_Record):
     """Fact-type dependency relation: arc Q -> R when some rule can make Q's
     truth a precondition for deriving R (binding-insensitive)."""
 
-    vertices: set[TypeKey] = field(default_factory=set)
-    arcs: set[tuple[TypeKey, TypeKey]] = field(default_factory=set)
+    __slots__ = ("vertices", "arcs")
+
+    def __init__(
+        self,
+        vertices: set[TypeKey] | None = None,
+        arcs: set[tuple[TypeKey, TypeKey]] | None = None,
+    ) -> None:
+        self.vertices = set() if vertices is None else vertices
+        self.arcs = set() if arcs is None else arcs
 
     def find_cycle(self, within: set[TypeKey] | None = None) -> list[TypeKey] | None:
         """A cycle among ``within`` (default: all vertices), or None.

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 
+from . import _FrozenRecord, _Record
 from .core import StepSeries, TimeGrid
 from .theory import (
     GroundKey,
@@ -31,18 +31,19 @@ from .theory import (
 )
 
 
-@dataclass(frozen=True)
-class UserSupplied:
+class UserSupplied(_FrozenRecord):
     """Derivation marker for tokens read from a basic-facts file."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class BuiltIn:
+
+class BuiltIn(_FrozenRecord):
     """Derivation marker for the ALWAYS token."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RuleDerived:
+
+class RuleDerived(_FrozenRecord):
     """Derivation by one projection-rule instantiation.
 
     ``trigger`` and ``antecedents`` are token ids; together with the rule
@@ -50,39 +51,68 @@ class RuleDerived:
     tokens.
     """
 
-    rule_index: int
-    trigger: int
-    antecedents: tuple[int, ...]
+    __slots__ = ("rule_index", "trigger", "antecedents")
+
+    def __init__(self, rule_index: int, trigger: int, antecedents: tuple[int, ...]) -> None:
+        object.__setattr__(self, "rule_index", rule_index)
+        object.__setattr__(self, "trigger", trigger)
+        object.__setattr__(self, "antecedents", antecedents)
 
 
 Derivation = UserSupplied | BuiltIn | RuleDerived
 
 
-@dataclass
-class EventToken:
-    tid: int
-    event_type: Pattern
-    est: float
-    lst: float
-    kappa: float
-    derivation: Derivation
-    density: StepSeries | None = None
+class EventToken(_Record):
+    __slots__ = ("tid", "event_type", "est", "lst", "kappa", "derivation", "density")
+
+    def __init__(
+        self,
+        tid: int,
+        event_type: Pattern,
+        est: float,
+        lst: float,
+        kappa: float,
+        derivation: Derivation,
+        density: StepSeries | None = None,
+    ) -> None:
+        self.tid = tid
+        self.event_type = event_type
+        self.est = est
+        self.lst = lst
+        self.kappa = kappa
+        self.derivation = derivation
+        self.density = density
 
     @property
     def is_user(self) -> bool:
         return isinstance(self.derivation, UserSupplied)
 
 
-@dataclass
-class FactToken:
-    tid: int
-    fact_type: Pattern
-    initiating_event: int  # token id of the event that makes this fact true
-    persistence: Survivor | None  # None only for the built-in ALWAYS token
-    est: float
-    derivation: Derivation
-    mass: StepSeries | None = None
-    close_cell: int | None = None  # cell where refine closed the mass; None if open
+class FactToken(_Record):
+    __slots__ = (
+        "tid", "fact_type", "initiating_event", "persistence", "est", "derivation", "mass",
+        "close_cell",
+    )
+
+    def __init__(
+        self,
+        tid: int,
+        fact_type: Pattern,
+        initiating_event: int,
+        persistence: Survivor | None,
+        est: float,
+        derivation: Derivation,
+        mass: StepSeries | None = None,
+        close_cell: int | None = None,
+    ) -> None:
+        self.tid = tid
+        self.fact_type = fact_type
+        self.initiating_event = initiating_event  # token id of the event that makes this fact true
+        self.persistence = persistence  # None only for the built-in ALWAYS token
+        self.est = est
+        self.derivation = derivation
+        self.mass = mass
+        self.close_cell = close_cell  # cell where refine closed the mass; None if open
 
     @property
     def closed(self) -> bool:
@@ -310,13 +340,15 @@ def user_density(event: EventToken, grid: TimeGrid) -> StepSeries:
     return event.density
 
 
-@dataclass(frozen=True)
-class BasicEventSpec:
-    event_type: Pattern
-    est: float
-    lst: float
-    kappa: float
-    line: int
+class BasicEventSpec(_FrozenRecord):
+    __slots__ = ("event_type", "est", "lst", "kappa", "line")
+
+    def __init__(self, event_type: Pattern, est: float, lst: float, kappa: float, line: int) -> None:
+        object.__setattr__(self, "event_type", event_type)
+        object.__setattr__(self, "est", est)
+        object.__setattr__(self, "lst", lst)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "line", line)
 
 
 def parse_basic_facts(text: str) -> list[BasicEventSpec]:

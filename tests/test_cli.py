@@ -892,6 +892,12 @@ class TestBadInput:
             ("1,F(X),mass,one,0,0.5", "invalid literal for int() with base 10: 'one'"),
             ("1,f(x),mass,1,0,0.5", "pattern name 'f' must be upper-case"),
             ('1,"F(X)\nG(Y)",mass,1,0,0.5', "expected a single pattern"),
+            ("1,F(X),mass,1,0,3", "mass must be a number in [0, 1], got '3'"),
+            ("1,F(X),mass,1,0,-5", "mass must be a number in [0, 1], got '-5'"),
+            ("1,F(X),mass,1,0,1.0000001", "mass must be a number in [0, 1], got '1.0000001'"),
+            ("1,F(X),mass,1,0,nan", "mass must be a number in [0, 1], got 'nan'"),
+            ("1,F(X),mass,1,0,inf", "mass must be a number in [0, 1], got 'inf'"),
+            ("1,F(X),mass,1,0,-inf", "mass must be a number in [0, 1], got '-inf'"),
         ],
     )
     def test_bad_row_is_parse_error_at_its_line(self, tmp_path, capsys, row, problem):
@@ -1632,7 +1638,10 @@ _BASE = {"tempro", "tempro.cli", "tempro.core", "tempro.theory"}
 class TestStartup:
     """Each command imports only the layers it runs, and none imports numpy:
     curves are ``array('d')``, and only the test oracles in ``refinement``
-    and ``core`` use numpy."""
+    and ``core`` use numpy.  None imports ``dataclasses`` or ``inspect``
+    either: the package's records are plain slotted classes.  (That no
+    module imports ``typing`` is checked in ``tests/test_imports.py``, since
+    ``site`` may import it before any command runs.)"""
 
     COMMANDS = {
         "help": _BASE,
@@ -1676,6 +1685,10 @@ class TestStartup:
     def test_no_command_imports_numpy(self, imported):
         for command, modules in imported.items():
             assert [m for m in modules if m == "numpy" or m.startswith("numpy.")] == [], command
+
+    def test_no_command_imports_dataclasses_or_inspect(self, imported):
+        for command, modules in imported.items():
+            assert [m for m in modules if m in ("dataclasses", "inspect")] == [], command
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_imports_only_its_layers(self, imported, command):

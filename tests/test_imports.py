@@ -18,7 +18,10 @@ the tests alone are listed with their reasons in ``KEPT_FOR_TESTS`` and
 
 Curves are ``array('d')``, so the pipeline needs no numpy: only the
 functions in ``NUMPY_USERS``, the quadratic oracles the tests check it
-against, import numpy, each inside its own body.
+against, import numpy, each inside its own body.  No module imports
+``dataclasses`` or ``typing``, at module level or in a function: the
+records are plain slotted classes, and ``collections.abc`` has the abstract
+types the annotations name, so neither import's cost lands on a command.
 """
 from __future__ import annotations
 
@@ -173,16 +176,16 @@ def unused_members(source: str, elsewhere: set[str]) -> list[str]:
     ]
 
 
-def numpy_importers(source: str) -> list[str]:
-    """The functions of ``source`` that import numpy, by name, and
-    ``<module>`` for an import outside every function (under
-    ``TYPE_CHECKING`` too)."""
+def importers_of(source: str, module: str) -> list[str]:
+    """The functions of ``source`` that import ``module`` or one of its
+    submodules, by name, and ``<module>`` for an import outside every
+    function (under ``TYPE_CHECKING`` too)."""
     tree = ast.parse(source)
     return sorted(
         getattr(scope, "name", "<module>")
         for scope, imports in _imports_by_scope(tree, tree, {}).items()
         if any(
-            name == "numpy" or name.startswith("numpy.")
+            name == module or name.startswith(module + ".")
             for node in imports
             for name in ([node.module or ""] if isinstance(node, ast.ImportFrom)
                          else [alias.name for alias in node.names])
@@ -192,9 +195,19 @@ def numpy_importers(source: str) -> list[str]:
 
 def test_only_the_oracles_import_numpy():
     found = {
-        (path.name, scope) for path in SRC.glob("*.py") for scope in numpy_importers(path.read_text())
+        (path.name, scope)
+        for path in SRC.glob("*.py") for scope in importers_of(path.read_text(), "numpy")
     }
     assert found == NUMPY_USERS
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "typing"])
+def test_no_module_imports(module):
+    found = {
+        (path.name, scope)
+        for path in SRC.glob("*.py") for scope in importers_of(path.read_text(), module)
+    }
+    assert found == set()
 
 
 @pytest.mark.parametrize(
@@ -211,7 +224,21 @@ def test_only_the_oracles_import_numpy():
     ],
 )
 def test_scan_finds_numpy_importers(source, importers):
-    assert numpy_importers(source) == importers
+    assert importers_of(source, "numpy") == importers
+
+
+@pytest.mark.parametrize(
+    "source,module,found",
+    [
+        ("from dataclasses import dataclass\n", "dataclasses", ["<module>"]),
+        ("def f():\n    import dataclasses\n    return dataclasses\n", "dataclasses", ["f"]),
+        ("from typing import Iterator\n", "typing", ["<module>"]),
+        ("class C:\n    def f(self):\n        import typing as t\n", "typing", ["f"]),
+        ("from collections.abc import Iterator\nimport typing_extensions\n", "typing", []),
+    ],
+)
+def test_scan_finds_importers_of_any_module(source, module, found):
+    assert importers_of(source, module) == found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
