@@ -15,6 +15,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 import warnings
 from collections.abc import Callable
@@ -289,12 +290,31 @@ def _metadata_grid(metadata: dict[str, tuple[str, int]]) -> TimeGrid:
     return TimeGrid(*values)
 
 
+# A type text in the canonical ground form that ``str(Pattern)`` writes,
+# ``NAME`` or ``NAME(C1,...,Cn)``.  Each group is a whole token of the
+# statement reader, so a text it matches reads to the same pattern there.
+# ``re`` compiles it on first use, so importing this module does not.
+_GROUND_TYPE = r"([A-Z][A-Z0-9_]*)(?:\(([A-Z][A-Z0-9_]*(?:,[A-Z][A-Z0-9_]*)*)\))?"
+
+
+def _type_pattern(text: str) -> Pattern:
+    """``parse_pattern_text(text)``.  A text in canonical ground form is read
+    from one regex match; any other goes to ``parse_pattern_text``, which
+    reads it or raises its error."""
+    match = re.fullmatch(_GROUND_TYPE, text)
+    if match is None:
+        return parse_pattern_text(text)
+    name, args = match.groups()
+    return Pattern(name, tuple(args.split(",")) if args else ())
+
+
 def _load_projection_csv(
     path: str, locate: Callable[[TimeGrid], tuple[Pattern, int]]
 ) -> tuple[TimeGrid, dict[str, list[float]]]:
     """Read the projection CSV at ``path`` once, line by line: its grid, and
-    the mass values at the queried cell of every type that matches, by type
-    text in row order.
+    the mass values at the queried cell of every type that matches, by the
+    type's canonical text (``str`` of the parsed type) in row order, so
+    spellings of one type such as ``F(X)`` and ``F( X )`` are one type.
 
     At the first data row, or at the end of a file that has none, the grid
     is built from the ``# origin=``, ``# mesh=`` and ``# cells=`` lines read
@@ -304,15 +324,22 @@ def _load_projection_csv(
     no row at the cell, which reads as mass 0.  Each value kept must be a
     number in [0, 1]; anything else is a bad row.  Only those lines and
     values are kept; each distinct cell and type text is parsed once.
+
+    A data row on one line that is ASCII, holds no ``"`` and is no longer
+    than the CSV field limit is split at its commas, which gives the fields
+    that ``csv.reader`` gives.  Every other line goes to ``csv.reader``,
+    which also reads a quoted field that runs over several lines.  The
+    fields of both go to the same checks.
     """
     grid_lines: dict[str, tuple[str, int]] = {}
-    at = 0  # the file line of the last line handed to the CSV reader
+    at = 0  # the file line of the last data line read
+    started = False  # whether the first data row has been read
 
-    def kept(handle):
-        """The lines that are neither blank nor ``#`` lines; the first is the header."""
+    def kept(numbered):
+        """The lines of ``numbered``, pairs of line number and line, that
+        are neither blank nor ``#`` lines."""
         nonlocal at
-        data = -1  # data rows yielded so far (the header is not one)
-        for lineno, line in enumerate(handle, 1):
+        for lineno, line in numbered:
             if not line.isascii():
                 try:  # an undecodable byte reads as a lone surrogate, whose byte fails again
                     line.encode(handle.encoding, "surrogateescape").decode(handle.encoding)
@@ -322,26 +349,28 @@ def _load_projection_csv(
                 key, eq, value = line[1:].partition("=")
                 key = key.strip()
                 if eq and key in _GRID_KEYS:
-                    if data > 0:
+                    if started:
                         raise ParseError(
                             f"grid metadata line '# {key}=...' after the first data row", lineno, 1
                         )
                     grid_lines[key] = (value.strip(), lineno)
             elif not line.isspace():
                 at = lineno
-                data += 1
                 yield line
 
     at_cell: dict[str, bool] = {}
-    matches: dict[str, bool] = {}
+    matches: dict[str, str] = {}  # type text -> canonical text if it matches, else ""
     masses: dict[str, list[float]] = {}
+    limit = csv.field_size_limit()
     with open(path, "r", errors="surrogateescape") as handle:
-        lines = kept(handle)
+        numbered = enumerate(handle, 1)
+        lines = kept(numbered)
         try:
             header = next(lines, None)
             names = next(csv.reader((header,))) if header else None
             header_at = at
             first = next(lines, None)
+            started = True
             grid = _metadata_grid(grid_lines)
             pattern, cell = locate(grid)
             if names is None:
@@ -352,9 +381,21 @@ def _load_projection_csv(
                     raise ParseError(
                         f"projection CSV header lacks the {name!r} column", header_at, 1
                     )
+                if names.count(name) > 1:
+                    raise ParseError(
+                        f"projection CSV header has more than one {name!r} column", header_at, 1
+                    )
                 columns.append(names.index(name))
             kind_at, cell_at, type_at, value_at = columns
-            for row in csv.reader(chain((first,), lines)) if first else ():
+            numbered = chain(((at, first),), numbered) if first else ()
+            for at, line in numbered:
+                if (line.isascii() and '"' not in line and line[0] != "#"
+                        and len(line) <= limit and not line.isspace()):
+                    row = line.rstrip("\n").split(",")
+                else:  # the reader pulls the lines of a quoted field that runs on
+                    row = next(csv.reader(kept(chain(((at, line),), numbered))), None)
+                    if row is None:
+                        break
                 if row[kind_at] != "mass":
                     continue
                 cell_text = row[cell_at]
@@ -362,20 +403,21 @@ def _load_projection_csv(
                 if in_cell is None:
                     in_cell = at_cell[cell_text] = int(cell_text) == cell
                 type_text = row[type_at]
-                matched = matches.get(type_text)
-                if matched is None:
+                canonical = matches.get(type_text)
+                if canonical is None:
                     try:
-                        ground = parse_pattern_text(type_text)
+                        ground = _type_pattern(type_text)
                     except ParseError as exc:  # placed in the type text, not in the file
                         raise ValueError(exc.message) from None
-                    matched = matches[type_text] = unify(pattern, ground) is not None
+                    matched = unify(pattern, ground) is not None
+                    canonical = matches[type_text] = str(ground) if matched else ""
                     if matched:
-                        masses[type_text] = []
-                if matched and in_cell:
+                        masses.setdefault(canonical, [])
+                if canonical and in_cell:
                     mass = float(row[value_at])
                     if not 0.0 <= mass <= 1.0:  # also refuses nan
                         raise ValueError(f"mass must be a number in [0, 1], got {row[value_at]!r}")
-                    masses[type_text].append(mass)
+                    masses[canonical].append(mass)
         except ParseError:
             raise
         except (IndexError, ValueError, csv.Error) as exc:

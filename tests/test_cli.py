@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,7 +43,7 @@ from tempro import (
 from tempro import cli
 from tempro.acquisition import _observation
 from tempro.cli import _write_projection_csv, main
-from tempro.theory import statements
+from tempro.theory import ParseError, statements
 
 
 def _run(capsys, *argv):
@@ -343,6 +344,19 @@ class TestQuery:
         )
         assert (code, got) == (0, "9.50018633009e-21\n")
 
+    def test_spellings_of_one_type_are_one_type(self, tmp_path, capsys):
+        # F(X), F( X ) and " F (X)" parse to one type: their tokens combine,
+        # and a pattern query lists the type once, by its canonical text.
+        path = tmp_path / "spelled.csv"
+        path.write_text(
+            "# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\n"
+            '0,F(X),mass,1,0,0.5\n1,F( X ),mass,1,0,0.5\n2," F (X)",mass,2,1,0.25\n'
+        )
+        for fact, out in [("F(X)", "0.75\n"), ("F(?x)", "F(X) 0.75\n")]:
+            got = _run(capsys, "query", "--csv", str(path), "--fact", fact, "--time", "0")
+            assert got == (0, out, "")
+            assert out == _oracle_query(path, fact, 0.0)
+
     def test_unmatched_ground_fact_reports_zero(self, dock_csv, capsys):
         code, out, err = _run(
             capsys, "query", "--csv", str(dock_csv),
@@ -468,17 +482,21 @@ def _oracle_csv(store, grid, metadata):
 
 def _oracle_query(path, fact, time):
     """Standard output of ``query``, from a ``DictReader`` scan of every row.
-    A matching type with a mass row at any cell is listed; where it has no
-    row at the queried cell, its mass there is 0."""
+    A matching type with a mass row at any cell is listed, under the text of
+    its parsed pattern, so every spelling of one type is one type; where it
+    has no row at the queried cell, its mass there is 0."""
     metadata, rows = _read_csv(path)
     grid = TimeGrid(float(metadata["origin"]), float(metadata["mesh"]), int(metadata["cells"]))
     cell = grid.time_to_cell(time)
     pattern = parse_pattern_text(fact)
     masses = {}
     for row in rows:
-        if row["kind"] != "mass" or unify(pattern, parse_pattern_text(row["type"])) is None:
+        if row["kind"] != "mass":
             continue
-        values = masses.setdefault(row["type"], [])  # listed once it has any mass row
+        ground = parse_pattern_text(row["type"])
+        if unify(pattern, ground) is None:
+            continue
+        values = masses.setdefault(str(ground), [])  # listed once it has any mass row
         if int(row["cell"]) == cell:
             values.append(float(row["value"]))
     if not masses:
@@ -546,18 +564,23 @@ _LIBRARY_TEXT = st.text(st.sampled_from(['%', '"', ',', '\n', '\r', 'A', '(', ' 
 
 
 _COLUMNS = ["token_id", "type", "kind", "cell", "time", "value"]
-_HAND_TYPES = ["F(X)", "F(Y)", "F(A,B)", "G(X)", "H"]
+# ``F( X )`` and `` H`` are spellings of ``F(X)`` and ``H``; ``F(A, B)`` of ``F(A,B)``.
+_HAND_TYPES = ["F(X)", "F(Y)", "F(A,B)", "G(X)", "H", "F( X )", "F(A, B)", " H"]
 _HAND_FACTS = ["F(X)", "F(A,B)", "H", "G(Z)", "F(?x)", "F(?x,?y)", "F(A,?y)", "G(?x)", "H(?x)"]
 
 
 @st.composite
 def _hand_csv(draw):
-    """A projection CSV laid out by hand, and a time near one of its cells.
+    """A projection CSV laid out by hand, a time near one of its cells, and
+    a CSV field limit to read it with (None for the default).
 
     The grid lines come first in any order; the columns are permuted, the
     rows shuffled, some tokens given a zero row at every unwritten cell (the
-    dense form), some rows written with every field quoted, and comments
-    and blank lines put between the rows."""
+    dense form), some rows written with every field quoted, with CRLF line
+    ends, with a NUL in the token id or with fields past the header's, and
+    comments and blank lines put between the rows.  A limit of 16 sends
+    most rows to ``csv.reader``, by their length alone; a long extra field
+    is over either limit."""
     grid = TimeGrid(
         draw(st.sampled_from([0.0, -2.5, 10.0])),
         draw(st.sampled_from([1.0, 0.5, 0.25])),
@@ -569,10 +592,11 @@ def _hand_csv(draw):
         kind = draw(st.sampled_from(["mass", "mass", "density"]))
         written = draw(st.sets(st.integers(1, grid.omega), min_size=1))
         dense = draw(st.booleans())
+        token_id = draw(st.sampled_from([str(tid), str(tid), f"{tid}\0"]))
         for cell in range(1, grid.omega + 1):
             if cell in written or dense:
                 value = draw(st.sampled_from(["0", "-0", "0.5", "0.25", "1", "1e-20", "0.3"]))
-                rows.append([tid, token_type, kind, cell, _fmt(grid.cell_start(cell)),
+                rows.append([token_id, token_type, kind, cell, _fmt(grid.cell_start(cell)),
                              value if cell in written else "0"])
     metadata = [("origin", _fmt(grid.origin)), ("mesh", _fmt(grid.delta)),
                 ("cells", grid.omega), ("generator", "hand")]
@@ -581,17 +605,42 @@ def _hand_csv(draw):
     columns = draw(st.permutations(_COLUMNS))
     csv.writer(out, lineterminator="\n").writerow(columns)
     for row in draw(st.permutations(rows)):
-        out.write(draw(st.sampled_from(["", "", "\n", "# remark\n", "# note=1\n", "#\n"])))
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        out.write(draw(st.sampled_from(["", "", end, "# remark" + end, "# note=1\n", "#\n"])))
         quoting = csv.QUOTE_ALL if draw(st.booleans()) else csv.QUOTE_MINIMAL
-        csv.writer(out, lineterminator="\n", quoting=quoting).writerow(
-            [row[_COLUMNS.index(c)] for c in columns]
+        extra = draw(st.sampled_from([[], [], [""], ["x", "\0"], ["9" * 41]]))
+        csv.writer(out, lineterminator=end, quoting=quoting).writerow(
+            [row[_COLUMNS.index(c)] for c in columns] + extra
         )
+    limit = draw(st.sampled_from([None, None, 16, 40]))
     cell = draw(st.integers(1, grid.omega))
     # a time just below a cell's start snaps onto it, so -1e-12 reads ``cell``
     # and 1 - 1e-12 the cell after it
     offset = draw(st.sampled_from([0.0, 0.5, 0.75, -1e-12, 1 - 1e-12]))
     time = grid.cell_start(cell) + offset * grid.delta
-    return out.getvalue(), time
+    return out.getvalue(), time, limit
+
+
+# Every addition to ``_hand_csv`` in one file: a spelling with spaces on the
+# split path, a quoted twin, a NUL, extra fields, CRLF line ends, a quoted
+# type with a comma, and on line 9 a field of 41 characters.
+_HAND_EXAMPLE = (
+    "# origin=0\r\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\r\n"
+    "0,F( X ),mass,1,0,0.5\r\n"
+    '"1","F(X)","mass","1","0","0.5"\n'
+    "2\0,F(X),mass,1,0,0.25,extra,\0\n"
+    '3,"F(A, B)",mass,2,1,0.5\n'
+    "4,H,mass,1,0,1," + "9" * 41 + "\n"
+)
+
+
+def _first_line_over(text, limit):
+    """The file line of the first row of ``text`` with a field longer than
+    ``limit``, or None."""
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
+        if line[:1] not in ("#", "") and max(map(len, next(csv.reader([line])))) > limit:
+            return lineno
+    return None
 
 
 class TestCsvOracles:
@@ -808,8 +857,15 @@ class TestCsvOracles:
         assert float(got) == pytest.approx(1 - 0.75 * 0.5)
 
     @given(_hand_csv())
+    @example((_HAND_EXAMPLE, 0.0, None))
+    @example((_HAND_EXAMPLE, 1.0, 40))
     def test_hand_laid_out_csv_matches_dict_reader_scan(self, case):
-        text, time = case
+        # Rows quoted or longer than the field limit are read by csv.reader,
+        # the others split at their commas; both must read as DictReader does.
+        # A field over the limit is a bad row at the line of the first one.
+        text, time, limit = case
+        over = None if limit is None else _first_line_over(text, limit)
+        default = csv.field_size_limit()
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "hand.csv")
             with open(path, "w") as handle:
@@ -819,10 +875,115 @@ class TestCsvOracles:
                 float(metadata["origin"]), float(metadata["mesh"]), int(metadata["cells"])
             )
             assume(grid.contains_cell(grid.time_to_cell(time)))
-            for fact in _HAND_FACTS:
-                with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
-                    code = main(["query", "--csv", path, "--fact", fact, f"--time={time!r}"])
-                assert (code, out.getvalue()) == (0, _oracle_query(path, fact, time)), fact
+            if limit is not None:
+                csv.field_size_limit(limit)
+            try:
+                for fact in _HAND_FACTS:
+                    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                        code = main(["query", "--csv", path, "--fact", fact, f"--time={time!r}"])
+                    if over is None:
+                        assert (code, out.getvalue()) == (0, _oracle_query(path, fact, time)), fact
+                        continue
+                    with pytest.raises(csv.Error):
+                        _oracle_query(path, fact, time)
+                    assert (code, out.getvalue(), err.getvalue()) == (
+                        2, "", f"error: line {over}, column 1: bad projection CSV row: "
+                               f"field larger than field limit ({limit})\n"
+                    ), fact
+            finally:
+                csv.field_size_limit(default)
+
+    def test_writer_rows_of_single_argument_types_skip_the_csv_reader(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Every row that ``project`` writes for types of at most one
+        argument, ``ALWAYS`` and ``-0`` values included, is split at its
+        commas: ``csv.reader``, as ``cli`` sees it, reads the header alone.
+        The writer quotes a type with a comma, such as ``"AT(T1,D1)"``, and
+        those rows stay on the reader path.  That is deliberate: no benchmark
+        workload has a multi-argument type."""
+        seen = []
+        reader = csv.reader
+
+        def recording(lines, *args, **kwargs):
+            def record():
+                for line in lines:
+                    seen.append(line)
+                    yield line
+            return reader(record(), *args, **kwargs)
+
+        for name, rules, facts, asked in [
+            ("live", LIVE_RULES, LIVE_FACTS, ["G(A)", "G(?x)", "F(A)", "ALWAYS", "E(?x)"]),
+            ("yard", YARD_RULES, _yard_facts(7, 15), ["AT(T1,D1)", "AT(?t,?d)", "LOADED(?x)"]),
+        ]:
+            (tmp_path / "t.rules").write_text(rules)
+            (tmp_path / "t.facts").write_text(facts)
+            out = tmp_path / f"{name}.csv"
+            code, _, err = _run(
+                capsys, "project", "--theory", str(tmp_path / "t.rules"),
+                "--facts", str(tmp_path / "t.facts"),
+                "--delta", "0.5", "--omega", "60", "--epsilon", "1e-3", "--out", str(out),
+            )
+            assert code == 0, err
+            lines = out.read_text().splitlines(keepends=True)
+            quoted = [line for line in lines if '"' in line]
+            if name == "live":
+                assert ",ALWAYS,mass,1," in "".join(lines) and any(
+                    line.endswith(",-0\n") for line in lines
+                )
+                assert quoted == []
+            else:
+                assert any(line.startswith(tuple("0123456789")) for line in quoted)
+            answers = [_oracle_query(out, fact, 7.5) for fact in asked]
+            with monkeypatch.context() as patch:
+                patch.setattr(cli.csv, "reader", recording)
+                for fact, answer in zip(asked, answers):
+                    seen.clear()
+                    got = _run(capsys, "query", "--csv", str(out), "--fact", fact, "--time", "7.5")
+                    assert got[:2] == (0, answer), fact
+                    assert seen == ["token_id,type,kind,cell,time,value\n", *quoted], fact
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["F", "AB_1", "X", "?x", " ", ",", "(", ")", "f", "aB", "é", "Ä", "1", "_", "\t"]
+            ),
+            max_size=8,
+        ).map("".join)
+    )
+    @example("F(X,Y)")
+    @example("ALWAYS")
+    @example("F( X )")
+    @example("F(?x)")
+    @example("F()")
+    @example("F(X,)")
+    @example("F(X")
+    def test_type_regex_reads_as_parse_pattern_text(self, text):
+        # A text in canonical ground form is read from the regex match alone,
+        # to what parse_pattern_text reads; every other text goes to it.
+        def outcome(parse):
+            try:
+                return parse(text)
+            except ParseError as exc:
+                return str(exc)
+
+        calls = []
+
+        def recording(argument):
+            calls.append(argument)
+            return parse_pattern_text(argument)
+
+        original = cli.parse_pattern_text
+        cli.parse_pattern_text = recording
+        try:
+            got = outcome(cli._type_pattern)
+        finally:
+            cli.parse_pattern_text = original
+        assert got == outcome(parse_pattern_text)
+        if re.fullmatch(cli._GROUND_TYPE, text):
+            assert calls == [] and str(got) == text
+        else:
+            assert calls == [text]
 
     def test_rows_exclude_header_and_comment_lines(self, tmp_path, capsys):
         # Grid lines before and after the header and a blank line between
@@ -879,6 +1040,19 @@ class TestBadInput:
         assert code == 2
         assert err == "error: line 4, column 1: projection CSV header lacks the 'kind' column\n"
 
+    @pytest.mark.parametrize("name", ["kind", "cell", "type", "value"])
+    def test_header_naming_a_needed_column_twice_is_parse_error(self, tmp_path, capsys, name):
+        # Which of the two columns to read would be a guess.
+        code, out, err = self._query(
+            capsys, tmp_path,
+            "# origin=0\n# mesh=1\n# cells=2\n"
+            f"token_id,type,kind,cell,time,value,{name}\n0,F(X),mass,1,0,0.5,0.5\n",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line 4, column 1: projection CSV header has more than one {name!r} column\n"
+        )
+
     def test_missing_header_is_parse_error(self, tmp_path, capsys):
         code, _, err = self._query(capsys, tmp_path, "# origin=0\n# mesh=1\n# cells=2\n")
         assert code == 2
@@ -900,7 +1074,16 @@ class TestBadInput:
             ("1,F(X),mass,1,0,-inf", "mass must be a number in [0, 1], got '-inf'"),
         ],
     )
-    def test_bad_row_is_parse_error_at_its_line(self, tmp_path, capsys, row, problem):
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_bad_row_is_parse_error_at_its_line(self, tmp_path, capsys, row, problem, quoted):
+        # A row with every field quoted is read by csv.reader; most of the
+        # plain rows are split at their commas.  Both give the same error.
+        if quoted:
+            text = io.StringIO()
+            csv.writer(text, lineterminator="", quoting=csv.QUOTE_ALL).writerow(
+                next(csv.reader([row]))
+            )
+            row = text.getvalue()
         code, _, err = self._query(
             capsys, tmp_path,
             "# origin=0\n# mesh=1\n# cells=2\n"
@@ -931,6 +1114,45 @@ class TestBadInput:
         )
         got = _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", "--time", "0")
         assert got == (2, "", f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize(
+        "tail,line,problem",
+        [
+            ('"F(X)\n# inner\n\nG",mass,1,0,0.5\n', 8, "expected a single pattern"),
+            ('"F(X)\n# inner\n', 5, "too few fields"),
+        ],
+        ids=["continued", "at-end"],
+    )
+    def test_quoted_field_over_skipped_lines_is_placed_at_its_last_data_line(
+        self, tmp_path, capsys, tail, line, problem
+    ):
+        # The reader's continuation lines skip blank and # lines, as all
+        # lines do, so a row ends on the last line it was given.
+        code, out, err = self._query(
+            capsys, tmp_path,
+            f"# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\n0,{tail}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: line {line}, column 1: bad projection CSV row: {problem}\n"
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_undecodable_byte_in_a_field_never_read_is_parse_error_at_its_line(
+        self, tmp_path, capsys, quoted
+    ):
+        # The byte is in the time field of another type's row, so only the
+        # line's own check can see it, on either path.
+        row = '"1","G(X)","mass","1","0\udcff","0.5"' if quoted else "1,G(X),mass,1,0\udcff,0.5"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(
+            ("# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\n"
+             f"0,F(X),mass,1,0,0.5\n{row}\n").encode("utf-8", "surrogateescape")
+        )
+        got = _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", "--time", "0")
+        column = row.index("\udcff") + 1
+        assert got == (
+            2, "", f"error: line 6, column {column}: {path} is not utf-8 text: "
+                   "byte 0xff, invalid start byte\n"
+        )
 
     @pytest.mark.parametrize("key", ["origin", "mesh", "cells"])
     def test_grid_line_after_the_first_data_row_is_parse_error_at_its_line(
