@@ -34,6 +34,8 @@ from collections import namedtuple
 
 from . import _Record
 from .theory import (
+    _NAME,
+    _NUMBER,
     Pattern,
     TokenCursor,
     line_cursor,
@@ -188,8 +190,6 @@ def save_state_file(store: AcquisitionStore, path: str) -> None:
 Observation = namedtuple("Observation", "key arrival departure line")
 
 
-_NAME = r"[A-Z][A-Z0-9_]*"
-_NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 # The layout ``simulate`` writes: a ground key without blanks, numbers in
 # ASCII digits, spaces or tabs between the fields, and no comment.  Each
 # group is a whole token of the statement reader, so a line it matches reads

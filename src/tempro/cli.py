@@ -323,7 +323,9 @@ def _load_projection_csv(
     type with a mass row at any cell is listed, with no values where it has
     no row at the cell, which reads as mass 0.  Each value kept must be a
     number in [0, 1]; anything else is a bad row.  Only those lines and
-    values are kept; each distinct cell and type text is parsed once.
+    values are kept; each distinct cell and type text is parsed once.  One
+    U+FEFF at the very start of the file, the byte-order mark a spreadsheet
+    writes, is skipped; anywhere else it is a character of its field.
 
     A data row on one line that is ASCII, holds no ``"`` and is no longer
     than the CSV field limit is split at its commas, which gives the fields
@@ -363,6 +365,8 @@ def _load_projection_csv(
     masses: dict[str, list[float]] = {}
     limit = csv.field_size_limit()
     with open(path, "r", errors="surrogateescape") as handle:
+        if handle.read(1) != "\ufeff":  # the byte-order mark of a file saved as "CSV UTF-8"
+            handle.seek(0)
         numbered = enumerate(handle, 1)
         lines = kept(numbered)
         try:

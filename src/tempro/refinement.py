@@ -29,8 +29,8 @@ cell; the check runs at each cell where a fact opens, and a cycle raises
 from __future__ import annotations
 
 import itertools
-import logging
 import math
+import sys
 from array import array
 from collections.abc import Iterable, Iterator
 
@@ -38,8 +38,6 @@ from . import _Record
 from .core import StepSeries, TimeGrid
 from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
 from .tokens import EventToken, TokenStore, user_density
-
-logger = logging.getLogger(__name__)
 
 
 class CyclicOpenTokens(RuntimeError):
@@ -251,18 +249,23 @@ def refine(
     is idempotent.  A derived event's curve spans its window's cells, and a
     fact's its first cell through its close cell, or through ``omega`` if it
     never closes.  Each fact's first cell, close cell, peak mass and clamps
-    are logged at DEBUG level.  :class:`CyclicOpenTokens` is raised after
-    every curve and the stats are in place.
+    are logged at DEBUG level to the logger of this module, when ``logging``
+    is loaded; this module does not load it, since a logger can only be at
+    DEBUG once something has loaded and configured it.
+    :class:`CyclicOpenTokens` is raised after every curve and the stats are
+    in place.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     omega = grid.omega
     delta = grid.delta
-    debug = logger.isEnabledFor(logging.DEBUG)
+    logging = sys.modules.get("logging")
+    logger = logging.getLogger(__name__) if logging is not None else None
+    debug = logger is not None and logger.isEnabledFor(logging.DEBUG)
     stats = SweepStats(cells=omega)
     opened: list[tuple[int, int | None, TypeKey]] = []
-    for tid in range(len(store)):
-        token = store.token(tid)
+    tokens = list(store)  # a token refers only to smaller tids, so each is in this list
+    for token in tokens:
         if isinstance(token, EventToken):
             if token.is_user:
                 user_density(token, grid)
@@ -273,9 +276,9 @@ def refine(
             span: list[float] = []
             if first <= last:
                 kappa = token.kappa
-                span = [kappa * d for d in store.token(derivation.trigger).density.window(first, last)]
+                span = [kappa * d for d in tokens[derivation.trigger].density.window(first, last)]
                 for ant in derivation.antecedents:
-                    span = [v * m for v, m in zip(span, store.token(ant).mass.window(first, last))]
+                    span = [v * m for v, m in zip(span, tokens[ant].mass.window(first, last))]
             token.density = StepSeries(grid, span, first if span else 1)
             continue
         token.close_cell = None
@@ -285,7 +288,7 @@ def refine(
         first = max(1, grid.time_to_cell(token.est))
         span = []
         if first <= omega:
-            density = store.token(token.initiating_event).density.window(first, omega)
+            density = tokens[token.initiating_event].density.window(first, omega)
             survivor = token.persistence
             if isinstance(survivor, Exponential):
                 masses = _exponential_masses(density, survivor.rate, delta)
@@ -300,7 +303,7 @@ def refine(
             if debug:
                 logger.debug(
                     "fact %d %s: first cell %d, close cell %s, peak mass %.12g, clamps %d",
-                    tid, token.fact_type, first, token.close_cell, max(span), clamped,
+                    token.tid, token.fact_type, first, token.close_cell, max(span), clamped,
                 )
         token.mass = StepSeries(grid, span, first if span else 1)
     store.sweep_stats = stats

@@ -207,6 +207,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Pieces of the one-regex fast paths for the layouts that the package
+# itself writes: an upper-case name or constant, and a number in ASCII
+# digits.  Each matches a whole token of ``_TOKEN_RE`` when blanks, ``(``,
+# ``,`` or ``)`` follow it.
+_NAME = r"[A-Z][A-Z0-9_]*"
+_NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _KINDS = {
     **dict.fromkeys(_LETTERS, "name"),

@@ -15,19 +15,25 @@ the stated occurrence probability ``kappa``.  A zero-width window puts all of
 from __future__ import annotations
 
 import math
+import re
 from array import array
+from collections.abc import Iterator
 
 from . import _FrozenRecord, _Record
 from .core import StepSeries, TimeGrid
 from .theory import (
+    _NAME,
+    _NUMBER,
     GroundKey,
     ParseError,
     Pattern,
     Survivor,
+    TokenCursor,
     TypeKey,
     is_variable,
+    line_cursor,
     parse_ground_pattern,
-    statements,
+    split_lines,
 )
 
 
@@ -154,6 +160,10 @@ class TokenStore:
 
     def __len__(self) -> int:
         return len(self._tokens)
+
+    def __iter__(self) -> Iterator[Token]:
+        """Every token in tid order."""
+        return iter(self._tokens)
 
     def token(self, tid: int) -> Token:
         if (token := self._find(tid)) is None:
@@ -351,28 +361,61 @@ class BasicEventSpec(_FrozenRecord):
         object.__setattr__(self, "line", line)
 
 
+# The layout ``simulate`` and the benchmark workloads write: a ground key
+# without blanks, numbers in ASCII digits, spaces or tabs between the
+# fields, and no comment.  Each group is a whole token of the statement
+# reader, so a line it matches reads to the same key and numbers there.
+_EVENT_RE = re.compile(
+    rf"[ \t]*event[ \t]+({_NAME})(?:\(({_NAME}(?:,{_NAME})*)\))?[ \t]+est[ \t]+({_NUMBER})"
+    rf"[ \t]+lst[ \t]+({_NUMBER})[ \t]+kappa[ \t]+({_NUMBER})[ \t]*"
+)
+
+
 def parse_basic_facts(text: str) -> list[BasicEventSpec]:
     """Parse the basic-facts format, one observed event per line::
 
         event ARRIVE(TRUCK14) est 0 lst 10 kappa 1.0
+
+    A line in the layout of ``_EVENT_RE`` whose window and ``kappa`` are
+    valid is read from the regex match alone.  Every other line, such as one
+    with a comment or a fault, goes to the statement reader,
+    :func:`_basic_fact`, which reads it or raises its positioned error.
     """
     specs: list[BasicEventSpec] = []
-    for cur in statements(text):
-        cur.take("event")
-        pattern = parse_ground_pattern(cur, "basic event")
-        cur.take("est")
-        est = cur.take_number("the earliest start time")
-        cur.take("lst")
-        lst = cur.take_number("the latest start time")
-        if not (math.isfinite(est) and math.isfinite(lst) and est <= lst):
-            raise cur.error(f"window [{est}, {lst}] is invalid", back=1)
-        cur.take("kappa")
-        kappa = cur.take_number(
-            "an occurrence probability", "kappa must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0
-        )
-        cur.expect_end()
-        specs.append(BasicEventSpec(pattern, est, lst, kappa, cur.lineno))
+    fast = _EVENT_RE.fullmatch
+    for lineno, line in enumerate(split_lines(text), start=1):
+        match = fast(line)
+        if match is not None:
+            name, args, est, lst, kappa = match.groups()
+            est, lst, kappa = float(est), float(lst), float(kappa)
+            # _basic_fact's checks; a number of the regex is never nan
+            if -math.inf < est <= lst < math.inf and 0.0 <= kappa <= 1.0:
+                key = Pattern(name, tuple(args.split(",")) if args else ())
+                specs.append(BasicEventSpec(key, est, lst, kappa, lineno))
+                continue
+        cur = line_cursor(line, lineno)
+        if cur is not None:
+            specs.append(_basic_fact(cur))
     return specs
+
+
+def _basic_fact(cur: TokenCursor) -> BasicEventSpec:
+    """The basic event on ``cur``'s line, read token by token, or the
+    :class:`ParseError` of its leftmost fault."""
+    cur.take("event")
+    pattern = parse_ground_pattern(cur, "basic event")
+    cur.take("est")
+    est = cur.take_number("the earliest start time")
+    cur.take("lst")
+    lst = cur.take_number("the latest start time")
+    if not (math.isfinite(est) and math.isfinite(lst) and est <= lst):
+        raise cur.error(f"window [{est}, {lst}] is invalid", back=1)
+    cur.take("kappa")
+    kappa = cur.take_number(
+        "an occurrence probability", "kappa must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0
+    )
+    cur.expect_end()
+    return BasicEventSpec(pattern, est, lst, kappa, cur.lineno)
 
 
 def load_basic_facts(

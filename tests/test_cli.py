@@ -1154,6 +1154,52 @@ class TestBadInput:
                    "byte 0xff, invalid start byte\n"
         )
 
+    def test_byte_order_mark_before_the_first_line_is_ignored(self, tmp_path, capsys):
+        # A spreadsheet saves a CSV as "CSV UTF-8" with the mark first.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(
+            b"\xef\xbb\xbf# origin=0\n# mesh=1\n# cells=2\n"
+            b"token_id,type,kind,cell,time,value\n0,F(X),mass,1,0,0.5\n"
+        )
+        got = _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", "--time", "0.5")
+        assert got == (0, "0.5\n", "")
+
+    @pytest.mark.parametrize(
+        "text,line,problem",
+        [
+            ("\ufeff\ufeff# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\n"
+             "0,F(X),mass,1,0,0.5\n",
+             1, "projection CSV has no grid metadata line '# origin=...'"),
+            ("# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,\ufeffkind,cell,time,value\n"
+             "0,F(X),mass,1,0,0.5\n",
+             4, "projection CSV header lacks the 'kind' column"),
+            ("# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\n0,F(X),mass,\ufeff1,0,0.5\n",
+             5, "bad projection CSV row: invalid literal for int() with base 10: '\\ufeff1'"),
+            ("# origin=0\n# mesh=1\n# cells=2\ntoken_id,type,kind,cell,time,value\n0,F(X),mass,1,0,0.5\ufeff\n",
+             5, "bad projection CSV row: could not convert string to float: '0.5\\ufeff'"),
+        ],
+        ids=["second-on-line-1", "header", "cell", "value"],
+    )
+    def test_byte_order_mark_elsewhere_is_parse_error_at_its_line(
+        self, tmp_path, capsys, text, line, problem
+    ):
+        code, out, err = self._query(capsys, tmp_path, text)
+        assert (code, out) == (2, "")
+        assert err == f"error: line {line}, column 1: {problem}\n"
+
+    def test_byte_order_mark_before_a_facts_line_is_unexpected_character(
+        self, tmp_path, data_dir, capsys
+    ):
+        facts = tmp_path / "facts.txt"
+        facts.write_bytes(b"\xef\xbb\xbfevent ARRIVE(TRUCK14) est 0 lst 10 kappa 1.0\n")
+        got = _run(
+            capsys, "project",
+            "--theory", str(data_dir / "dock.rules"), "--facts", str(facts),
+            "--delta", "2", "--omega", "100", "--out", str(tmp_path / "x.csv"),
+        )
+        assert got == (2, "", "error: line 1, column 1: unexpected character '\\ufeff'\n")
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("key", ["origin", "mesh", "cells"])
     def test_grid_line_after_the_first_data_row_is_parse_error_at_its_line(
         self, tmp_path, capsys, key
@@ -1861,9 +1907,11 @@ class TestStartup:
     """Each command imports only the layers it runs, and none imports numpy:
     curves are ``array('d')``, and only the test oracles in ``refinement``
     and ``core`` use numpy.  None imports ``dataclasses`` or ``inspect``
-    either: the package's records are plain slotted classes.  (That no
-    module imports ``typing`` is checked in ``tests/test_imports.py``, since
-    ``site`` may import it before any command runs.)"""
+    either: the package's records are plain slotted classes.  Nor does any
+    import ``logging``: ``refine`` logs its DEBUG summary only through a
+    ``logging`` that something else loaded.  (That no module imports
+    ``typing`` is checked in ``tests/test_imports.py``, since ``site`` may
+    import it before any command runs.)"""
 
     COMMANDS = {
         "help": _BASE,
@@ -1916,6 +1964,32 @@ class TestStartup:
     def test_command_imports_only_its_layers(self, imported, command):
         found = {m for m in imported[command] if m == "tempro" or m.startswith("tempro.")}
         assert found == self.COMMANDS[command]
+
+    def test_no_command_imports_logging(self, imported):
+        for command, modules in imported.items():
+            assert "logging" not in modules, command
+
+    def test_debug_summary_reaches_a_logger_configured_before_the_command(
+        self, tmp_path, data_dir
+    ):
+        script = (
+            "import logging, sys\n"
+            "logging.basicConfig(level=logging.DEBUG, format='%(name)s %(levelname)s %(message)s')\n"
+            "from tempro import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "project",
+             "--theory", str(data_dir / "dock.rules"), "--facts", str(data_dir / "dock.facts"),
+             "--delta", "2", "--omega", "100", "--out", str(tmp_path / "dock.csv")],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "")
+        (line,) = proc.stderr.splitlines()
+        assert re.fullmatch(
+            r"tempro\.refinement DEBUG fact \d+ ATDOCK\(TRUCK14\): first cell 1, "
+            r"close cell None, peak mass [0-9.]+, clamps 0", line
+        ), line
 
 
 # Run in a fresh interpreter: set a wrapper on ``cli`` for each name in

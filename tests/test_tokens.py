@@ -1,12 +1,15 @@
 """Token store, basic-event densities, and the observed-facts file format."""
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import pathlib
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempro import (
@@ -21,12 +24,15 @@ from tempro import (
     TokenStore,
     UserSupplied,
     add_basic_event,
+    generate,
     load_basic_facts,
     parse_basic_facts,
+    parse_scenario,
     refine,
     series_integral,
 )
-from tempro.tokens import user_density
+from tempro.theory import parse_ground_pattern, statements
+from tempro.tokens import _EVENT_RE, BasicEventSpec, user_density
 
 ARRIVE_T14 = Pattern("ARRIVE", ("TRUCK14",))
 DOCK_T14 = Pattern("ATDOCK", ("TRUCK14",))
@@ -395,3 +401,147 @@ class TestBasicFactsFormat:
         with pytest.raises(ParseError) as exc:
             load_basic_facts(store, "event A(X) est 90 lst 99 kappa 1.0\n", g)
         assert exc.value.line == 1
+
+
+def _reader_basic_facts(text):
+    """The basic events of ``text`` read by the statement reader alone: the
+    whole of ``parse_basic_facts`` before it read lines in the writers'
+    layout with one regex match."""
+    specs = []
+    for cur in statements(text):
+        cur.take("event")
+        pattern = parse_ground_pattern(cur, "basic event")
+        cur.take("est")
+        est = cur.take_number("the earliest start time")
+        cur.take("lst")
+        lst = cur.take_number("the latest start time")
+        if not (math.isfinite(est) and math.isfinite(lst) and est <= lst):
+            raise cur.error(f"window [{est}, {lst}] is invalid", back=1)
+        cur.take("kappa")
+        kappa = cur.take_number(
+            "an occurrence probability", "kappa must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0
+        )
+        cur.expect_end()
+        specs.append(BasicEventSpec(pattern, est, lst, kappa, cur.lineno))
+    return specs
+
+
+def _outcome(read, text):
+    """What ``read`` makes of ``text``: each event with its numbers as bits,
+    or the message, line and column of its error."""
+    try:
+        return [
+            (spec.event_type, struct.pack("<ddd", spec.est, spec.lst, spec.kappa), spec.line)
+            for spec in read(text)
+        ]
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.col)
+
+
+_NUMBERS = st.one_of(
+    st.floats(0, 1).map(repr),
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from([
+        "1e999", "-1e999", "inf", "INF", "-inf", "nan", "\u0663", "1\u0663", ".5", "5.",
+        "+.5e-3", "1E0", "1e", "1e+", "-", "1_0", "0x1", "1.5.2", "-0", "-0.0", "1.e0",
+    ]),
+)
+_SEPARATOR = st.sampled_from(["  ", "\t", " \t ", "", "\x0c", "\u00a0", "#"])
+_WORD = st.sampled_from(["Event", "events", "est", "lst", "kappa", "X"])
+# What may replace each field of a line in the layout the writers use.
+_VARIANTS = [
+    st.sampled_from([" ", "\t", "\x0c", "\ufeff"]),
+    _WORD, _SEPARATOR,
+    st.sampled_from([
+        "T", "T(A,B)", "A_1(B_2,C3)", "T(A, B)", "T( A)", "T (A)", "T()", "T(A,)", "T(A",
+        "T(?x)", "t(A)", "T(a)", "_T(A)", "T\u00c9(A)",
+    ]),
+    _SEPARATOR, _WORD, _SEPARATOR, _NUMBERS, _SEPARATOR, _WORD, _SEPARATOR, _NUMBERS,
+    _SEPARATOR, _WORD, _SEPARATOR, _NUMBERS,
+    st.sampled_from([" ", "\t", " # seen", "#", " X", " 5", "\x0c"]),
+]
+
+
+@st.composite
+def _fact_lines(draw):
+    """A line in the layout the writers use with up to three of its fields
+    replaced by a fault or a legal variation."""
+    est, lst = sorted(draw(st.lists(st.floats(0, 1e6), min_size=2, max_size=2)))
+    kappa = draw(st.floats(0, 1))
+    fields = ["", "event", " ", "ARRIVE(E1)", " ", "est", " ", repr(est), " ", "lst", " ",
+              repr(lst), " ", "kappa", " ", repr(kappa), ""]
+    for i in draw(st.lists(st.integers(0, len(fields) - 1), max_size=3)):
+        fields[i] = draw(_VARIANTS[i])
+    return "".join(fields)
+
+
+_TEXTS = st.builds(
+    lambda lines, end: end.join(lines) + end,
+    st.lists(_fact_lines() | st.sampled_from(["", "# note"]), min_size=1, max_size=4),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+
+
+def _workloads():
+    """The benchmark's workload module, which is no package."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBasicFactsFastPath:
+    """``parse_basic_facts`` reads the layout ``simulate`` and the benchmark
+    workloads write with one regex match per line; the statement reader,
+    which reads every other line, is its oracle."""
+
+    @settings(max_examples=1000)  # each variant of a field is in few drawn lines
+    @given(_TEXTS)
+    @example("event A(X) est 0 lst 1 kappa 1 # seen\n")
+    @example("event\tA(X,Y)\test\t0\tlst\t1\tkappa\t1\t\n")
+    @example("event A(X) est 0 lst 1 kappa 1\r\nevent B(Y) est 2 lst 3 kappa 0.5\r\n")
+    @example("event A(X) est 0 lst 1 kappa 1\revent B(Y) est 2 lst 3 kappa 0.5\r")
+    @example("event A(X) est 0 lst 1\x0ckappa 1\n")
+    @example("event A(X) est \u0663 lst 5 kappa 1\n")
+    @example("event A(X) est 0 lst inf kappa 1\n")
+    @example("event A(X) est 0 lst 1e999 kappa 1\n")
+    @example("event A(X) est -1e999 lst 1 kappa 1\n")
+    @example("event A(X) est 1.5.2 lst 5 kappa 1\n")
+    @example("event A(X) est 0 lst0 kappa 1\n")
+    @example("event a(X) est 0 lst 1 kappa 1\n")
+    @example("event A( X ,Y) est 0 lst 1 kappa 1\n")
+    @example("event A(X) est 5 lst 4 kappa 1\n")
+    @example("event A(X) est 0 lst 1 kappa 1.5\n")
+    @example("event A(X) est 0 lst 1 kappa -0.0\n")
+    @example("event DOCKFREE est 0 lst 1 kappa 1\n")
+    @example("event Aest 0 lst 1 kappa 1\n")
+    @example("event A(X) est 0 lst 1kappa 1\n")
+    def test_same_specs_or_error_as_the_statement_reader(self, text):
+        assert _outcome(parse_basic_facts, text) == _outcome(_reader_basic_facts, text)
+
+    def test_negative_zero_kappa_stays_negative(self):
+        (spec,) = parse_basic_facts("event A(X) est 0 lst 1 kappa -0.0\n")
+        assert _EVENT_RE.fullmatch("event A(X) est 0 lst 1 kappa -0.0")
+        assert math.copysign(1.0, spec.kappa) == -1.0
+
+    def test_every_line_simulate_writes_takes_the_fast_path(self):
+        scenario = parse_scenario(
+            "scenario seed 3 class T(?x) exp 0.5 class U(?x) uniform 0 1e-300 "
+            "arrivals poisson 1e6 count 200 horizon 1e300\n"
+        )
+        text = generate(scenario).facts_text
+        lines = text.splitlines()
+        assert len(lines) == 200
+        assert all(_EVENT_RE.fullmatch(line) for line in lines)
+        assert _outcome(parse_basic_facts, text) == _outcome(_reader_basic_facts, text)
+
+    @pytest.mark.parametrize("name", ["dock", "trucks-200", "join-1k"])
+    def test_every_event_line_of_a_workload_takes_the_fast_path(self, tmp_path, name):
+        # The dock facts, the README example, open with a comment line.
+        _workloads().write(name, 3, tmp_path)
+        text = (tmp_path / "facts.txt").read_text()
+        events = [line for line in text.splitlines() if not line.startswith("#")]
+        assert events and all(_EVENT_RE.fullmatch(line) for line in events)
+        assert _outcome(parse_basic_facts, text) == _outcome(_reader_basic_facts, text)
