@@ -118,12 +118,21 @@ class StepSeries(_Record):
         return cls(grid, array("d", [1.0]) * grid.omega)
 
     def window(self, lo: int, hi: int) -> array:
-        """The values of cells ``lo..hi``, ``+0.0`` outside the span."""
+        """The values of cells ``lo..hi``, ``+0.0`` outside the span, as a
+        fresh array.
+
+        A range inside the span is one slice, the common case for a token
+        reading its inputs over its own cells; a range that reaches past the
+        span is padded with zeros on either side.
+        """
+        first = self.first
+        if first <= lo and hi < first + len(self.values):
+            return self.values[lo - first : hi + 1 - first]
         # The span's cells inside lo..hi are a..b-1 (a = b when there are none).
-        a = min(max(lo, self.first), hi + 1)
-        b = max(min(hi + 1, self.first + len(self.values)), a)
+        a = min(max(lo, first), hi + 1)
+        b = max(min(hi + 1, first + len(self.values)), a)
         zero = array("d", [0.0])
-        return zero * (a - lo) + self.values[a - self.first : b - self.first] + zero * (hi + 1 - b)
+        return zero * (a - lo) + self.values[a - first : b - first] + zero * (hi + 1 - b)
 
 
 def series_integral(s: StepSeries, from_cell: int = 1, to_cell: int | None = None) -> float:

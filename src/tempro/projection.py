@@ -87,6 +87,8 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
     # The token counts of each rule's trigger and antecedent types when its
     # last pass began; while they stand, the rule is skipped.
     began: list[list[int] | None] = [None] * len(theory.projection_rules)
+    derivation_keys = store.derivation_keys
+    ancestry = store.ancestry
     created = True
     while created:
         created = False
@@ -109,16 +111,17 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
                 )
                 for antecedent_ids, full_binding in matches:
                     key = (rule_index, trigger.tid, antecedent_ids)
-                    if key in store.derivation_keys:
+                    if key in derivation_keys:
                         continue
-                    store.derivation_keys.add(key)
+                    derivation_keys.add(key)
                     # Rule safety binds every consequent variable, and
                     # add_event rejects the type if it is not ground.
                     consequent = rule.consequent.substitute(full_binding)
                     ground = (consequent.name, consequent.args)
-                    if ground in store.ancestry[trigger.tid] or any(
-                        ground in store.ancestry[a] for a in antecedent_ids
-                    ):
+                    cyclic = ground in ancestry[trigger.tid]
+                    for a in antecedent_ids:
+                        cyclic = cyclic or ground in ancestry[a]
+                    if cyclic:
                         continue  # self-supporting chain; adds nothing
                     derivation = RuleDerived(rule_index, trigger.tid, antecedent_ids)
                     onset = store.add_event(

@@ -28,16 +28,16 @@ cell; the check runs at each cell where a fact opens, and a cycle raises
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
+from itertools import chain, groupby, repeat
 
 from . import _Record
 from .core import StepSeries, TimeGrid
 from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
-from .tokens import EventToken, TokenStore, user_density
+from .tokens import EventToken, RuleDerived, TokenStore, user_density
 
 
 class CyclicOpenTokens(RuntimeError):
@@ -150,62 +150,85 @@ def convolve_direct(f: StepSeries, survivor: Survivor, g: StepSeries | None = No
     return StepSeries(grid, sums)
 
 
-def _exponential_masses(density: Iterable[float], rate: float, delta: float) -> Iterator[float]:
-    """The recurrence masses from a fact's first cell on, one per cell.  Each
-    cell decays the previous mass as :func:`_clamp_and_close` keeps it,
-    clipped to 1."""
+def _exponential_span(
+    density: array, cells: int, rate: float, delta: float, epsilon: float
+) -> tuple[list[float], int, bool]:
+    """The masses of an exponentially persisting fact from its first cell
+    on, the number of clipped cells, and whether the last mass closed it.
+
+    ``density`` holds the initiating density of the first cells, and the
+    rest of the ``cells`` cells read ``+0.0``.  Each mass decays the
+    previous one as it was kept, clipped to 1.  The span runs through the
+    close cell, or through all ``cells`` cells when the fact never closes.
+    """
     decay = 0.0 if math.isinf(rate) else math.exp(-rate * delta)
     coef = delta * within_cell_factor(rate, delta)
+    out: list[float] = []
+    clamped = 0
+    supported = False
     prev = 0.0
-    for d in density:
-        value = decay * prev + d * coef
-        yield value
-        prev = 1.0 if value > 1.0 else value
+    for d in chain(density, repeat(0.0, cells - len(density))):
+        prev = decay * prev + d * coef
+        if prev > 1.0:
+            prev = 1.0
+            clamped += 1
+        out.append(prev)
+        # Masses are never negative, so epsilon = 0 never closes.
+        if prev >= epsilon:
+            supported = True
+        elif supported:
+            return out, clamped, True
+    return out, clamped, False
 
 
-def _linear_masses(density: array, slope: float, delta: float) -> Iterator[float]:
-    """The convolution masses from a fact's first cell on, one per cell.
-
-    Each source cell, in ascending order, adds ``density * delta`` times the
-    weight ``1 - slope*lag*delta`` of each lag with a positive weight to the
-    cells after it; a cell is yielded once every source up to it is added.
-    Every cell thus sums its contributions in ascending source order, from
-    0.0.  A ``±0.0`` source adds nothing to such a sum and is skipped.
-    """
-    n = len(density)
-    # Positive and non-increasing in the lag.  Lag 0 weighs 1 at every
-    # slope, as in survivor_eval; the formula would give NaN at slope inf.
+def _linear_weights(slope: float, delta: float, omega: int) -> list[float]:
+    """The weights ``1 - slope*lag*delta`` of lags ``0..omega-1`` up to the
+    first that is not positive.  They are positive and non-increasing in the
+    lag.  Lag 0 weighs 1 at every slope, as in survivor_eval; the formula
+    would give NaN at slope inf."""
     weights = [1.0]
-    for lag in range(1, n):
+    for lag in range(1, omega):
         weight = 1.0 - slope * lag * delta
         if not weight > 0.0:
             break
         weights.append(weight)
-    out = [0.0] * n
-    for j, d in enumerate(density):
-        if d:
-            source = d * delta
-            stop = min(n, j + len(weights))
-            out[j:stop] = [total + source * weight for total, weight in zip(out[j:stop], weights)]
-        yield out[j]
+    return weights
 
 
-def _clamp_and_close(masses: Iterable[float], epsilon: float) -> tuple[list[float], int, bool]:
-    """``masses`` clipped to 1 from a fact's first cell through its close cell
-    (or the last cell), the number of clipped cells, and whether the last
-    value closed the fact."""
-    out: list[float] = []
+def _linear_span(
+    density: array, cells: int, weights: list[float], delta: float, epsilon: float
+) -> tuple[list[float], int, bool]:
+    """The masses of a linearly persisting fact from its first cell on, the
+    number of clipped cells, and whether the last mass closed it.
+
+    ``density`` and ``cells`` are as in :func:`_exponential_span`, and
+    ``weights`` are :func:`_linear_weights`.  Each source cell, in ascending
+    order, adds ``density * delta`` times the weight of each lag to the
+    cells after it; a cell's mass is final, clipped to 1 and checked for
+    closure once every source up to it is added.  Every cell thus sums its
+    contributions in ascending source order, from 0.0.  A ``±0.0`` source
+    adds nothing to such a sum and is skipped, as is every cell past
+    ``density``.
+    """
+    out = [0.0] * cells
+    reach = len(weights)
     clamped = 0
     supported = False
-    for value in masses:
+    for j, d in enumerate(chain(density, repeat(0.0, cells - len(density)))):
+        if d:
+            source = d * delta
+            # A slice ending past the list stops at its end, as zip does.
+            out[j : j + reach] = [
+                total + source * weight for total, weight in zip(out[j : j + reach], weights)
+            ]
+        value = out[j]
         if value > 1.0:
-            value = 1.0
+            out[j] = value = 1.0
             clamped += 1
-        out.append(value)
-        # Masses are never negative, so epsilon = 0 never closes.
         if value >= epsilon:
             supported = True
         elif supported:
+            del out[j + 1 :]
             return out, clamped, True
     return out, clamped, False
 
@@ -222,7 +245,7 @@ def _check_open_types(theory: CausalTheory, opened: list[tuple[int, int | None, 
     closes = sorted((close, key) for _, close, key in opened if close is not None)
     counts: dict[TypeKey, int] = {}
     done = 0
-    for cell, group in itertools.groupby(sorted(opened, key=lambda o: o[0]), key=lambda o: o[0]):
+    for cell, group in groupby(sorted(opened, key=lambda o: o[0]), key=lambda o: o[0]):
         while done < len(closes) and closes[done][0] < cell:
             counts[closes[done][1]] -= 1
             done += 1
@@ -264,6 +287,7 @@ def refine(
     debug = logger is not None and logger.isEnabledFor(logging.DEBUG)
     stats = SweepStats(cells=omega)
     opened: list[tuple[int, int | None, TypeKey]] = []
+    lin_weights: dict[float, list[float]] = {}  # by slope, on this grid
     tokens = list(store)  # a token refers only to smaller tids, so each is in this list
     for token in tokens:
         if isinstance(token, EventToken):
@@ -285,16 +309,32 @@ def refine(
         if token.is_builtin:
             token.mass = StepSeries.ones(grid)
             continue
-        first = max(1, grid.time_to_cell(token.est))
+        # The fact reads its onset's density from its own first cell on.  A
+        # rule-derived fact starts at its onset's est, as projection makes
+        # it, so a non-empty onset span (built above from that est) starts at
+        # the fact's first cell, and the fact reads it and then zeros.
+        onset = tokens[token.initiating_event]
+        density = onset.density.values
+        if density and token.est == onset.est and isinstance(token.derivation, RuleDerived):
+            first = onset.density.first
+        else:
+            first = max(1, grid.time_to_cell(token.est))
+            density = onset.density.window(first, omega)
         span = []
         if first <= omega:
-            density = tokens[token.initiating_event].density.window(first, omega)
+            cells = omega + 1 - first
             survivor = token.persistence
             if isinstance(survivor, Exponential):
-                masses = _exponential_masses(density, survivor.rate, delta)
+                span, clamped, closed = _exponential_span(
+                    density, cells, survivor.rate, delta, epsilon
+                )
             else:
-                masses = _linear_masses(density, survivor.slope, delta)
-            span, clamped, closed = _clamp_and_close(masses, epsilon)
+                weights = lin_weights.get(survivor.slope)
+                if weights is None:
+                    weights = lin_weights[survivor.slope] = _linear_weights(
+                        survivor.slope, delta, omega
+                    )
+                span, clamped, closed = _linear_span(density, cells, weights, delta, epsilon)
             stats.clamped += clamped
             if closed:
                 token.close_cell = first - 1 + len(span)

@@ -55,13 +55,17 @@ class Pattern(_FrozenRecord):
 
     @property
     def is_ground(self) -> bool:
-        return not any(is_variable(a) for a in self.args)
+        for a in self.args:
+            if a.startswith("?"):  # is_variable, inline
+                return False
+        return True
 
     def variables(self) -> set[str]:
         return {a for a in self.args if is_variable(a)}
 
     def substitute(self, binding: dict[str, str]) -> "Pattern":
-        return Pattern(self.name, tuple(binding.get(a, a) for a in self.args))
+        args = self.args
+        return Pattern(self.name, tuple(map(binding.get, args, args)))
 
     def __str__(self) -> str:
         if not self.args:
@@ -81,7 +85,7 @@ def unify(pattern: Pattern, ground: Pattern, binding: dict[str, str] | None = No
         return None
     out = dict(binding) if binding else {}
     for p, g in zip(pattern.args, ground.args):
-        if is_variable(p):
+        if p.startswith("?"):  # is_variable, inline
             bound = out.get(p)
             if bound is None:
                 out[p] = g

@@ -278,8 +278,11 @@ class TokenStore:
         return min(bound, key=len)
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> StepSeries:
@@ -287,7 +290,10 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
 
     The in-window discrete integral equals ``kappa``; cells outside the grid
     are dropped, so a window sticking out of the horizon keeps only the mass
-    that falls inside.
+    that falls inside.  A window too wide, too narrow or too far out for its
+    Gaussian to be formed in floats (a width that overflows, a standard
+    deviation that underflows to 0, or a midpoint that overflows) is a
+    ``ValueError``.
     """
     if est == lst:
         cell = grid.time_to_cell(est)
@@ -296,23 +302,29 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
         return StepSeries(grid, [kappa / grid.delta], cell)
     mu = 0.5 * (est + lst)
     sigma = (lst - est) / 6.0
+    if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
+        raise ValueError(
+            f"window [{est}, {lst}] has no Gaussian density in floats: "
+            f"midpoint {mu}, standard deviation {sigma}"
+        )
     z = _norm_cdf((lst - mu) / sigma) - _norm_cdf((est - mu) / sigma)
+    origin, delta = grid.origin, grid.delta
     first = max(1, grid.time_to_cell(est))
     last = min(grid.omega, grid.time_to_cell(lst))
     values = array("d", [0.0]) * (last + 1 - first)
-    # Cell i covers [lo, hi] = its edges clipped to the window.  Clipping is
-    # monotone and cell_end(i) is the same float as cell_start(i + 1), so one
-    # CDF value per clipped boundary serves both cells that share it; a cell
-    # is skipped exactly when its clipped edges coincide.
-    lo = min(lst, max(est, grid.cell_start(first)))
+    # Cell i covers [lo, hi] = its edges, origin + (i-1)*delta and
+    # origin + i*delta, clipped to the window.  Clipping is monotone and a
+    # cell's end is the same float as the next cell's start, so one CDF value
+    # per clipped boundary serves both cells that share it; a cell is skipped
+    # exactly when its clipped edges coincide.
+    lo = min(lst, max(est, origin + (first - 1) * delta))
     cdf_lo = _norm_cdf((lo - mu) / sigma)
     for i in range(first, last + 1):
-        hi = min(lst, max(est, grid.cell_end(i)))
+        hi = min(lst, max(est, origin + i * delta))
         if hi <= lo:
             continue
         cdf_hi = _norm_cdf((hi - mu) / sigma)
-        weight = (cdf_hi - cdf_lo) / z
-        values[i - first] = kappa * weight / grid.delta
+        values[i - first] = kappa * ((cdf_hi - cdf_lo) / z) / delta
         lo, cdf_lo = hi, cdf_hi
     return StepSeries(grid, values, first)
 

@@ -149,6 +149,28 @@ class TestStepSeries:
         assert np.signbit(s.window(1, 8)).tolist() == [False] * 3 + [True] + [False] * 4
         assert isinstance(s.window(1, 8), array) and s.window(1, 8).typecode == "d"
 
+    @given(st.data())
+    def test_window_equals_a_zero_padded_oracle(self, data):
+        # Small grids put lo..hi inside the span, across it, outside it, on
+        # an empty span and at lo = hi + 1 alike.
+        omega = data.draw(st.integers(1, 12))
+        length = data.draw(st.integers(0, omega))
+        first = data.draw(st.integers(1, omega + 1 - length))
+        values = data.draw(st.lists(st.one_of(st.just(-0.0), st.floats(0.0, 10.0)),
+                                    min_size=length, max_size=length))
+        lo = data.draw(st.integers(1, omega + 1))
+        hi = data.draw(st.integers(lo - 1, omega))
+        s = StepSeries(TimeGrid(0.0, 1.0, omega), values, first)
+        padded = [0.0] * (first - 1) + values + [0.0] * (omega + 1 - first - length)
+        got = s.window(lo, hi)
+        assert isinstance(got, array) and got.typecode == "d"
+        assert got.tobytes() == array("d", padded[lo - 1 : hi]).tobytes()
+        # The result is the caller's own: changing it leaves the span as it was.
+        kept = s.values.tobytes()
+        got.append(5.0)
+        got[0] = 7.0
+        assert s.values.tobytes() == kept
+
     def test_checks_read_the_span_only(self):
         g = TimeGrid(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="finite"):

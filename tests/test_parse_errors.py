@@ -265,6 +265,35 @@ def test_projection_csv_grid_metadata(tmp_path, capsys, metadata, message, line)
     assert (code, capsys.readouterr().err) == (2, f"error: line {line}, column 1: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "window,grid,message",
+    [
+        pytest.param("est -9e307 lst 9e307", ["--delta", "1", "--omega", "10"],
+                     "window [-9e+307, 9e+307] has no Gaussian density in floats: "
+                     "midpoint 0.0, standard deviation inf", id="width-overflows"),
+        pytest.param("est 0 lst 5e-324", ["--delta", "1", "--omega", "10", "--mesh", "1"],
+                     "window [0.0, 5e-324] has no Gaussian density in floats: "
+                     "midpoint 0.0, standard deviation 0.0", id="sigma-underflows"),
+        pytest.param("est 1e308 lst 1.7e308",
+                     ["--delta", "1e307", "--omega", "17", "--mesh", "1e307"],
+                     "window [1e+308, 1.7e+308] has no Gaussian density in floats: "
+                     "midpoint inf, standard deviation 1.1666666666666665e+307",
+                     id="midpoint-overflows"),
+    ],
+)
+def test_window_without_a_float_gaussian(tmp_path, capsys, window, grid, message):
+    # Each window is valid as written, but its Gaussian's midpoint or
+    # standard deviation is not a finite positive float: the fact's line
+    # reports it, with the usual exit and one line, and nothing is written.
+    (tmp_path / "t.rules").write_text("persist A exp 0.1\nproject ALWAYS, E => A @ 1\n")
+    (tmp_path / "f.txt").write_text(f"# observed\nevent E {window} kappa 0.5\n")
+    out = tmp_path / "out.csv"
+    code = main(["project", "--theory", str(tmp_path / "t.rules"), "--facts",
+                 str(tmp_path / "f.txt"), *grid, "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (2, f"error: line 2, column 1: {message}\n")
+    assert not out.exists()
+
+
 # A line is checked left to right, so of two faults the left one is reported:
 # a bad value comes before anything wrong after it on the same line.
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, reject, settings
@@ -279,6 +280,37 @@ class TestChainingAndTermination:
         project(theory, store, grid)
         for e in store.events:
             assert math.isfinite(e.est) and math.isfinite(e.lst)
+
+
+def _doubling_theory(depth: int):
+    """Two rules per level, each deriving ``L{k+1}`` from every ``L{k}``
+    token, so each level holds twice the derivations of the one below."""
+    lines = []
+    for k in range(1, depth + 1):
+        lines += [
+            f"persist L{k + 1}(?x) exp 0.1",
+            f"project L{k}(?x) => L{k + 1}(?x) @ 0.5",
+            f"project L{k}(?x) => L{k + 1}(?x) @ 0.25",
+        ]
+    return parse_theory("\n".join(lines) + "\n")
+
+
+class TestTokenGrowth:
+    """The token count can be exponential in the depth of a rule chain:
+    every derivation is its own token, and the ancestry guard cuts only a
+    ground type that repeats along one chain."""
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_token_count_doubles_per_level(self, depth):
+        theory = _doubling_theory(depth)
+        grid = TimeGrid(0.0, 1.0, 20)
+        store = _store_with(grid, ("L1", ("X",), 1.0, 3.0, 1.0))
+        start = time.perf_counter()
+        project(theory, store, grid)
+        elapsed = time.perf_counter() - start
+        # The user event, then 2**k onsets and 2**k facts at each level k + 1.
+        assert len(store) == 2 ** (depth + 2) - 3
+        assert elapsed < 2.0, f"depth {depth}: {elapsed:.2f} s"
 
 
 def _oracle_matches(store, patterns, index, binding, trigger_lst, chosen):

@@ -24,6 +24,7 @@ from tempro import (
     Exponential,
     Linear,
     Pattern,
+    RuleDerived,
     StepSeries,
     SweepStats,
     TimeGrid,
@@ -86,7 +87,9 @@ def _mass_update_lin(store: TokenStore, token, i: int, first: int) -> float:
     src = store.token(token.initiating_event).density.values
     value = 0.0
     for j in range(max(first, i - cutoff), i + 1):
-        weight = 1.0 - slope * (i - j) * delta
+        # Lag 0 weighs 1 at every slope, as survivor_eval says; the formula
+        # would give NaN at slope inf.
+        weight = 1.0 - slope * (i - j) * delta if j < i else 1.0
         if weight > 0.0:
             value += float(src[j - 1]) * delta * weight
     return value
@@ -791,6 +794,27 @@ class TestSpans:
             assert fact.mass.first == grid.time_to_cell(fact.est)
             assert fact.mass.first + len(fact.mass.values) - 1 == end
 
+    def test_fact_starts_at_its_own_est(self):
+        # Facts built by hand: F starts after its onset's window opens, and
+        # G's onset lies before the grid, so its span is empty.  Each fact
+        # starts at its own first cell and reads its onset's density there.
+        theory = parse_theory("project ALWAYS, E(?x) => F(?x) @ 1.0\n")
+        grid = TimeGrid(0.0, 1.0, 30)
+        store = TokenStore()
+        always = store.ensure_always()
+        trigger = add_basic_event(store, Pattern("E", ("X",)), 2.0, 9.0, 1.0, grid)
+        derivation = RuleDerived(0, trigger.tid, (always.tid,))
+        for name, est, lst, fact_est in [("F", 2.0, 9.0, 5.0), ("G", -9.0, -3.0, -9.0)]:
+            onset = store.add_event(Pattern(name, ("X",)), est, lst, 1.0, derivation)
+            store.add_fact(Pattern(name, ("X",)), onset.tid, Linear(0.1), fact_est, derivation)
+        refine(store, theory, grid, 0.0)
+        (f,) = store.facts_of_type(("F", 1))
+        (g,) = store.facts_of_type(("G", 1))
+        assert (f.mass.first, g.mass.first) == (6, 1)
+        onset = store.token(f.initiating_event).density
+        assert f.mass.values[0] == onset.window(6, 6)[0] * grid.delta > 0.0
+        assert g.mass.values.tobytes() == bytes(8 * grid.omega)
+
 
 class TestCycleDetection:
     CYCLIC = (
@@ -948,6 +972,59 @@ class TestOrderEquivalence:
         refine(store, theory, grid, 1e-4)
         (onset,) = store.events_of_type(("NZD", 1))
         assert np.any(np.signbit(_cells(onset.density)))
+
+
+class TestFamilyLoops:
+    """Each survivor family's loop against the per-cell ``_oracle_refine``."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-4])
+    def test_lin_facts_of_one_slope_from_different_cells(self, epsilon):
+        # Five L facts of one slope start at five cells; the one that starts
+        # first outlives its 40-lag ramp, the later ones reach the horizon
+        # first, and the burst clamps.  lin 0 and lin inf ride along.
+        theory = parse_theory(
+            "persist L(?x) lin 0.05\npersist Z(?x) lin 0\npersist I(?x) lin inf\n"
+            "project ALWAYS, E(?x) => L(?x) @ 0.9\n"
+            "project ALWAYS, E(?x) => Z(?x) @ 0.4\n"
+            "project ALWAYS, E(?x) => I(?x) @ 0.7\n"
+        )
+        grid = TimeGrid(0.0, 0.5, 60)
+        windows = [(0.0, 3.0), (2.2, 2.2), (7.5, 12.0), (20.0, 26.0), (27.0, 40.0), (13.0, 14.5)]
+
+        def build():
+            store = TokenStore()
+            for n, (est, lst) in enumerate(windows):
+                event = add_basic_event(store, Pattern("E", (f"X{n}",)), est, lst, 1.0, grid)
+            event.density = StepSeries(grid, [3.0, 0.0, 3.0, 0.5], 27)  # cells 27..30
+            project(theory, store, grid)
+            return theory, grid, store
+
+        _assert_same_as_oracle(build, epsilon)
+        _, _, store = build()
+        refine(store, theory, grid, epsilon)
+        firsts = [f.mass.first for f in store.facts_of_type(("L", 1))]
+        assert len(set(firsts)) == len(windows)
+        assert store.sweep_stats.clamped >= 2
+
+    def test_exponential_fact_clamped_then_closed(self):
+        theory = parse_theory("persist A(?x) exp 2.0\nproject ALWAYS, E(?x) => A(?x) @ 1.0\n")
+        grid = TimeGrid(0.0, 1.0, 30)
+
+        def build():
+            store = TokenStore()
+            event = add_basic_event(store, Pattern("E", ("X",)), 3.0, 6.0, 1.0, grid)
+            event.density = StepSeries(grid, [0.5, 3.0, 3.0, 0.5], 4)  # cells 4..7
+            project(theory, store, grid)
+            return theory, grid, store
+
+        _assert_same_as_oracle(build, 1e-3)
+        _, _, store = build()
+        refine(store, theory, grid, 1e-3)
+        (fact,) = store.facts_of_type(("A", 1))
+        assert store.sweep_stats.clamped == 2
+        assert fact.mass.first == 4 and fact.close_cell == 4 + len(fact.mass.values) - 1 < 15
+        assert list(fact.mass.values[1:3]) == [1.0, 1.0]
+        assert 0.0 < fact.mass.values[-1] < 1e-3
 
 
 class TestDebugSummary:

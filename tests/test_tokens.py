@@ -290,6 +290,52 @@ class TestWindowDensity:
             assert total == pytest.approx(kappa, rel=1e-9, abs=1e-12)
 
 
+# Finite times at the edges of the float range: zeros, subnormals, the
+# largest float and values near +-9e307, whose sum or difference overflows.
+_EDGE_TIMES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0,
+    9e307, -9e307, 8.98846567431158e307, -8.98846567431158e307,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+_FINITE_TIMES = st.one_of(
+    st.sampled_from(_EDGE_TIMES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-100.0, 100.0),
+)
+
+
+class TestAnyFiniteWindow:
+    @settings(max_examples=300)
+    @given(
+        _FINITE_TIMES,
+        _FINITE_TIMES,
+        st.floats(0.0, 1.0),
+        st.floats(-300.0, 307.0),
+        st.integers(1, 40),
+        st.data(),
+    )
+    def test_curve_or_value_error(self, a, b, kappa, exponent, omega, data):
+        est, lst = sorted((a, b))
+        delta = 10.0 ** exponent
+        # A grid near the window, so that most windows meet it.
+        origin = data.draw(st.one_of(
+            st.sampled_from([est, lst, 0.0]),
+            st.sampled_from([est - delta * omega / 2, 0.5 * est + 0.5 * lst]).filter(math.isfinite),
+            _FINITE_TIMES,
+        ))
+        g = TimeGrid(origin, delta, omega)
+        try:
+            token = add_basic_event(TokenStore(), ARRIVE_T14, est, lst, kappa, g)
+        except ValueError:
+            return
+        values = token.density.values
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
+        # Up to rounding: relative 1e-9, and a value among the subnormals
+        # rounds to a multiple of 5e-324, which delta scales back up.
+        slack = kappa * 1e-9 + len(values) * 5e-324 * delta
+        assert math.fsum(values) * delta <= kappa + slack
+
+
 class TestWindowDensityCdfOnce:
     @given(
         st.sampled_from([0.0, -3.7, 12.25]),
