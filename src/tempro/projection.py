@@ -118,10 +118,9 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
                     # add_event rejects the type if it is not ground.
                     consequent = rule.consequent.substitute(full_binding)
                     ground = (consequent.name, consequent.args)
-                    cyclic = ground in ancestry[trigger.tid]
-                    for a in antecedent_ids:
-                        cyclic = cyclic or ground in ancestry[a]
-                    if cyclic:
+                    if ground in ancestry[trigger.tid] or any(
+                        ground in ancestry[a] for a in antecedent_ids
+                    ):
                         continue  # self-supporting chain; adds nothing
                     derivation = RuleDerived(rule_index, trigger.tid, antecedent_ids)
                     onset = store.add_event(

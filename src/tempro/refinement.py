@@ -37,7 +37,7 @@ from itertools import chain, groupby, repeat
 from . import _Record
 from .core import StepSeries, TimeGrid
 from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
-from .tokens import EventToken, RuleDerived, TokenStore, user_density
+from .tokens import EventToken, TokenStore, user_density
 
 
 class CyclicOpenTokens(RuntimeError):
@@ -309,17 +309,11 @@ def refine(
         if token.is_builtin:
             token.mass = StepSeries.ones(grid)
             continue
-        # The fact reads its onset's density from its own first cell on.  A
-        # rule-derived fact starts at its onset's est, as projection makes
-        # it, so a non-empty onset span (built above from that est) starts at
-        # the fact's first cell, and the fact reads it and then zeros.
-        onset = tokens[token.initiating_event]
-        density = onset.density.values
-        if density and token.est == onset.est and isinstance(token.derivation, RuleDerived):
-            first = onset.density.first
-        else:
-            first = max(1, grid.time_to_cell(token.est))
-            density = onset.density.window(first, omega)
+        # The fact reads its onset's density from its own first cell through
+        # the end of the onset's span, and zeros after that.
+        first = max(1, grid.time_to_cell(token.est))
+        onset = tokens[token.initiating_event].density
+        density = onset.window(first, onset.first + len(onset.values) - 1)
         span = []
         if first <= omega:
             cells = omega + 1 - first

