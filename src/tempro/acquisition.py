@@ -34,7 +34,7 @@ from collections import namedtuple
 
 from . import _Record
 from .theory import (
-    _NAME,
+    _GROUND_KEY,
     _NUMBER,
     Pattern,
     TokenCursor,
@@ -195,7 +195,7 @@ Observation = namedtuple("Observation", "key arrival departure line")
 # group is a whole token of the statement reader, so a line it matches reads
 # to the same key and numbers there.
 _OBSERVE_RE = re.compile(
-    rf"[ \t]*observe[ \t]+({_NAME})(?:\(({_NAME}(?:,{_NAME})*)\))?"
+    rf"[ \t]*observe[ \t]+{_GROUND_KEY}"
     rf"[ \t]+arrival[ \t]+({_NUMBER})[ \t]+departure[ \t]+({_NUMBER})[ \t]*"
 )
 

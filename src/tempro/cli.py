@@ -19,10 +19,10 @@ import re
 import sys
 import warnings
 from collections.abc import Callable
-from itertools import chain
 
 from .core import SNAP_REL, GridError, TimeGrid, auto_mesh_factor
 from .theory import (
+    _GROUND_KEY,
     ParseError,
     Pattern,
     parse_pattern_text,
@@ -190,6 +190,7 @@ def _write_projection_csv(
 
 
 def _write_plot_script(path: str, csv_path: str, store: TokenStore) -> None:
+    name = os.path.basename(csv_path).replace("'", "''")  # gnuplot's escape in '...'
     plotted = [(f.tid, str(f.fact_type), "mass") for f in store.facts]
     if not plotted:
         plotted = [(e.tid, str(e.event_type), "density") for e in store.events]
@@ -201,7 +202,7 @@ def _write_plot_script(path: str, csv_path: str, store: TokenStore) -> None:
         "set grid",
     ]
     plots = [
-        f"'{os.path.basename(csv_path)}' every ::1 "
+        f"'{name}' every ::1 "
         f"using 5:($1=={tid} && strcol(3) eq '{kind}' ? $6 : 1/0) "
         f"with steps title '{label} #{tid}'"
         for tid, label, kind in plotted
@@ -290,22 +291,34 @@ def _metadata_grid(metadata: dict[str, tuple[str, int]]) -> TimeGrid:
     return TimeGrid(*values)
 
 
-# A type text in the canonical ground form that ``str(Pattern)`` writes,
-# ``NAME`` or ``NAME(C1,...,Cn)``.  Each group is a whole token of the
-# statement reader, so a text it matches reads to the same pattern there.
-# ``re`` compiles it on first use, so importing this module does not.
-_GROUND_TYPE = r"([A-Z][A-Z0-9_]*)(?:\(([A-Z][A-Z0-9_]*(?:,[A-Z][A-Z0-9_]*)*)\))?"
-
-
 def _type_pattern(text: str) -> Pattern:
-    """``parse_pattern_text(text)``.  A text in canonical ground form is read
-    from one regex match; any other goes to ``parse_pattern_text``, which
-    reads it or raises its error."""
-    match = re.fullmatch(_GROUND_TYPE, text)
+    """``parse_pattern_text(text)``.  A text in canonical ground form
+    (``_GROUND_KEY``) is read from one regex match; each group is a whole
+    token of the statement reader, so the match reads to the pattern that
+    reader gives.  Any other text goes to ``parse_pattern_text``, which
+    reads it or raises its error.  ``re`` compiles the regex on first use,
+    so importing this module does not."""
+    match = re.fullmatch(_GROUND_KEY, text)
     if match is None:
         return parse_pattern_text(text)
     name, args = match.groups()
     return Pattern(name, tuple(args.split(",")) if args else ())
+
+
+def _header_columns(names: list[str] | None, line: int) -> list[int]:
+    """The indexes of the ``kind``, ``cell``, ``type`` and ``value`` columns
+    in ``names``, the fields of the header at file line ``line``.  A missing
+    header, and a needed column it lacks or names twice, is a parse error."""
+    if names is None:
+        raise ParseError("projection CSV has no header line", 1, 1)
+    columns = []
+    for name in ("kind", "cell", "type", "value"):
+        if name not in names:
+            raise ParseError(f"projection CSV header lacks the {name!r} column", line, 1)
+        if names.count(name) > 1:
+            raise ParseError(f"projection CSV header has more than one {name!r} column", line, 1)
+        columns.append(names.index(name))
+    return columns
 
 
 def _load_projection_csv(
@@ -316,50 +329,30 @@ def _load_projection_csv(
     type's canonical text (``str`` of the parsed type) in row order, so
     spellings of one type such as ``F(X)`` and ``F( X )`` are one type.
 
-    At the first data row, or at the end of a file that has none, the grid
-    is built from the ``# origin=``, ``# mesh=`` and ``# cells=`` lines read
-    so far, and ``locate(grid)`` gives the pattern and the cell to read.
-    Such a line after the first data row is a parse error at its line.  A
-    type with a mass row at any cell is listed, with no values where it has
-    no row at the cell, which reads as mass 0.  Each value kept must be a
-    number in [0, 1]; anything else is a bad row.  Only those lines and
-    values are kept; each distinct cell and type text is parsed once.  One
-    U+FEFF at the very start of the file, the byte-order mark a spreadsheet
-    writes, is skipped; anywhere else it is a character of its field.
+    At the first data row, before its fields are read, or at the end of a
+    file that has none, the grid is built from the ``# origin=``,
+    ``# mesh=`` and ``# cells=`` lines read so far, ``locate(grid)`` gives
+    the pattern and the cell to read, and the header's columns are found.
+    Such a line given twice, or after the first data row, is a parse error
+    at its line.  A type with a mass row at any cell is listed, with no
+    values where it has no row at the cell, which reads as mass 0.  Each
+    value kept must be a number in [0, 1]; anything else is a bad row.  Only
+    those lines and values are kept; each distinct cell and type text is
+    parsed once.  One U+FEFF at the very start of the file, the byte-order
+    mark a spreadsheet writes, is skipped; anywhere else it is a character
+    of its field.
 
-    A data row on one line that is ASCII, holds no ``"`` and is no longer
-    than the CSV field limit is split at its commas, which gives the fields
-    that ``csv.reader`` gives.  Every other line goes to ``csv.reader``,
-    which also reads a quoted field that runs over several lines.  The
-    fields of both go to the same checks.
+    Every row, the header included, is one line.  A line that holds no
+    ``"`` and is no longer than the CSV field limit is split at its commas,
+    which gives the fields that ``csv.reader`` gives; any other line is read
+    by a strict ``csv.reader`` alone, so a quoted field still open at the end
+    of its line is a bad row at that line.  The fields of both go to the
+    same checks.
     """
     grid_lines: dict[str, tuple[str, int]] = {}
-    at = 0  # the file line of the last data line read
-    started = False  # whether the first data row has been read
-
-    def kept(numbered):
-        """The lines of ``numbered``, pairs of line number and line, that
-        are neither blank nor ``#`` lines."""
-        nonlocal at
-        for lineno, line in numbered:
-            if not line.isascii():
-                try:  # an undecodable byte reads as a lone surrogate, whose byte fails again
-                    line.encode(handle.encoding, "surrogateescape").decode(handle.encoding)
-                except UnicodeDecodeError as exc:
-                    raise _undecodable(path, exc) from None
-            if line[0] == "#":
-                key, eq, value = line[1:].partition("=")
-                key = key.strip()
-                if eq and key in _GRID_KEYS:
-                    if started:
-                        raise ParseError(
-                            f"grid metadata line '# {key}=...' after the first data row", lineno, 1
-                        )
-                    grid_lines[key] = (value.strip(), lineno)
-            elif not line.isspace():
-                at = lineno
-                yield line
-
+    names = None  # the header's fields
+    header_at = 0
+    grid = None  # built at the first data row
     at_cell: dict[str, bool] = {}
     matches: dict[str, str] = {}  # type text -> canonical text if it matches, else ""
     masses: dict[str, list[float]] = {}
@@ -367,39 +360,35 @@ def _load_projection_csv(
     with open(path, "r", errors="surrogateescape") as handle:
         if handle.read(1) != "\ufeff":  # the byte-order mark of a file saved as "CSV UTF-8"
             handle.seek(0)
-        numbered = enumerate(handle, 1)
-        lines = kept(numbered)
         try:
-            header = next(lines, None)
-            names = next(csv.reader((header,))) if header else None
-            header_at = at
-            first = next(lines, None)
-            started = True
-            grid = _metadata_grid(grid_lines)
-            pattern, cell = locate(grid)
-            if names is None:
-                raise ParseError("projection CSV has no header line", 1, 1)
-            columns = []
-            for name in ("kind", "cell", "type", "value"):
-                if name not in names:
-                    raise ParseError(
-                        f"projection CSV header lacks the {name!r} column", header_at, 1
-                    )
-                if names.count(name) > 1:
-                    raise ParseError(
-                        f"projection CSV header has more than one {name!r} column", header_at, 1
-                    )
-                columns.append(names.index(name))
-            kind_at, cell_at, type_at, value_at = columns
-            numbered = chain(((at, first),), numbered) if first else ()
-            for at, line in numbered:
-                if (line.isascii() and '"' not in line and line[0] != "#"
-                        and len(line) <= limit and not line.isspace()):
+            for at, line in enumerate(handle, 1):
+                if not line.isascii():
+                    try:  # an undecodable byte reads as a lone surrogate, whose byte fails again
+                        line.encode(handle.encoding, "surrogateescape").decode(handle.encoding)
+                    except UnicodeDecodeError as exc:
+                        raise _undecodable(path, exc) from None
+                if line[0] == "#":
+                    key, eq, value = line[1:].partition("=")
+                    key = key.strip()
+                    if eq and key in _GRID_KEYS:
+                        if grid is not None or key in grid_lines:
+                            problem = "given twice" if grid is None else "after the first data row"
+                            raise ParseError(f"grid metadata line '# {key}=...' {problem}", at, 1)
+                        grid_lines[key] = (value.strip(), at)
+                    continue
+                if line.isspace():
+                    continue
+                if grid is None and names is not None:  # the first data row
+                    grid = _metadata_grid(grid_lines)
+                    pattern, cell = locate(grid)
+                    kind_at, cell_at, type_at, value_at = _header_columns(names, header_at)
+                if '"' not in line and len(line) <= limit:
                     row = line.rstrip("\n").split(",")
-                else:  # the reader pulls the lines of a quoted field that runs on
-                    row = next(csv.reader(kept(chain(((at, line),), numbered))), None)
-                    if row is None:
-                        break
+                else:
+                    row = next(csv.reader((line,), strict=True))
+                if grid is None:  # the header
+                    names, header_at = row, at
+                    continue
                 if row[kind_at] != "mass":
                     continue
                 cell_text = row[cell_at]
@@ -427,6 +416,10 @@ def _load_projection_csv(
         except (IndexError, ValueError, csv.Error) as exc:
             problem = "too few fields" if isinstance(exc, IndexError) else str(exc)
             raise ParseError(f"bad projection CSV row: {problem}", at, 1) from None
+    if grid is None:  # a file with no data row
+        grid = _metadata_grid(grid_lines)
+        locate(grid)
+        _header_columns(names, header_at)
     return grid, masses
 
 

@@ -219,8 +219,12 @@ _TOKEN_RE = re.compile(
 # Pieces of the one-regex fast paths for the layouts that the package
 # itself writes: an upper-case name or constant, and a number in ASCII
 # digits.  Each matches a whole token of ``_TOKEN_RE`` when blanks, ``(``,
-# ``,`` or ``)`` follow it.
+# ``,`` or ``)`` follow it.  ``_GROUND_KEY`` is a ground pattern in the
+# canonical form that ``str(Pattern)`` writes, ``NAME`` or
+# ``NAME(C1,...,Cn)``, with the name and the comma-joined constants as its
+# two groups.
 _NAME = r"[A-Z][A-Z0-9_]*"
+_GROUND_KEY = rf"({_NAME})(?:\(({_NAME}(?:,{_NAME})*)\))?"
 _NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
@@ -232,7 +236,7 @@ _KINDS = {
 #: The characters that are a token on their own.
 _SINGLES = frozenset(_LETTERS + "0123456789@(),")
 
-_UPPER_RE = re.compile(r"[A-Z][A-Z0-9_]*$")
+_UPPER_RE = re.compile(_NAME + "$")
 
 
 def _kind(text: str) -> str:

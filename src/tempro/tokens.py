@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from . import _FrozenRecord, _Record
 from .core import StepSeries, TimeGrid
 from .theory import (
-    _NAME,
+    _GROUND_KEY,
     _NUMBER,
     GroundKey,
     ParseError,
@@ -377,7 +377,7 @@ class BasicEventSpec(_FrozenRecord):
 # fields, and no comment.  Each group is a whole token of the statement
 # reader, so a line it matches reads to the same key and numbers there.
 _EVENT_RE = re.compile(
-    rf"[ \t]*event[ \t]+({_NAME})(?:\(({_NAME}(?:,{_NAME})*)\))?[ \t]+est[ \t]+({_NUMBER})"
+    rf"[ \t]*event[ \t]+{_GROUND_KEY}[ \t]+est[ \t]+({_NUMBER})"
     rf"[ \t]+lst[ \t]+({_NUMBER})[ \t]+kappa[ \t]+({_NUMBER})[ \t]*"
 )
 

@@ -1,12 +1,16 @@
 """Smoke tests: ``scripts/dock_curve.py`` runs to completion on a small
-input, ``scripts/make_golden.py`` renders the committed golden file, and
-every Python example in the README runs."""
+input, ``scripts/make_golden.py`` renders the committed golden file, every
+Python example in the README runs, and so do the README's Quick start
+commands."""
 from __future__ import annotations
 
+import filecmp
 import importlib.util
 import os
 import pathlib
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -51,3 +55,30 @@ def test_readme_python_blocks_run():
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, f"{code}\n{result.stderr}"
+
+
+def test_readme_quick_start_commands_run(tmp_path):
+    # Each block runs in a directory holding a copy of data/, with
+    # ``python -m tempro`` for ``tempro``; it must succeed and leave the
+    # bundled files as they are.
+    readme = (ROOT / "README.md").read_text()
+    quick_start = readme.split("\n## Quick start\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"^```sh\n(.*?)^```", quick_start, re.DOTALL | re.MULTILINE)
+    assert blocks
+    shutil.copytree(ROOT / "data", tmp_path / "data")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    tempro = f"{shlex.quote(sys.executable)} -m tempro"
+    for block in blocks:
+        script = re.sub(r"^tempro ", tempro + " ", block, flags=re.MULTILINE)
+        assert script != block
+        result = subprocess.run(
+            ["sh", "-e", "-c", script],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, f"{block}\n{result.stderr}"
+    compared = filecmp.dircmp(ROOT / "data", tmp_path / "data")
+    assert (compared.left_only, compared.right_only) == ([], [])
+    _, changed, errors = filecmp.cmpfiles(
+        ROOT / "data", tmp_path / "data", compared.common_files, shallow=False
+    )
+    assert (changed, errors) == ([], [])
