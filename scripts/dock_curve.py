@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-import numpy as np
-
 from tempro import TimeGrid, TokenStore, load_basic_facts, parse_theory, project, refine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -41,8 +39,8 @@ def main() -> None:
     for fact in store.facts:
         if fact.fact_type.name == "ALWAYS":
             continue
-        m = np.asarray(fact.mass.window(1, grid.omega))
-        peak = int(m.argmax())
+        m = fact.mass.window(1, grid.omega)
+        peak = max(range(len(m)), key=m.__getitem__)
         print(f"\n{fact.fact_type}")
         print(f"  peak: {m[peak]:.6f} at cell {peak + 1} (t={grid.cell_end(peak + 1)})")
         for minutes in (15.0, 60.0, 240.0, 1440.0):

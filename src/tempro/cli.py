@@ -143,10 +143,13 @@ def _resolve_mesh(delta: float, mesh: str, window_widths: list[float]) -> int:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as a field of a ``csv.writer`` row of several fields, with
-    ``lineterminator="\\n"``: quoted, with each ``"`` doubled, when it holds
-    the delimiter, the quote character or the line terminator."""
-    if "," in text or '"' in text or "\n" in text:
+    """``text`` as a field of a ``csv.writer`` row of several fields: quoted,
+    with each ``"`` doubled, when it holds a comma or a quote.  ``query``
+    reads each row from one line, so a line break (which only a library-built
+    ``Pattern`` can hold) is a ``ValueError``."""
+    if "\n" in text or "\r" in text:
+        raise ValueError(f"type {text!r} holds a line break, which no CSV row of one line can")
+    if "," in text or '"' in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -155,6 +158,9 @@ def _write_projection_csv(
     handle, store: TokenStore, grid: TimeGrid, metadata: dict[str, object]
 ) -> None:
     """Write the projection CSV to ``handle``, one token at a time.
+
+    Each metadata entry is one ``# key=value`` line, a line feed or carriage
+    return in its value written as the two characters ``\\n`` or ``\\r``.
 
     A token's rows run from its first written cell to its last, where a
     written cell holds any value but ``+0.0``; a token with no written cell
@@ -168,6 +174,7 @@ def _write_projection_csv(
     text as ``format(v, ".12g")``.
     """
     for key, value in metadata.items():
+        value = str(value).replace("\n", "\\n").replace("\r", "\\r")
         handle.write(f"# {key}={value}\n")
     handle.write("token_id,type,kind,cell,time,value\n")
     cells = [f"{i},{_fmt(grid.cell_start(i))},%.12g\n" for i in range(1, grid.omega + 1)]
@@ -187,29 +194,6 @@ def _write_projection_csv(
             field = quoted[token_type] = _csv_field(token_type).replace("%", "%%")
         head = f"{tid},{field},{kind},"
         handle.write((head + head.join(cells[start : start + len(span)])) % tuple(span))
-
-
-def _write_plot_script(path: str, csv_path: str, store: TokenStore) -> None:
-    name = os.path.basename(csv_path).replace("'", "''")  # gnuplot's escape in '...'
-    plotted = [(f.tid, str(f.fact_type), "mass") for f in store.facts]
-    if not plotted:
-        plotted = [(e.tid, str(e.event_type), "density") for e in store.events]
-    lines = [
-        "set datafile separator ','",
-        "set xlabel 'time'",
-        "set ylabel 'probability'",
-        "set key outside right",
-        "set grid",
-    ]
-    plots = [
-        f"'{name}' every ::1 "
-        f"using 5:($1=={tid} && strcol(3) eq '{kind}' ? $6 : 1/0) "
-        f"with steps title '{label} #{tid}'"
-        for tid, label, kind in plotted
-    ]
-    lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
 def cmd_project(args: argparse.Namespace) -> int:
@@ -256,8 +240,6 @@ def cmd_project(args: argparse.Namespace) -> int:
     }
     with open(args.out, "w") as handle:
         _write_projection_csv(handle, store, grid, metadata)
-    if args.plot:
-        _write_plot_script(args.out + ".gp", args.out, store)
     return 0
 
 
@@ -534,7 +516,6 @@ def build_parser() -> _Parser:
         default="auto",
         help="working cell width: 'auto' (half the smallest event window) or a divisor of delta",
     )
-    p_project.add_argument("--plot", action="store_true", help="also write a gnuplot script")
     p_project.add_argument("--out", required=True, help="output CSV path")
     p_project.set_defaults(func=cmd_project)
 

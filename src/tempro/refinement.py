@@ -29,7 +29,6 @@ cell; the check runs at each cell where a fact opens, and a cycle raises
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from collections.abc import Iterator
 from itertools import chain, groupby, repeat
@@ -271,20 +270,13 @@ def refine(
     already on ``grid``; every other curve is recomputed, so refining twice
     is idempotent.  A derived event's curve spans its window's cells, and a
     fact's its first cell through its close cell, or through ``omega`` if it
-    never closes.  Each fact's first cell, close cell, peak mass and clamps
-    are logged at DEBUG level to the logger of this module, when ``logging``
-    is loaded; this module does not load it, since a logger can only be at
-    DEBUG once something has loaded and configured it.
-    :class:`CyclicOpenTokens` is raised after every curve and the stats are
-    in place.
+    never closes.  :class:`CyclicOpenTokens` is raised after every curve and
+    the stats are in place.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     omega = grid.omega
     delta = grid.delta
-    logging = sys.modules.get("logging")
-    logger = logging.getLogger(__name__) if logging is not None else None
-    debug = logger is not None and logger.isEnabledFor(logging.DEBUG)
     stats = SweepStats(cells=omega)
     opened: list[tuple[int, int | None, TypeKey]] = []
     lin_weights: dict[float, list[float]] = {}  # by slope, on this grid
@@ -334,11 +326,6 @@ def refine(
                 token.close_cell = first - 1 + len(span)
                 stats.closures += 1
             opened.append((first, token.close_cell, token.fact_type.key))
-            if debug:
-                logger.debug(
-                    "fact %d %s: first cell %d, close cell %s, peak mass %.12g, clamps %d",
-                    token.tid, token.fact_type, first, token.close_cell, max(span), clamped,
-                )
         token.mass = StepSeries(grid, span, first if span else 1)
     store.sweep_stats = stats
     _check_open_types(theory, opened)

@@ -21,9 +21,8 @@ functions in ``NUMPY_USERS``, the quadratic oracles the tests check it
 against, import numpy, each inside its own body.  No module imports
 ``dataclasses``, ``logging`` or ``typing``, at module level or in a
 function: the records are plain slotted classes, ``collections.abc`` has
-the abstract types the annotations name, and ``refine`` logs only through a
-``logging`` that something else loaded, so none of these imports' cost
-lands on a command.
+the abstract types the annotations name, and nothing logs, so none of these
+imports' cost lands on a command.
 """
 from __future__ import annotations
 

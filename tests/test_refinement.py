@@ -8,7 +8,6 @@ integrals rather than against the code's own recurrence.
 """
 from __future__ import annotations
 
-import logging
 import math
 import random
 import tracemalloc
@@ -1040,22 +1039,3 @@ class TestFamilyLoops:
         assert list(fact.mass.values[1:3]) == [1.0, 1.0]
         assert 0.0 < fact.mass.values[-1] < 1e-3
 
-
-class TestDebugSummary:
-    def test_one_line_per_fact(self, caplog):
-        theory, grid, store = _dock_setup(delta=2.0, omega=1440)
-        with caplog.at_level(logging.DEBUG, logger="tempro.refinement"):
-            refine(store, theory, grid, epsilon=1e-4)
-        (dock,) = store.facts_of_type(("ATDOCK", 1))
-        (record,) = caplog.records
-        message = record.getMessage()
-        assert message.startswith(f"fact {dock.tid} ATDOCK(TRUCK14): first cell 1, ")
-        assert f"close cell {dock.close_cell}," in message
-        assert f"peak mass {np.asarray(_cells(dock.mass)).max():.12g}," in message
-        assert message.endswith("clamps 0")
-
-    def test_silent_when_debug_is_off(self, caplog):
-        theory, grid, store = _dock_setup()
-        with caplog.at_level(logging.INFO, logger="tempro.refinement"):
-            refine(store, theory, grid)
-        assert caplog.records == []

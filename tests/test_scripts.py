@@ -1,7 +1,7 @@
 """Smoke tests: ``scripts/dock_curve.py`` runs to completion on a small
-input, ``scripts/make_golden.py`` renders the committed golden file, every
-Python example in the README runs, and so do the README's Quick start
-commands."""
+input, with or without numpy, ``scripts/make_golden.py`` renders the
+committed golden file, every Python example in the README runs, and so do
+the README's Quick start commands."""
 from __future__ import annotations
 
 import filecmp
@@ -26,14 +26,21 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     ],
     ids=lambda argv: argv[0],
 )
-def test_script_runs(argv):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout
+def test_script_runs(argv, tmp_path):
+    # A ``numpy`` module that fails to import, first on the path, stands in
+    # for an install without numpy: the script must print the same.
+    (tmp_path / "numpy.py").write_text("raise ImportError('numpy is not installed')\n")
+    outputs = []
+    for path in [str(ROOT / "src"), f"{tmp_path}{os.pathsep}{ROOT / 'src'}"]:
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0]
+    assert outputs[1] == outputs[0]
 
 
 def test_make_golden_renders_the_committed_file():
