@@ -160,7 +160,10 @@ def _write_projection_csv(
     """Write the projection CSV to ``handle``, one token at a time.
 
     Each metadata entry is one ``# key=value`` line, a line feed or carriage
-    return in its value written as the two characters ``\\n`` or ``\\r``.
+    return in its value written as the two characters ``\\n`` or ``\\r``, and
+    each byte that a file name held but its encoding could not decode (a
+    lone surrogate U+DC80-U+DCFF, as ``sys.argv`` carries it) as the four
+    characters ``\\xNN``.
 
     A token's rows run from its first written cell to its last, where a
     written cell holds any value but ``+0.0``; a token with no written cell
@@ -175,6 +178,10 @@ def _write_projection_csv(
     """
     for key, value in metadata.items():
         value = str(value).replace("\n", "\\n").replace("\r", "\\r")
+        if not value.isascii():
+            value = "".join(
+                f"\\x{ord(c) - 0xDC00:02x}" if "\udc80" <= c <= "\udcff" else c for c in value
+            )
         handle.write(f"# {key}={value}\n")
     handle.write("token_id,type,kind,cell,time,value\n")
     cells = [f"{i},{_fmt(grid.cell_start(i))},%.12g\n" for i in range(1, grid.omega + 1)]

@@ -31,8 +31,9 @@ only when a token of its trigger type or of an antecedent type has been
 added since its last pass began, so a rule that feeds itself or an earlier
 rule runs again and any other is skipped.  Tokens are only ever added, so a
 skipped pass would meet only instantiations already in ``derivation_keys``
-or already cut by ancestry.  A pass that does run still enumerates every
-instantiation of its rule, and ``derivation_keys`` skips those already made.
+or already cut as self-supporting.  A pass that does run still enumerates
+every instantiation of its rule, and ``derivation_keys`` skips those already
+made.
 
 Termination and idempotence:
 
@@ -45,14 +46,27 @@ Termination and idempotence:
   itself, which carries no new information and (when open in the same cells)
   is exactly what the refinement sweep must reject as cyclic.  The test is
   membership in the trigger's and each antecedent's ancestry, not a union.
+
+The ancestry of a token is its own ground type and, for a rule-derived
+token, the ancestry of its trigger and of each antecedent.  Every type in a
+token's ancestry reaches the token's type along the rule arcs, which run
+from each rule's trigger and antecedent types to its consequent type.  So a
+consequent found in the ancestry of a rule's trigger or antecedent closes a
+cycle of arcs through the consequent's type, and the guard runs only for a
+rule whose consequent type lies on such a cycle, and reads only the ground
+types of cycle types.  Those sets are built for each ``project`` call, in
+one forward pass in tid order over the derivations the store keeps, and
+then for each token the call adds; a theory with no cycle builds none.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 
 from .core import TimeGrid
-from .theory import ALWAYS, CausalTheory, Pattern, unify
-from .tokens import RuleDerived, TokenStore
+from .theory import ALWAYS, CausalTheory, GroundKey, Pattern, TypeKey, unify
+from .tokens import Derivation, FactToken, RuleDerived, TokenStore
+
+_EMPTY: frozenset[GroundKey] = frozenset()
 
 
 def _antecedent_matches(
@@ -79,6 +93,59 @@ def _antecedent_matches(
         chosen.pop()
 
 
+def _cycle_types(theory: CausalTheory) -> set[TypeKey]:
+    """The types that lie on a cycle of rule arcs, each arc running from a
+    rule's trigger type and from each of its antecedent types to its
+    consequent type."""
+    arcs: dict[TypeKey, set[TypeKey]] = {}
+    for rule in theory.projection_rules:
+        for pattern in (rule.trigger, *rule.antecedents):
+            arcs.setdefault(pattern.key, set()).add(rule.consequent.key)
+    cyclic = set()
+    for start, heads in arcs.items():
+        seen: set[TypeKey] = set()
+        stack = list(heads)
+        while stack:
+            key = stack.pop()
+            if key == start:
+                cyclic.add(start)
+                break
+            if key not in seen:
+                seen.add(key)
+                stack.extend(arcs.get(key, ()))
+    return cyclic
+
+
+def _ancestry(
+    pattern: Pattern,
+    derivation: Derivation,
+    chains: list[frozenset[GroundKey]],
+    cyclic: set[TypeKey],
+) -> frozenset[GroundKey]:
+    """The ground types of ``cyclic`` types in the ancestry of a token of
+    type ``pattern`` made by ``derivation``, read from ``chains``, the sets
+    of the tokens before it."""
+    own = frozenset({(pattern.name, pattern.args)}) if pattern.key in cyclic else _EMPTY
+    if not isinstance(derivation, RuleDerived):
+        return own
+    return own.union(chains[derivation.trigger], *(chains[a] for a in derivation.antecedents))
+
+
+def _cycle_ancestries(store: TokenStore, cyclic: set[TypeKey]) -> list[frozenset[GroundKey]]:
+    """The :func:`_ancestry` set of every token in ``store``, by tid, from
+    one forward pass; a rule-derived fact shares its onset's set."""
+    chains: list[frozenset[GroundKey]] = []
+    for token in store:
+        if isinstance(token, FactToken):
+            if isinstance(token.derivation, RuleDerived):
+                chains.append(chains[token.initiating_event])
+            else:
+                chains.append(_ancestry(token.fact_type, token.derivation, chains, cyclic))
+        else:
+            chains.append(_ancestry(token.event_type, token.derivation, chains, cyclic))
+    return chains
+
+
 def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenStore:
     """Apply every projection rule to fixpoint, mutating and returning ``store``."""
     if any(ALWAYS in rule.antecedents for rule in theory.projection_rules):
@@ -88,7 +155,8 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
     # last pass began; while they stand, the rule is skipped.
     began: list[list[int] | None] = [None] * len(theory.projection_rules)
     derivation_keys = store.derivation_keys
-    ancestry = store.ancestry
+    cyclic = _cycle_types(theory)
+    chains = _cycle_ancestries(store, cyclic) if cyclic else None
     created = True
     while created:
         created = False
@@ -97,6 +165,7 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
             if counts == began[rule_index]:
                 continue
             began[rule_index] = counts
+            guarded = rule.consequent.key in cyclic
             triggers = store.events_of_type(rule.trigger.key)
             for trigger in triggers:
                 if grid.time_to_cell(trigger.est) > grid.omega:
@@ -117,11 +186,12 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
                     # Rule safety binds every consequent variable, and
                     # add_event rejects the type if it is not ground.
                     consequent = rule.consequent.substitute(full_binding)
-                    ground = (consequent.name, consequent.args)
-                    if ground in ancestry[trigger.tid] or any(
-                        ground in ancestry[a] for a in antecedent_ids
-                    ):
-                        continue  # self-supporting chain; adds nothing
+                    if guarded:
+                        ground = (consequent.name, consequent.args)
+                        if ground in chains[trigger.tid] or any(
+                            ground in chains[a] for a in antecedent_ids
+                        ):
+                            continue  # self-supporting chain; adds nothing
                     derivation = RuleDerived(rule_index, trigger.tid, antecedent_ids)
                     onset = store.add_event(
                         consequent,
@@ -137,5 +207,8 @@ def project(theory: CausalTheory, store: TokenStore, grid: TimeGrid) -> TokenSto
                         est=trigger.est,
                         derivation=derivation,
                     )
+                    if chains is not None:  # the onset's set, shared by its fact
+                        chains.append(_ancestry(consequent, derivation, chains, cyclic))
+                        chains.append(chains[-1])
                     created = True
     return store

@@ -281,20 +281,41 @@ def refine(
     opened: list[tuple[int, int | None, TypeKey]] = []
     lin_weights: dict[float, list[float]] = {}  # by slope, on this grid
     tokens = list(store)  # a token refers only to smaller tids, so each is in this list
+    # The first and last cell of each event's window, by tid; 0 until an
+    # event's window cells are first needed.
+    firsts = [0] * len(tokens)
+    lasts = [0] * len(tokens)
+    always = store.always.tid if store.always is not None else -1
     for token in tokens:
         if isinstance(token, EventToken):
             if token.is_user:
                 user_density(token, grid)
                 continue
             derivation = token.derivation
-            first = max(1, grid.time_to_cell(token.est))
-            last = min(omega, grid.time_to_cell(token.lst))
+            trigger = tokens[derivation.trigger]
+            if token.est == trigger.est and token.lst == trigger.lst:
+                # The trigger's window, whose cells it may already know.
+                tid = trigger.tid
+                if not firsts[tid]:
+                    firsts[tid] = max(1, grid.time_to_cell(trigger.est))
+                    lasts[tid] = min(omega, grid.time_to_cell(trigger.lst))
+                first, last = firsts[tid], lasts[tid]
+            else:
+                first = max(1, grid.time_to_cell(token.est))
+                last = min(omega, grid.time_to_cell(token.lst))
+            firsts[token.tid], lasts[token.tid] = first, last
             span: list[float] = []
             if first <= last:
                 kappa = token.kappa
-                span = [kappa * d for d in tokens[derivation.trigger].density.window(first, last)]
+                density = trigger.density
+                if density.first == first and len(density.values) == last + 1 - first:
+                    values = density.values  # the trigger's span is this window
+                else:
+                    values = density.window(first, last)
+                span = [kappa * d for d in values]
                 for ant in derivation.antecedents:
-                    span = [v * m for v, m in zip(span, tokens[ant].mass.window(first, last))]
+                    if ant != always:  # ALWAYS's mass is 1.0, and v * 1.0 is v
+                        span = [v * m for v, m in zip(span, tokens[ant].mass.window(first, last))]
             token.density = StepSeries(grid, span, first if span else 1)
             continue
         token.close_cell = None
@@ -303,9 +324,12 @@ def refine(
             continue
         # The fact reads its onset's density from its own first cell through
         # the end of the onset's span, and zeros after that.
-        first = max(1, grid.time_to_cell(token.est))
-        onset = tokens[token.initiating_event].density
-        density = onset.window(first, onset.first + len(onset.values) - 1)
+        onset = tokens[token.initiating_event]
+        first = firsts[onset.tid]
+        if not (first and token.est == onset.est):
+            first = max(1, grid.time_to_cell(token.est))
+        source = onset.density
+        density = source.window(first, source.first + len(source.values) - 1)
         span = []
         if first <= omega:
             cells = omega + 1 - first

@@ -24,7 +24,6 @@ from .core import StepSeries, TimeGrid
 from .theory import (
     _GROUND_KEY,
     _NUMBER,
-    GroundKey,
     ParseError,
     Pattern,
     Survivor,
@@ -136,10 +135,11 @@ class TokenStore:
     """All tokens of one projection problem, in one list indexed by id.
 
     Tokens get consecutive ids in creation order; ``events`` and ``facts``
-    are the list's two partitions.  ``ancestry`` maps each token to the ground
-    types its derivation passes through (its own included), which the
-    projector uses to cut self-supporting chains; a rule-derived fact shares
-    its onset event's derivation check and ancestry set.
+    are the list's two partitions.  A rule-derived token names only tokens
+    already in the store, each of the right kind, and a rule-derived fact is
+    initiated by its onset, the event of the same type and derivation; the
+    store checks both as a token is added, and keeps no other record of a
+    derivation than the token's own ``derivation``.
 
     The indexes hold tokens in creation order: by type, and facts also by
     ``(name, arity, argument position, value)``, so the projector can find the
@@ -153,7 +153,6 @@ class TokenStore:
         self._events_by_key: dict[TypeKey, list[EventToken]] = {}
         self._facts_by_key: dict[TypeKey, list[FactToken]] = {}
         self._facts_by_arg: dict[tuple[str, int, int, str], list[FactToken]] = {}
-        self.ancestry: dict[int, frozenset[GroundKey]] = {}
         self.derivation_keys: set[tuple] = set()
         self.always: FactToken | None = None
         self.sweep_stats = None  # set by refinement.refine
@@ -185,20 +184,16 @@ class TokenStore:
     ) -> EventToken:
         if not event_type.is_ground:
             raise ValueError(f"event token type must be ground, got {event_type}")
-        ancestry = {(event_type.name, event_type.args)}
         if isinstance(derivation, RuleDerived):  # names only existing tokens, so smaller ids
             if not isinstance(self._find(derivation.trigger), EventToken):
                 raise ValueError(f"trigger {derivation.trigger} names no event token")
-            ancestry.update(self.ancestry[derivation.trigger])
             for ant in derivation.antecedents:
                 if not isinstance(self._find(ant), FactToken):
                     raise ValueError(f"antecedent {ant} names no fact token")
-                ancestry.update(self.ancestry[ant])
         token = EventToken(len(self._tokens), event_type, est, lst, kappa, derivation, density)
         self._tokens.append(token)
         self.events.append(token)
         self._events_by_key.setdefault(event_type.key, []).append(token)
-        self.ancestry[token.tid] = frozenset(ancestry)
         return token
 
     def add_fact(
@@ -210,8 +205,7 @@ class TokenStore:
         derivation: Derivation,
     ) -> FactToken:
         """A rule-derived fact must be initiated by its onset, the event of the
-        same type and derivation, whose derivation :meth:`add_event` checked;
-        the fact shares that event's ancestry set."""
+        same type and derivation, whose derivation :meth:`add_event` checked."""
         if not fact_type.is_ground:
             raise ValueError(f"fact token type must be ground, got {fact_type}")
         onset = self._find(initiating_event)
@@ -219,11 +213,9 @@ class TokenStore:
             raise ValueError(f"initiating event {initiating_event} names no event token")
         if persistence is None and not isinstance(derivation, BuiltIn):
             raise ValueError(f"fact {fact_type} has no persistence survivor")
-        if not isinstance(derivation, RuleDerived):
-            ancestry = frozenset({(fact_type.name, fact_type.args)})
-        elif isinstance(onset, EventToken) and (onset.derivation, onset.event_type) == (derivation, fact_type):
-            ancestry = self.ancestry[initiating_event]
-        else:
+        if isinstance(derivation, RuleDerived) and not (
+            isinstance(onset, EventToken) and (onset.derivation, onset.event_type) == (derivation, fact_type)
+        ):
             raise ValueError(f"initiating event {initiating_event} is not this derivation's onset")
         token = FactToken(len(self._tokens), fact_type, initiating_event, persistence, est, derivation)
         self._tokens.append(token)
@@ -232,7 +224,6 @@ class TokenStore:
         name, arity = fact_type.key
         for position, value in enumerate(fact_type.args):
             self._facts_by_arg.setdefault((name, arity, position, value), []).append(token)
-        self.ancestry[token.tid] = ancestry
         return token
 
     def ensure_always(self) -> FactToken:
@@ -307,22 +298,26 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
             f"window [{est}, {lst}] has no Gaussian density in floats: "
             f"midpoint {mu}, standard deviation {sigma}"
         )
-    z = _norm_cdf((lst - mu) / sigma) - _norm_cdf((est - mu) / sigma)
+    cdf_est = _norm_cdf((est - mu) / sigma)
+    cdf_lst = _norm_cdf((lst - mu) / sigma)
+    z = cdf_lst - cdf_est
     first = max(1, grid.time_to_cell(est))
     last = min(grid.omega, grid.time_to_cell(lst))
     values = array("d", [0.0]) * (last + 1 - first)
     # Cell i covers [lo, hi] = its edges clipped to the window.  Clipping is
     # monotone and cell_end(i) is the same float as cell_start(i + 1), so one
     # CDF value per clipped boundary serves both cells that share it; a cell
-    # is skipped exactly when its clipped edges coincide.
+    # is skipped exactly when its clipped edges coincide.  A boundary clipped
+    # to est or lst reuses the normaliser's CDF value there, the same
+    # expression of the same float.
     delta = grid.delta
     lo = min(lst, max(est, grid.cell_start(first)))
-    cdf_lo = _norm_cdf((lo - mu) / sigma)
+    cdf_lo = cdf_est if lo == est else _norm_cdf((lo - mu) / sigma)
     for i in range(first, last + 1):
         hi = min(lst, max(est, grid.cell_end(i)))
         if hi <= lo:
             continue
-        cdf_hi = _norm_cdf((hi - mu) / sigma)
+        cdf_hi = cdf_lst if hi == lst else _norm_cdf((hi - mu) / sigma)
         values[i - first] = kappa * ((cdf_hi - cdf_lo) / z) / delta
         lo, cdf_lo = hi, cdf_hi
     return StepSeries(grid, values, first)

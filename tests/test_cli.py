@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import collections.abc
 import csv
+import hashlib
 import io
 import json
 import math
@@ -288,6 +289,82 @@ class TestProject:
         assert broken[2] == "# facts=" + str(facts).replace("\r", "\\r")
         assert broken[:1] + broken[3:] == plain[:1] + plain[3:]
 
+
+    def test_undecodable_bytes_in_paths_are_written_as_escapes(self, tmp_path, data_dir, capsys):
+        # sys.argv carries each byte that does not decode as a lone
+        # surrogate, which no metadata line may hold as it is.
+        rules = tmp_path / os.fsdecode(b"d\xff.rules")
+        facts = tmp_path / os.fsdecode(b"d\xc3\x28.facts")
+        rules.write_bytes((data_dir / "dock.rules").read_bytes())
+        facts.write_bytes((data_dir / "dock.facts").read_bytes())
+        texts = {}
+        for name, theory, basic in [("plain", data_dir / "dock.rules", data_dir / "dock.facts"),
+                                    ("undecodable", rules, facts)]:
+            out = tmp_path / f"{name}.csv"
+            code, _, err = _run(
+                capsys, "project", "--theory", str(theory), "--facts", str(basic),
+                "--delta", "2", "--omega", "100", "--out", str(out),
+            )
+            assert (code, err) == (0, "")
+            texts[name] = out.read_text()
+            code, stdout, err = _run(
+                capsys, "query", "--csv", str(out), "--fact", "ATDOCK(TRUCK14)", "--time", "60"
+            )
+            assert (code, err) == (0, "")
+            texts[name + " query"] = stdout
+        assert texts["undecodable query"] == texts["plain query"]
+        plain, escaped = texts["plain"].split("\n"), texts["undecodable"].split("\n")
+        assert escaped[1] == f"# theory={tmp_path}/d\\xff.rules"
+        assert escaped[2] == f"# facts={tmp_path}/d\\xc3(.facts"
+        assert escaped[:1] + escaped[3:] == plain[:1] + plain[3:]
+
+
+_BYTE_JOIN_THEORY = """\
+persist ATDOCK(?t) exp 0.0034195529591700387
+persist LOADED(?t) lin 0.004
+project ALWAYS, ARRIVE(?t) => ATDOCK(?t) @ 1.0
+project ATDOCK(?t), LOAD(?t) => LOADED(?t) @ 0.9
+"""
+
+
+def _byte_join_facts(seed, count):
+    """``count`` dock arrivals and loads, as the basic-facts text."""
+    rng = random.Random(seed)
+    lines = []
+    for k in range(count):
+        a = rng.uniform(0.0, 800.0)
+        b = a + rng.uniform(5.0, 30.0)
+        lines.append(f"event ARRIVE(T{k}) est {a!r} lst {a + 40.0!r} kappa 1.0")
+        lines.append(f"event LOAD(T{k}) est {b!r} lst {b + 40.0!r} kappa 0.8")
+    return "\n".join(lines) + "\n"
+
+
+class TestProjectBytes:
+    """The bytes of ``project``'s CSV, pinned by their sha256: a change that
+    should leave every curve as it is must leave these sums as they are."""
+
+    @pytest.mark.parametrize(
+        "name,delta,omega,digest",
+        [
+            ("dock", "2", "1440", "52d4732de28c5c123b597be618c11e020aa14825e381445766c72e007264f120"),
+            ("join", "20", "50", "a54b11f8b52d73d7d04ca092d4a8aad16d257e5828bd5e97a5ae7b4380fd5201"),
+        ],
+    )
+    def test_csv_sha256(self, tmp_path, data_dir, capsys, monkeypatch, name, delta, omega, digest):
+        if name == "dock":
+            theory = (data_dir / "dock.rules").read_text()
+            facts = (data_dir / "dock.facts").read_text()
+        else:
+            theory, facts = _BYTE_JOIN_THEORY, _byte_join_facts(7, 300)
+        (tmp_path / f"{name}.rules").write_text(theory)
+        (tmp_path / f"{name}.facts").write_text(facts)
+        monkeypatch.chdir(tmp_path)  # the metadata lines hold the paths as given
+        code, out, err = _run(
+            capsys, "project", "--theory", f"{name}.rules", "--facts", f"{name}.facts",
+            "--delta", delta, "--omega", omega, "--out", f"{name}.csv",
+        )
+        assert (code, out, err) == (0, "", "")
+        assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
 
 class TestQuery:
     def test_ground_fact_value(self, dock_csv, capsys):

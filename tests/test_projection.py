@@ -1,17 +1,20 @@
 """Rule instantiation: growing the token store to a fixpoint."""
 from __future__ import annotations
 
+import gc
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempro.projection
 from tempro import (
     CausalTheory,
+    EventToken,
     Exponential,
     Pattern,
     PersistenceRule,
@@ -21,9 +24,12 @@ from tempro import (
     TokenStore,
     UserSupplied,
     add_basic_event,
+    parse_pattern_text,
     parse_theory,
     project,
+    refine,
 )
+from tempro.projection import _cycle_types
 from tempro.theory import unify
 
 
@@ -297,8 +303,8 @@ def _doubling_theory(depth: int):
 
 class TestTokenGrowth:
     """The token count can be exponential in the depth of a rule chain:
-    every derivation is its own token, and the ancestry guard cuts only a
-    ground type that repeats along one chain."""
+    every derivation is its own token, and the self-support guard cuts only
+    a ground type that repeats along one chain."""
 
     @pytest.mark.parametrize("depth", range(1, 11))
     def test_token_count_doubles_per_level(self, depth):
@@ -334,8 +340,26 @@ def _oracle_matches(store, patterns, index, binding, trigger_lst, chosen):
         chosen.pop()
 
 
+def _oracle_ancestry(store, tid, found):
+    """Every ground type that token ``tid``'s derivation passes through, its
+    own included, by walking the derivations back to the tokens no rule
+    made; ``found`` keeps each token's set once walked."""
+    if tid not in found:
+        token = store.token(tid)
+        pattern = token.event_type if isinstance(token, EventToken) else token.fact_type
+        ancestry = {(pattern.name, pattern.args)}
+        if isinstance(token.derivation, RuleDerived):
+            for parent in (token.derivation.trigger, *token.derivation.antecedents):
+                ancestry |= _oracle_ancestry(store, parent, found)
+        found[tid] = ancestry
+    return found[tid]
+
+
 def _oracle_project(theory, store, grid):
-    """Reference projector: fixpoint rounds over a nested-loop join."""
+    """Reference projector: fixpoint rounds over a nested-loop join, with the
+    self-support guard run for every rule over each candidate's whole
+    ancestry."""
+    found = {}
     if any(
         p.name == "ALWAYS" and not p.args
         for rule in theory.projection_rules
@@ -361,8 +385,8 @@ def _oracle_project(theory, store, grid):
                         continue
                     store.derivation_keys.add(key)
                     consequent = rule.consequent.substitute(full_binding)
-                    ancestry = store.ancestry[trigger.tid].union(
-                        *(store.ancestry[a] for a in antecedent_ids)
+                    ancestry = _oracle_ancestry(store, trigger.tid, found).union(
+                        *(_oracle_ancestry(store, a, found) for a in antecedent_ids)
                     )
                     if (consequent.name, consequent.args) in ancestry:
                         continue
@@ -434,8 +458,8 @@ class _TooLarge(Exception):
 
 class _BoundedStore(TokenStore):
     """A store that refuses to grow past ``LIMIT`` tokens.  Some random
-    theories derive combinatorially many tokens before the ancestry guard
-    stops them; such an example is rejected rather than projected."""
+    theories derive combinatorially many tokens before the self-support
+    guard stops them; both projectors must then stop at the same token."""
 
     LIMIT = 200
 
@@ -456,11 +480,15 @@ def _projected_by_both(theory, events, facts):
         for fact_type, est, lst in facts:
             onset = store.add_event(fact_type, est, lst, 1.0, UserSupplied())
             store.add_fact(fact_type, onset.tid, Exponential(0.1), est, UserSupplied())
-    try:
-        project(theory, stores[0], grid)
-    except _TooLarge:
-        reject()
-    _oracle_project(theory, stores[1], grid)
+    stopped = []
+    for store, projector in zip(stores, (project, _oracle_project)):
+        try:
+            projector(theory, store, grid)
+        except _TooLarge:
+            stopped.append(len(store))
+        else:
+            stopped.append(None)
+    assert stopped[0] == stopped[1]
     return stores
 
 
@@ -494,6 +522,20 @@ class TestIndexedJoinMatchesNestedLoop:
         )
         derived = [str(f.fact_type) for f in indexed.facts if isinstance(f.derivation, RuleDerived)]
         assert derived == ["A(Y)", "A(Z)"]
+        assert _token_rows(indexed) == _token_rows(oracle)
+
+    def test_chain_back_through_an_antecedent_is_cut(self):
+        # A(X,X) is derived with the fact A(X) as antecedent, so deriving
+        # A(X) again from A(X,X) would make A(X) its own precondition.
+        rules = [ProjectionRule((Pattern("A", ("?x",)),), Pattern("B", ("?x",)),
+                                Pattern("A", ("?x", "?x")), 0.5),
+                 ProjectionRule((), Pattern("A", ("?x", "?y")), Pattern("A", ("?x",)), 0.5)]
+        indexed, oracle = _projected_by_both(
+            CausalTheory(rules, self.PERSIST), [(Pattern("B", ("X",)), 2.0, 3.0)],
+            [(Pattern("A", ("X",)), 0.0, 1.0)],
+        )
+        derived = [str(f.fact_type) for f in indexed.facts if isinstance(f.derivation, RuleDerived)]
+        assert derived == ["A(X,X)"]
         assert _token_rows(indexed) == _token_rows(oracle)
 
 
@@ -555,12 +597,102 @@ def test_fresh_project_enumerates_once(monkeypatch):
     assert fresh == again
 
 
-def test_derived_fact_shares_its_onset_ancestry():
-    # The onset event's derivation is checked and its ancestry built once;
-    # the fact keeps that very set rather than a copy.
+def _rule_theory(*rules):
+    """A theory of ``(antecedents, trigger, consequent)`` rules, each a
+    pattern text or, for the antecedents, a tuple of them."""
+    return CausalTheory([
+        ProjectionRule(tuple(map(parse_pattern_text, ants)), parse_pattern_text(trigger),
+                       parse_pattern_text(consequent), 1.0)
+        for ants, trigger, consequent in rules
+    ])
+
+
+class TestCycleTypes:
+    def test_self_loop(self):
+        theory = _rule_theory(((), "A(?x)", "A(?x)"), (("ALWAYS",), "E(?x)", "B(?x)"))
+        assert _cycle_types(theory) == {("A", 1)}
+
+    def test_cycle_through_triggers_only(self):
+        theory = _rule_theory(((), "A(?x)", "B(?x)"), ((), "B(?x)", "C(?x)"),
+                              ((), "C(?x)", "A(?x)"), ((), "C(?x)", "D(?x)"))
+        assert _cycle_types(theory) == {("A", 1), ("B", 1), ("C", 1)}
+
+    def test_cycle_through_antecedents_only(self):
+        theory = _rule_theory((("A(?x)",), "EB(?x)", "B(?x)"), (("B(?x)",), "EA(?x)", "A(?x)"))
+        assert _cycle_types(theory) == {("A", 1), ("B", 1)}
+
+    def test_acyclic_chain(self):
+        theory = _rule_theory(((), "E(?x)", "A(?x)"), (("A(?x)",), "F(?x)", "B(?x)"),
+                              (("A(?x)", "B(?x)"), "B(?x)", "C(?x)"))
+        assert _cycle_types(theory) == set()
+
+    def test_arity_is_part_of_the_type(self):
+        theory = _rule_theory(((), "A(?x)", "A(?x,?x)"), ((), "A(?x,?y)", "B(?x)"))
+        assert _cycle_types(theory) == set()
+
+    def test_always_lies_on_no_cycle(self):
+        # ALWAYS is an antecedent of every rule here, yet no rule derives it.
+        theory = parse_theory(
+            "project ALWAYS, A(?x) => B(?x) @ 1.0\nproject ALWAYS, B(?x) => A(?x) @ 1.0\n"
+            "project ALWAYS, E(?x) => F(?x) @ 1.0\n"
+        )
+        assert _cycle_types(theory) == {("A", 1), ("B", 1)}
+
+
+def test_acyclic_theory_builds_no_ancestry_set(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an ancestry set was built")
+
+    monkeypatch.setattr(tempro.projection, "_ancestry", refuse)
+    monkeypatch.setattr(tempro.projection, "_cycle_ancestries", refuse)
     store, grid = _join_store(100)
     project(parse_theory(JOIN_THEORY), store, grid)
-    derived = [f for f in store.facts if isinstance(f.derivation, RuleDerived)]
-    assert len(derived) == 200
-    for fact in derived:
-        assert store.ancestry[fact.tid] is store.ancestry[fact.initiating_event]
+    assert len(store.facts_of_type(("LOADED", 1))) == 100
+
+
+CHAIN_THEORY = """\
+persist A(?x) exp 0.1
+persist B(?x) exp 0.1
+project ALWAYS, E0(?x) => A(?x) @ 1.0
+project A(?x), EB(?x) => B(?x) @ 1.0
+project B(?x), EA(?x) => A(?x) @ 1.0
+"""
+
+
+def test_reprojection_after_a_new_event_still_cuts_the_chain():
+    # A(X) from E0, then B(X) from A(X).  EA arrives only after the first
+    # projection; deriving A(X) from B(X) would make A(X) its own
+    # precondition, so the second projection adds nothing.
+    theory = parse_theory(CHAIN_THEORY)
+    grid = TimeGrid(0.0, 1.0, 30)
+    store = _store_with(grid, ("E0", ("X",), 0.0, 1.0, 1.0), ("EB", ("X",), 2.0, 3.0, 1.0))
+    project(theory, store, grid)
+    assert [str(f.fact_type) for f in store.facts[1:]] == ["A(X)", "B(X)"]
+    add_basic_event(store, Pattern("EA", ("X",)), 4.0, 5.0, 1.0, grid)
+    tokens = len(store)
+    project(theory, store, grid)
+    assert len(store) == tokens
+    once = _store_with(
+        grid, ("E0", ("X",), 0.0, 1.0, 1.0), ("EB", ("X",), 2.0, 3.0, 1.0),
+        ("EA", ("X",), 4.0, 5.0, 1.0),
+    )
+    _oracle_project(theory, once, grid)
+    assert [str(f.fact_type) for f in once.facts[1:]] == ["A(X)", "B(X)"]
+
+
+def test_live_memory_per_token_after_project_and_refine():
+    # Each of the 6001 tokens holds its type, derivation and curve span, and
+    # no ancestry set: about 610 B a token, against 880 B with a frozenset
+    # of the whole derivation ancestry on every token.
+    theory = parse_theory(JOIN_THEORY)
+    tracemalloc.start()
+    try:
+        store, grid = _join_store(1000)
+        project(theory, store, grid)
+        refine(store, theory, grid)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 6001
+    assert live / len(store) < 750, live / len(store)

@@ -932,6 +932,53 @@ class TestOrderEquivalence:
 
         _assert_same_as_oracle(build, 1e-4)
 
+    def test_onsets_with_their_triggers_window_bitwise_identical(self):
+        # Hand-built onsets with their trigger's window: F's trigger holds a
+        # hand-set density past its window's cells, which F reads only
+        # inside them; F's onset triggers G's; ALWAYS is an antecedent of
+        # both, and F's fact one of G's.
+        theory = parse_theory("persist F(?x) exp 0.2\npersist G(?x) lin 0.1\n")
+        grid = TimeGrid(0.0, 1.0, 30)
+
+        def build():
+            store = TokenStore()
+            always = store.ensure_always()
+            trigger = add_basic_event(store, Pattern("E", ("X",)), 2.0, 9.0, 1.0, grid)
+            trigger.density = StepSeries(grid, np.full(grid.omega, 0.05))
+            antecedents = (always.tid,)
+            for name, survivor in [("F", Exponential(0.2)), ("G", Linear(0.1))]:
+                derivation = RuleDerived(0, trigger.tid, antecedents)
+                trigger = store.add_event(Pattern(name, ("X",)), 2.0, 9.0, 0.8, derivation)
+                fact = store.add_fact(Pattern(name, ("X",)), trigger.tid, survivor, 2.0, derivation)
+                antecedents = (always.tid, fact.tid)
+            return theory, grid, store
+
+        _assert_same_as_oracle(build, 1e-4)
+        _, _, store = build()
+        refine(store, theory, grid, 1e-4)
+        assert [(e.density.first, len(e.density.values)) for e in store.events[1:]] == [(3, 8), (3, 8)]
+
+    def test_onsets_with_another_window_than_their_triggers_bitwise_identical(self):
+        # Hand-built onsets, as in test_fact_starts_at_its_own_est: F's
+        # window lies inside its trigger's and its fact starts after it
+        # opens, G's lies before the grid, and H's runs past its trigger's.
+        theory = parse_theory("persist F(?x) lin 0.1\n")
+        grid = TimeGrid(0.0, 1.0, 30)
+
+        def build():
+            store = TokenStore()
+            always = store.ensure_always()
+            trigger = add_basic_event(store, Pattern("E", ("X",)), 2.0, 9.0, 1.0, grid)
+            derivation = RuleDerived(0, trigger.tid, (always.tid,))
+            for name, est, lst, fact_est in [
+                ("F", 4.0, 7.5, 5.0), ("G", -9.0, -3.0, -9.0), ("H", 2.0, 12.0, 2.0)
+            ]:
+                onset = store.add_event(Pattern(name, ("X",)), est, lst, 1.0, derivation)
+                store.add_fact(Pattern(name, ("X",)), onset.tid, Linear(0.1), fact_est, derivation)
+            return theory, grid, store
+
+        _assert_same_as_oracle(build, 1e-4)
+
     def test_clamps_counted_up_to_close_cell(self):
         # A hand-set user density integrating to 3 twice over: masses pass 1
         # and are clamped, the facts close between the bursts, and the second

@@ -180,16 +180,16 @@ class TestTokenStore:
             store.add_fact(dock, e.tid, None, 0.0, derivation)
         assert len(store) == 1
 
-    def test_ancestry_accumulates_along_derivations(self):
+    def test_derived_event_keeps_only_its_derivation(self):
+        # The store checks a derivation's tokens as the onset is added and
+        # keeps no set of the ground types the derivation passes through.
         g = TimeGrid(0.0, 1.0, 10)
         store = TokenStore()
         e = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, g)
         dock = Pattern("ATDOCK", ("TRUCK14",))
-        onset = store.add_event(
-            dock, 0.0, 5.0, 1.0, RuleDerived(0, e.tid, ())
-        )
-        assert (e.event_type.name, e.event_type.args) in store.ancestry[onset.tid]
-        assert (dock.name, dock.args) in store.ancestry[onset.tid]
+        onset = store.add_event(dock, 0.0, 5.0, 1.0, RuleDerived(0, e.tid, ()))
+        assert onset.derivation == RuleDerived(0, e.tid, ())
+        assert not hasattr(store, "ancestry")
 
 
 class TestWindowDensity:
@@ -369,8 +369,10 @@ class TestWindowDensityCdfOnce:
         monkeypatch.setattr(tokens, "_norm_cdf", lambda x: calls.append(x) or cdf(x))
         g = TimeGrid(0.0, 1.0, 30)
         add_basic_event(TokenStore(), ARRIVE_T14, 2.5, 12.5, 1.0, g)
-        # two for the normaliser, then n + 1 boundaries for the n = 11 cells
-        assert len(calls) == 2 + 11 + 1
+        # n + 1 boundaries for the n = 11 cells: the normaliser's two ends,
+        # est and lst at -3 and +3 standard deviations, serve the end cells
+        assert len(calls) == 11 + 1
+        assert calls[:2] == [-3.0, 3.0]
 
 
 class TestUserDensity:
