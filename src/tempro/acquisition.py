@@ -11,10 +11,11 @@ family from the running mean duration:
 
 Each stay is folded into its class in place by
 :meth:`AcquisitionStore.observe`, which routes it to the first matching class
-and calls :meth:`AcquisitionClass.observe`.  Only completed observations are
-fed in; stays still in progress at the end of a run are censored and never
-reach it, which biases the mean slightly low on busy horizons but keeps the
-update one line long.
+and calls :meth:`AcquisitionClass.observe`; a fold of many stays takes the
+routing function once from :meth:`AcquisitionStore.router`.  Only completed
+observations are fed in; stays still in progress at the end of a run are
+censored and never reach it, which biases the mean slightly low on busy
+horizons but keeps the update one line long.
 
 State file format, one class per line::
 
@@ -31,13 +32,16 @@ import re
 import shutil
 import tempfile
 from collections import namedtuple
+from collections.abc import Callable
 
 from . import _Record
 from .theory import (
     _GROUND_KEY,
     _NUMBER,
+    VARIABLE_PREFIX,
     Pattern,
     TokenCursor,
+    TypeKey,
     line_cursor,
     parse_ground_pattern,
     parse_pattern,
@@ -116,19 +120,48 @@ class UnknownClassError(ValueError):
         self.known = known
 
 
+def _is_open(pattern: Pattern) -> bool:
+    """Every argument of ``pattern`` is a variable, each a different one."""
+    args = pattern.args
+    return all(a.startswith(VARIABLE_PREFIX) for a in args) and len(set(args)) == len(args)
+
+
 class AcquisitionStore:
     """The configured classes, in file order; first matching pattern wins."""
 
     def __init__(self, classes: list[AcquisitionClass] | None = None):
         self.classes: list[AcquisitionClass] = list(classes or [])
 
+    def router(self) -> Callable[[Pattern], AcquisitionClass]:
+        """The function that gives a key's class: the first class, in file
+        order, whose pattern the key unifies with, or :class:`UnknownClassError`.
+
+        It routes by the classes as they are now.  A pattern is *open* when
+        every argument is a distinct variable: every key of its type unifies
+        with it.  So when the first class of a type is open, it is the class
+        of every key of that type, which a dict by ``(name, arity)`` gives
+        without a ``unify``.  A key of any other type is matched with
+        ``unify`` against each class in file order."""
+        classes = list(self.classes)
+        heads: dict[TypeKey, AcquisitionClass] = {}
+        for cls in classes:
+            heads.setdefault(cls.key.key, cls)
+        first = {k: cls for k, cls in heads.items() if _is_open(cls.key)}
+
+        def route(key: Pattern) -> AcquisitionClass:
+            cls = first.get((key.name, len(key.args)))
+            if cls is not None:
+                return cls
+            for cls in classes:
+                if unify(cls.key, key) is not None:
+                    return cls
+            raise UnknownClassError(key, [c.key for c in classes])
+
+        return route
+
     def observe(self, key: Pattern, duration: float) -> None:
         """Fold one completed stay of ``key`` into the first class it matches."""
-        for cls in self.classes:
-            if unify(cls.key, key) is not None:
-                cls.observe(duration)
-                return
-        raise UnknownClassError(key, [c.key for c in self.classes])
+        self.router()(key).observe(duration)
 
 
 def _format_number(x: float) -> str:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
+import itertools
 import math
 import os
 import re
@@ -157,7 +159,8 @@ def _csv_field(text: str) -> str:
 def _write_projection_csv(
     handle, store: TokenStore, grid: TimeGrid, metadata: dict[str, object]
 ) -> None:
-    """Write the projection CSV to ``handle``, one token at a time.
+    """Write the projection CSV to ``handle``, one token at a time: the
+    events, then the facts, each read from the store as its rows are written.
 
     Each metadata entry is one ``# key=value`` line, a line feed or carriage
     return in its value written as the two characters ``\\n`` or ``\\r``, and
@@ -185,8 +188,10 @@ def _write_projection_csv(
         handle.write(f"# {key}={value}\n")
     handle.write("token_id,type,kind,cell,time,value\n")
     cells = [f"{i},{_fmt(grid.cell_start(i))},%.12g\n" for i in range(1, grid.omega + 1)]
-    curves = [(e.tid, str(e.event_type), "density", e.density) for e in store.events]
-    curves += [(f.tid, str(f.fact_type), "mass", f.mass) for f in store.facts]
+    curves = itertools.chain(
+        ((e.tid, str(e.event_type), "density", e.density) for e in store.events),
+        ((f.tid, str(f.fact_type), "mass", f.mass) for f in store.facts),
+    )
     quoted: dict[str, str] = {}
     for tid, token_type, kind, curve in curves:
         # +0.0 is the one float whose bits are all zero, so the written cells
@@ -448,9 +453,10 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     _load("acquisition")
     store = load_state(_read(args.state))
     observations = parse_observations(_read(args.observations))
+    route = store.router()
     for obs in observations:
         try:
-            store.observe(obs.key, obs.departure - obs.arrival)
+            route(obs.key).observe(obs.departure - obs.arrival)
         except ValueError as exc:  # an unknown class, or a stay or sum that overflows
             raise ParseError(str(exc), obs.line, 1) from exc
     save_state_file(store, args.state)
@@ -549,9 +555,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` names; returns its exit code.
+
+    It runs, parser and command, with the cyclic garbage collector off,
+    and leaves the collector on or off as it found it.  Tokens refer to
+    each other by tid and stays hold only their key and times, so what a
+    command builds holds no reference cycles, and a collection during it
+    would scan the live objects and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -562,6 +576,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -281,7 +281,8 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
 
     The in-window discrete integral equals ``kappa``; cells outside the grid
     are dropped, so a window sticking out of the horizon keeps only the mass
-    that falls inside.  A window too wide, too narrow or too far out for its
+    that falls inside, and one wholly before or past it has the empty span
+    at cell 1.  A window too wide, too narrow or too far out for its
     Gaussian to be formed in floats (a width that overflows, a standard
     deviation that underflows to 0, or a midpoint that overflows) is a
     ``ValueError``.
@@ -303,6 +304,8 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
     z = cdf_lst - cdf_est
     first = max(1, grid.time_to_cell(est))
     last = min(grid.omega, grid.time_to_cell(lst))
+    if last < first:  # the window misses the horizon, before it or past it
+        return StepSeries(grid, array("d"), 1)
     values = array("d", [0.0]) * (last + 1 - first)
     # Cell i covers [lo, hi] = its edges clipped to the window.  Clipping is
     # monotone and cell_end(i) is the same float as cell_start(i + 1), so one

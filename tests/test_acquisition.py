@@ -22,8 +22,11 @@ from tempro import (
     rate,
     save_state,
     save_state_file,
+    unify,
 )
+from tempro import acquisition
 from tempro.acquisition import _OBSERVE_RE, _observation
+from tempro.cli import main
 from tempro.theory import statements
 
 TRUCK = Pattern("TRUCKAT", ("?d",))
@@ -184,6 +187,89 @@ class TestStoreObserve:
     def test_empty_store_rejects_every_key(self):
         with pytest.raises(UnknownClassError, match=r"known classes: \(none\)"):
             AcquisitionStore().observe(TRUCK, 1.0)
+
+
+def _first_unify(classes, key):
+    """The class ``key`` folds into by the plain rule: the first in file
+    order whose pattern ``key`` unifies with."""
+    for cls in classes:
+        if unify(cls.key, key) is not None:
+            return cls
+    raise UnknownClassError(key, [c.key for c in classes])
+
+
+# Open patterns, constants, repeated variables and arity 0 all come from
+# drawing each argument from constants and two variables.
+_CLASS_PATTERNS = st.builds(
+    Pattern, st.sampled_from(["P", "Q"]),
+    st.lists(st.sampled_from(["A", "B", "?x", "?y"]), max_size=2).map(tuple),
+)
+_KEYS = st.builds(
+    Pattern, st.sampled_from(["P", "Q", "R"]),
+    st.lists(st.sampled_from(["A", "B", "C"]), max_size=2).map(tuple),
+)
+
+
+class TestRouter:
+    @given(st.lists(_CLASS_PATTERNS, max_size=6), st.lists(_KEYS, max_size=12))
+    @example(  # a constant class before an open class of the same type
+        [Pattern("P", ("A",)), Pattern("P", ("?x",)), Pattern("Q", ("?x", "?x")),
+         Pattern("Q", ("?x", "?y")), Pattern("P")],
+        [Pattern("P", ("A",)), Pattern("P", ("B",)), Pattern("Q", ("A", "A")),
+         Pattern("Q", ("A", "B")), Pattern("P"), Pattern("R")],
+    )
+    def test_routes_as_the_first_unify(self, patterns, keys):
+        classes = [AcquisitionClass(p, "exponential") for p in patterns]
+        route = AcquisitionStore(classes).router()
+        store = AcquisitionStore([AcquisitionClass(p, "exponential") for p in patterns])
+        for key in keys:
+            try:
+                expected = classes.index(_first_unify(classes, key))
+            except UnknownClassError as exc:
+                with pytest.raises(UnknownClassError) as got:
+                    route(key)
+                assert str(got.value) == str(exc)
+                with pytest.raises(UnknownClassError) as got:
+                    store.observe(key, 1.0)
+                assert str(got.value) == str(exc)
+                continue
+            assert route(key) is classes[expected]
+            before = [c.insts for c in store.classes]
+            store.observe(key, 1.0)
+            before[expected] += 1
+            assert [c.insts for c in store.classes] == before
+
+    def test_one_open_class_folds_without_unify(self, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def counting(pattern, ground, binding=None):
+            calls.append(ground)
+            return unify(pattern, ground, binding)
+
+        monkeypatch.setattr(acquisition, "unify", counting)
+        store = AcquisitionStore([AcquisitionClass(TRUCK, "exponential")])
+        route = store.router()
+        for k in range(50):
+            route(Pattern("TRUCKAT", (f"DOCK{k}",))).observe(float(k))
+            store.observe(Pattern("TRUCKAT", (f"DOCK{k}",)), 1.0)
+        assert (store.classes[0].insts, store.classes[0].total) == (100, sum(range(50)) + 50.0)
+        state, obs = tmp_path / "state", tmp_path / "obs.txt"
+        state.write_text(save_state(AcquisitionStore([AcquisitionClass(TRUCK, "exponential")])))
+        obs.write_text("".join(f"observe TRUCKAT(DOCK{k}) arrival 0 departure {k}\n" for k in range(50)))
+        assert main(["acquire", "--state", str(state), "--observations", str(obs)]) == 0
+        assert "folded 50 observations" in capsys.readouterr().out
+        assert calls == []
+        # a constant class first sends keys of its type to ``unify``
+        AcquisitionStore([AcquisitionClass(Pattern("TRUCKAT", ("DOCK1",)), "exponential")]
+                         + store.classes).observe(Pattern("TRUCKAT", ("DOCK9",)), 1.0)
+        assert calls == [Pattern("TRUCKAT", ("DOCK9",))] * 2
+
+    def test_routes_by_the_classes_when_it_is_made(self):
+        store = AcquisitionStore([AcquisitionClass(TRUCK, "exponential")])
+        route = store.router()
+        store.classes.insert(0, AcquisitionClass(Pattern("TRUCKAT", ("?e",)), "linear"))
+        assert route(Pattern("TRUCKAT", ("DOCK1",))).family == "exponential"
+        assert store.router()(Pattern("TRUCKAT", ("DOCK1",))).family == "linear"
 
 
 class TestStateFile:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import collections.abc
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -2041,6 +2042,102 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "project" in proc.stdout
+
+
+class TestCollector:
+    """``main`` runs a command with the cyclic garbage collector off and
+    leaves it as it found it; what the commands build holds no cycles."""
+
+    @staticmethod
+    def _argv(path, tmp_path):
+        state = tmp_path / "trucks.state"
+        state.write_text("class TRUCKAT(?d) exponential insts 0 sum 0.0 lambda inf\n")
+        obs = tmp_path / "obs.txt"
+        obs.write_text("observe TRUCKAT(DOCK1) arrival 0 departure 10\n")
+        if path == "ok":
+            return 0, ["acquire", "--state", str(state), "--observations", str(obs)]
+        if path == "usage":
+            return 1, ["project", "--bogus"]
+        if path == "parse":
+            obs.write_text("observe TRUCKAT(DOCK1) arrival 10 departure 0\n")
+            return 2, ["acquire", "--state", str(state), "--observations", str(obs)]
+        if path == "cycle":
+            rules = tmp_path / "cyclic.rules"
+            rules.write_text(
+                "persist A(?x) exp 0.1\npersist B(?x) exp 0.1\n"
+                "project B(?x), EA(?x) => A(?x) @ 1.0\n"
+                "project A(?x), EB(?x) => B(?x) @ 1.0\n"
+                "project ALWAYS, E0(?x) => A(?x) @ 1.0\n"
+            )
+            facts = tmp_path / "cyclic.facts"
+            facts.write_text(
+                "event E0(X) est 0 lst 1 kappa 1.0\nevent EB(X) est 2 lst 3 kappa 1.0\n"
+            )
+            return 3, ["project", "--theory", str(rules), "--facts", str(facts),
+                       "--delta", "1", "--omega", "20", "--out", str(tmp_path / "x.csv")]
+        if path == "help":  # argparse prints the usage and raises SystemExit
+            return None, ["--help"]
+        assert path == "io"
+        return 4, ["acquire", "--state", str(tmp_path / "missing.state"),
+                   "--observations", str(obs)]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("path", ["ok", "usage", "parse", "cycle", "io", "help"])
+    def test_leaves_the_collector_as_it_found_it(self, path, enabled, tmp_path, capsys):
+        code, argv = self._argv(path, tmp_path)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if code is None:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    def test_collector_is_off_while_the_command_runs(self, tmp_path, monkeypatch, capsys):
+        _, argv = self._argv("ok", tmp_path)
+        seen = []
+        real = cli.cmd_acquire
+        monkeypatch.setattr(cli, "cmd_acquire", lambda args: seen.append(gc.isenabled()) or real(args))
+        assert main(argv) == 0
+        assert seen == [False]
+        capsys.readouterr()
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path, capsys):
+        """The cycles ``project`` and ``acquire`` leave (the parser's own) are
+        the same at two input sizes, so the tokens and stays hold none."""
+
+        def garbage(count):
+            work = tmp_path / str(count)
+            work.mkdir()
+            rules, facts = work / "join.rules", work / "join.facts"
+            rules.write_text(_BYTE_JOIN_THEORY)
+            facts.write_text(_byte_join_facts(count, count))
+            state, obs = work / "state", work / "obs.txt"
+            state.write_text("class ATDOCK(?t) exponential insts 0 sum 0.0 lambda inf\n")
+            obs.write_text("".join(
+                f"observe ATDOCK(T{k}) arrival {k} departure {2 * k + 1}\n" for k in range(count)
+            ))
+            gc.collect()
+            assert main(["project", "--theory", str(rules), "--facts", str(facts),
+                         "--delta", "5", "--omega", "200", "--out", str(work / "out.csv")]) == 0
+            assert main(["acquire", "--state", str(state), "--observations", str(obs)]) == 0
+            return gc.collect()
+
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            garbage(5)  # imports the layers
+            small, large = garbage(20), garbage(200)
+        finally:
+            if was:
+                gc.enable()
+        capsys.readouterr()
+        assert small == large
 
 
 # The ``tempro`` modules every command imports: the package, the front end,

@@ -400,6 +400,14 @@ class TestUserDensity:
         assert user.density.grid == g
         assert (user.density.values.tobytes(), user.density.first) == (built.values.tobytes(), built.first)
 
+    @pytest.mark.parametrize("est, lst", [(-20.0, -15.0), (50.0, 55.0)], ids=["before", "past"])
+    def test_event_outside_the_horizon_gets_the_empty_span(self, est, lst):
+        g = TimeGrid(0.0, 1.0, 10)
+        store = TokenStore()
+        user = store.add_event(ARRIVE_T14, est, lst, 1.0, UserSupplied())
+        refine(store, CausalTheory(), g)
+        assert (len(user.density.values), user.density.first) == (0, 1)
+
 
 class TestBasicFactsFormat:
     def test_parse_example_line(self):
