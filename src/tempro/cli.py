@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import itertools
 import math
 import os
@@ -285,18 +286,35 @@ def _metadata_grid(metadata: dict[str, tuple[str, int]]) -> TimeGrid:
     return TimeGrid(*values)
 
 
-def _type_pattern(text: str) -> Pattern:
-    """``parse_pattern_text(text)``.  A text in canonical ground form
+# ``_GROUND_KEY`` compiled, on the first call of ``_type_key``, so importing
+# this module does not compile it.
+_ground_key: re.Pattern[str] | None = None
+
+
+def _type_key(pattern: Pattern, text: str) -> str:
+    """The canonical text of the type ``text`` if ``pattern`` matches it,
+    else ``""``: ``str(ground)`` if ``unify(pattern, ground)`` matches, for
+    ``ground = parse_pattern_text(text)``.  A text in canonical ground form
     (``_GROUND_KEY``) is read from one regex match; each group is a whole
     token of the statement reader, so the match reads to the pattern that
-    reader gives.  Any other text goes to ``parse_pattern_text``, which
-    reads it or raises its error.  ``re`` compiles the regex on first use,
-    so importing this module does not."""
-    match = re.fullmatch(_GROUND_KEY, text)
+    reader gives, whose ``str`` is the text itself.  Such a type is unified
+    only if it has the pattern's name and arity.  Any other text goes to
+    ``parse_pattern_text``, which reads it or raises its error."""
+    global _ground_key
+    if _ground_key is None:
+        _ground_key = re.compile(_GROUND_KEY)
+    match = _ground_key.fullmatch(text)
     if match is None:
-        return parse_pattern_text(text)
-    name, args = match.groups()
-    return Pattern(name, tuple(args.split(",")) if args else ())
+        ground = parse_pattern_text(text)
+    else:
+        name, args = match.groups()
+        args = tuple(args.split(",")) if args else ()
+        if name != pattern.name or len(args) != len(pattern.args):
+            return ""
+        ground = Pattern(name, args)
+    if unify(pattern, ground) is None:
+        return ""
+    return text if match else str(ground)
 
 
 def _header_columns(names: list[str] | None, line: int) -> list[int]:
@@ -315,13 +333,19 @@ def _header_columns(names: list[str] | None, line: int) -> list[int]:
     return columns
 
 
+# The characters of a projection CSV that ``_load_projection_csv`` reads at
+# a time after the first data row, a block extended to the end of its last
+# line.  Larger blocks scan no faster and hold more memory.
+_BLOCK = 16 * 1024
+
+
 def _load_projection_csv(
     path: str, locate: Callable[[TimeGrid], tuple[Pattern, int]]
 ) -> tuple[TimeGrid, dict[str, list[float]]]:
-    """Read the projection CSV at ``path`` once, line by line: its grid, and
-    the mass values at the queried cell of every type that matches, by the
-    type's canonical text (``str`` of the parsed type) in row order, so
-    spellings of one type such as ``F(X)`` and ``F( X )`` are one type.
+    """Read the projection CSV at ``path`` once: its grid, and the mass
+    values at the queried cell of every type that matches, by the type's
+    canonical text (``str`` of the parsed type) in row order, so spellings
+    of one type such as ``F(X)`` and ``F( X )`` are one type.
 
     At the first data row, before its fields are read, or at the end of a
     file that has none, the grid is built from the ``# origin=``,
@@ -336,75 +360,121 @@ def _load_projection_csv(
     mark a spreadsheet writes, is skipped; anywhere else it is a character
     of its field.
 
-    Every row, the header included, is one line.  A line that holds no
-    ``"`` and is no longer than the CSV field limit is split at its commas,
-    which gives the fields that ``csv.reader`` gives; any other line is read
-    by a strict ``csv.reader`` alone, so a quoted field still open at the end
-    of its line is a bad row at that line.  The fields of both go to the
-    same checks.
+    Every row, the header included, is one line.  The lines up to and
+    including the first data row are read one at a time, the rest in blocks
+    of ``_BLOCK`` characters, each extended to the end of its last line.  A
+    block that is ASCII, holds no ``"`` and no ``#`` and is no longer than
+    the CSV field limit holds no undecodable byte, comment, grid line or
+    quoted field, so each of its lines that is not blank is split at its
+    commas, which gives the fields that ``csv.reader`` gives.  The lines of
+    any other block are checked one at a time as the first ones are: a
+    ``#`` line is a comment or grid line, and a line that holds no ``"``
+    and is no longer than the field limit is split at its commas.  Any other
+    line is read by a strict ``csv.reader`` alone, so a quoted field still
+    open at the end of its line is a bad row at that line.  The fields of
+    every row go to the same checks.
     """
     grid_lines: dict[str, tuple[str, int]] = {}
     names = None  # the header's fields
     header_at = 0
     grid = None  # built at the first data row
     at_cell: dict[str, bool] = {}
-    matches: dict[str, str] = {}  # type text -> canonical text if it matches, else ""
+    matches: dict[str, str] = {}  # type text -> its _type_key
     masses: dict[str, list[float]] = {}
     limit = csv.field_size_limit()
+    at = 0  # the number of the line last read
     with open(path, "r", errors="surrogateescape") as handle:
         if handle.read(1) != "\ufeff":  # the byte-order mark of a file saved as "CSV UTF-8"
             handle.seek(0)
-        try:
-            for at, line in enumerate(handle, 1):
-                if not line.isascii():
-                    try:  # an undecodable byte reads as a lone surrogate, whose byte fails again
-                        line.encode(handle.encoding, "surrogateescape").decode(handle.encoding)
-                    except UnicodeDecodeError as exc:
-                        raise _undecodable(path, exc) from None
-                if line[0] == "#":
-                    key, eq, value = line[1:].partition("=")
-                    key = key.strip()
-                    if eq and key in _GRID_KEYS:
-                        if grid is not None or key in grid_lines:
-                            problem = "given twice" if grid is None else "after the first data row"
-                            raise ParseError(f"grid metadata line '# {key}=...' {problem}", at, 1)
-                        grid_lines[key] = (value.strip(), at)
-                    continue
-                if line.isspace():
-                    continue
-                if grid is None and names is not None:  # the first data row
-                    grid = _metadata_grid(grid_lines)
-                    pattern, cell = locate(grid)
-                    kind_at, cell_at, type_at, value_at = _header_columns(names, header_at)
-                if '"' not in line and len(line) <= limit:
-                    row = line.rstrip("\n").split(",")
+
+        def runs():
+            """The file's lines in runs, each with whether it is a clean
+            block: a line a run up to and including the first data row, then
+            a block a run.  A clean block's lines come without their line
+            end; the others' come as iterating the file gives them."""
+            while grid is None:
+                line = handle.readline()
+                if not line:
+                    return
+                yield (line,), False
+            while block := handle.read(_BLOCK):
+                if block[-1] != "\n":
+                    block += handle.readline()
+                if (
+                    block.isascii() and '"' not in block and "#" not in block
+                    and len(block) <= limit
+                ):
+                    lines = block.split("\n")
+                    if not lines[-1]:  # what follows the last line end
+                        lines.pop()
+                    yield lines, True
                 else:
-                    row = next(csv.reader((line,), strict=True))
-                if grid is None:  # the header
-                    names, header_at = row, at
-                    continue
-                if row[kind_at] != "mass":
-                    continue
-                cell_text = row[cell_at]
-                in_cell = at_cell.get(cell_text)
-                if in_cell is None:
-                    in_cell = at_cell[cell_text] = int(cell_text) == cell
-                type_text = row[type_at]
-                canonical = matches.get(type_text)
-                if canonical is None:
-                    try:
-                        ground = _type_pattern(type_text)
-                    except ParseError as exc:  # placed in the type text, not in the file
-                        raise ValueError(exc.message) from None
-                    matched = unify(pattern, ground) is not None
-                    canonical = matches[type_text] = str(ground) if matched else ""
-                    if matched:
-                        masses.setdefault(canonical, [])
-                if canonical and in_cell:
-                    mass = float(row[value_at])
-                    if not 0.0 <= mass <= 1.0:  # also refuses nan
-                        raise ValueError(f"mass must be a number in [0, 1], got {row[value_at]!r}")
-                    masses[canonical].append(mass)
+                    yield io.StringIO(block), False
+
+        try:
+            for lines, clean in runs():
+                for at, line in enumerate(lines, at + 1):
+                    if clean:
+                        if not line or line.isspace():
+                            continue
+                        row = line.split(",")
+                    else:
+                        if not line.isascii():
+                            # an undecodable byte reads as a lone surrogate, whose byte fails again
+                            encoding = handle.encoding
+                            try:
+                                line.encode(encoding, "surrogateescape").decode(encoding)
+                            except UnicodeDecodeError as exc:
+                                raise _undecodable(path, exc) from None
+                        if line[0] == "#":
+                            key, eq, value = line[1:].partition("=")
+                            key = key.strip()
+                            if eq and key in _GRID_KEYS:
+                                if grid is not None or key in grid_lines:
+                                    problem = (
+                                        "given twice" if grid is None
+                                        else "after the first data row"
+                                    )
+                                    raise ParseError(
+                                        f"grid metadata line '# {key}=...' {problem}", at, 1
+                                    )
+                                grid_lines[key] = (value.strip(), at)
+                            continue
+                        if line.isspace():
+                            continue
+                        if grid is None and names is not None:  # the first data row
+                            grid = _metadata_grid(grid_lines)
+                            pattern, cell = locate(grid)
+                            kind_at, cell_at, type_at, value_at = _header_columns(names, header_at)
+                        if '"' not in line and len(line) <= limit:
+                            row = line.rstrip("\n").split(",")
+                        else:
+                            row = next(csv.reader((line,), strict=True))
+                        if grid is None:  # the header
+                            names, header_at = row, at
+                            continue
+                    if row[kind_at] != "mass":
+                        continue
+                    cell_text = row[cell_at]
+                    in_cell = at_cell.get(cell_text)
+                    if in_cell is None:
+                        in_cell = at_cell[cell_text] = int(cell_text) == cell
+                    type_text = row[type_at]
+                    canonical = matches.get(type_text)
+                    if canonical is None:
+                        try:
+                            canonical = matches[type_text] = _type_key(pattern, type_text)
+                        except ParseError as exc:  # placed in the type text, not in the file
+                            raise ValueError(exc.message) from None
+                        if canonical:
+                            masses.setdefault(canonical, [])
+                    if canonical and in_cell:
+                        mass = float(row[value_at])
+                        if not 0.0 <= mass <= 1.0:  # also refuses nan
+                            raise ValueError(
+                                f"mass must be a number in [0, 1], got {row[value_at]!r}"
+                            )
+                        masses[canonical].append(mass)
         except ParseError:
             raise
         except (IndexError, ValueError, csv.Error) as exc:

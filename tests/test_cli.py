@@ -748,6 +748,180 @@ def _first_line_over(text, limit):
     return None
 
 
+def _line_at_a_time_load(path, locate):
+    """``cli._load_projection_csv`` as it read the file before it read in
+    blocks: every line on its own, through every check.  The oracle of the
+    block reader."""
+    grid_lines = {}
+    names = None
+    header_at = 0
+    grid = None
+    at_cell = {}
+    matches = {}
+    masses = {}
+    limit = csv.field_size_limit()
+    with open(path, "r", errors="surrogateescape") as handle:
+        if handle.read(1) != "\ufeff":
+            handle.seek(0)
+        try:
+            for at, line in enumerate(handle, 1):
+                if not line.isascii():
+                    try:
+                        line.encode(handle.encoding, "surrogateescape").decode(handle.encoding)
+                    except UnicodeDecodeError as exc:
+                        raise cli._undecodable(path, exc) from None
+                if line[0] == "#":
+                    key, eq, value = line[1:].partition("=")
+                    key = key.strip()
+                    if eq and key in cli._GRID_KEYS:
+                        if grid is not None or key in grid_lines:
+                            problem = "given twice" if grid is None else "after the first data row"
+                            raise ParseError(f"grid metadata line '# {key}=...' {problem}", at, 1)
+                        grid_lines[key] = (value.strip(), at)
+                    continue
+                if line.isspace():
+                    continue
+                if grid is None and names is not None:
+                    grid = cli._metadata_grid(grid_lines)
+                    pattern, cell = locate(grid)
+                    kind_at, cell_at, type_at, value_at = cli._header_columns(names, header_at)
+                if '"' not in line and len(line) <= limit:
+                    row = line.rstrip("\n").split(",")
+                else:
+                    row = next(csv.reader((line,), strict=True))
+                if grid is None:
+                    names, header_at = row, at
+                    continue
+                if row[kind_at] != "mass":
+                    continue
+                cell_text = row[cell_at]
+                in_cell = at_cell.get(cell_text)
+                if in_cell is None:
+                    in_cell = at_cell[cell_text] = int(cell_text) == cell
+                type_text = row[type_at]
+                canonical = matches.get(type_text)
+                if canonical is None:
+                    try:
+                        ground = parse_pattern_text(type_text)
+                    except ParseError as exc:
+                        raise ValueError(exc.message) from None
+                    matched = unify(pattern, ground) is not None
+                    canonical = matches[type_text] = str(ground) if matched else ""
+                    if matched:
+                        masses.setdefault(canonical, [])
+                if canonical and in_cell:
+                    mass = float(row[value_at])
+                    if not 0.0 <= mass <= 1.0:
+                        raise ValueError(f"mass must be a number in [0, 1], got {row[value_at]!r}")
+                    masses[canonical].append(mass)
+        except ParseError:
+            raise
+        except (IndexError, ValueError, csv.Error) as exc:
+            problem = "too few fields" if isinstance(exc, IndexError) else str(exc)
+            raise ParseError(f"bad projection CSV row: {problem}", at, 1) from None
+    if grid is None:
+        grid = cli._metadata_grid(grid_lines)
+        locate(grid)
+        cli._header_columns(names, header_at)
+    return grid, masses
+
+
+_BLOCK_ROWS = st.builds(
+    "{},{},{},{},0,{}".format,
+    st.integers(0, 99),
+    st.sampled_from(["F(X)", "F(Y)", "G(X)", "H", "F( X )"]),
+    st.sampled_from(["mass", "mass", "density"]),
+    st.integers(1, 3),
+    st.sampled_from(["0.5", "0.25", "-0", "1", "1e-20"]),
+)
+# Lines that end a clean block, each a fault, an odd layout or a line the
+# block reader must leave to the line checks.  "\udcff" is written as the
+# undecodable byte 0xff.
+_BLOCK_ODD_LINES = st.sampled_from([
+    "# remark",
+    "# note=1",
+    "# cells=3",
+    "",
+    " \t",
+    "\x0c",
+    '"7","F(A,B)","mass","1","0","0.25"',
+    '8,"F(X)",mass,2,1,0.5',
+    '9,"F(X),mass,2,1,0.5',
+    "é,F(X),mass,1,0,0.5",
+    "\ufeff10,F(X),mass,1,0,0.5",
+    "\udcff,F(X),mass,1,0,0.5",
+    "11,H,density,1,0," + "9" * 50,
+    "12,F(X),mass,x,0,0.5",
+    "13,F(X),mass",
+    "14,f(x),mass,1,0,0.5",
+    "15,F(X),mass,1,0,nan",
+])
+
+
+@st.composite
+def _block_csv(draw):
+    """The bytes of a projection CSV laid out by hand, for the block reader:
+    grid lines and header, then plain rows mixed with the lines of
+    ``_BLOCK_ODD_LINES``, each line ended by LF, CRLF or CR, a byte-order
+    mark or not before the first, and the last maybe with no line end."""
+    head = [*draw(st.permutations(["# origin=0", "# mesh=1", "# cells=3"])),
+            "token_id,type,kind,cell,time,value"]
+    body = draw(st.lists(st.one_of(_BLOCK_ROWS, _BLOCK_ROWS, _BLOCK_ROWS, _BLOCK_ODD_LINES),
+                         max_size=30))
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in head + body)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text.encode("utf-8", "surrogateescape")
+
+
+class TestCsvBlocks:
+    """``query`` reading its CSV a block at a time against the reader of
+    every line on its own, with blocks of 1 to 64 characters."""
+
+    @given(
+        _block_csv(),
+        st.integers(1, 64),
+        st.sampled_from([None, None, 40]),
+        st.sampled_from(["F(X)", "F(?x)", "H", "G(?x)", "F(A,B)"]),
+        st.integers(0, 2),
+    )
+    @example(b"# origin=0\n# mesh=1\n# cells=3\ntoken_id,type,kind,cell,time,value\n"
+             b"1,F(X),mass,1,0,0.5\r\n2,F(X),mass,1,0,0.25\r3,F( X ),mass,1,0,0.5\n\n"
+             b"# remark\n4,F(X),mass,1,0,0.5", 7, None, "F(X)", 0)
+    @example(b"\xef\xbb\xbf# origin=0\n# mesh=1\n# cells=3\ntoken_id,type,kind,cell,time,value\n"
+             b"1,F(X),mass,1,0,0.5\n\xff,F(X),mass,1,0,0.5\n", 1, None, "F(X)", 0)
+    @example(b"# origin=0\n# mesh=1\n# cells=3\ntoken_id,type,kind,cell,time,value\n"
+             b"1,F(X),mass,1,0,0.5\n11,H,density,1,0," + b"9" * 50 + b"\n# cells=3\n",
+             64, 40, "F(?x)", 0)
+    @example(b"# origin=0\n# mesh=1\n# cells=3\ntoken_id,type,kind,cell,time,value\n"
+             b"0,F(X),mass,1,0,0.5\n1,F(X),mass,1,0,0.5\n\n2,F(X),mass,1,0,0.5\n \t\n"
+             b"12,F(X),mass,x,0,0.5\n", 1, None, "F(X)", 0)
+    def test_answers_and_errors_match_the_line_at_a_time_reader(
+        self, data, block, limit, fact, time
+    ):
+        default = csv.field_size_limit()
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            path = os.path.join(directory, "blocks.csv")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            patch.setattr(cli, "_BLOCK", block)
+            if limit is not None:
+                csv.field_size_limit(limit)
+            try:
+                got = []
+                for load in (cli._load_projection_csv, _line_at_a_time_load):
+                    patch.setattr(cli, "_load_projection_csv", load)
+                    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                        code = main(["query", "--csv", path, "--fact", fact, "--time", str(time)])
+                    got.append((code, out.getvalue(), err.getvalue()))
+            finally:
+                csv.field_size_limit(default)
+        assert got[0] == got[1]
+
+
 class TestCsvOracles:
     """The projection CSV and ``query`` against the row-at-a-time forms."""
 
@@ -1076,13 +1250,21 @@ class TestCsvOracles:
     @example("F(X")
     def test_type_regex_reads_as_parse_pattern_text(self, text):
         # A text in canonical ground form is read from the regex match alone,
-        # to what parse_pattern_text reads; every other text goes to it.
-        def outcome(parse):
+        # to what parse_pattern_text reads, and is its own key; every other
+        # text goes to it.  Either way the key is str of the parsed type if
+        # the pattern unifies with it, else "", and a bad text is its error.
+        def outcome(read):
             try:
-                return parse(text)
+                return read()
             except ParseError as exc:
                 return str(exc)
 
+        ground = outcome(lambda: parse_pattern_text(text))
+        patterns = [Pattern("F", ("?x",)), Pattern("F", ("X", "?y")), Pattern("ALWAYS")]
+        if isinstance(ground, Pattern):
+            variables = tuple(f"?v{i}" for i in range(len(ground.args)))
+            patterns += [ground, Pattern(ground.name, variables)]
+        canonical = re.fullmatch(cli._GROUND_KEY, text) is not None
         calls = []
 
         def recording(argument):
@@ -1092,14 +1274,54 @@ class TestCsvOracles:
         original = cli.parse_pattern_text
         cli.parse_pattern_text = recording
         try:
-            got = outcome(cli._type_pattern)
+            for pattern in patterns:
+                calls.clear()
+                got = outcome(lambda: cli._type_key(pattern, text))
+                if isinstance(ground, str):
+                    assert got == ground
+                else:
+                    assert got == (str(ground) if unify(pattern, ground) is not None else "")
+                assert calls == ([] if canonical else [text])
         finally:
             cli.parse_pattern_text = original
-        assert got == outcome(parse_pattern_text)
-        if re.fullmatch(cli._GROUND_KEY, text):
-            assert calls == [] and str(got) == text
-        else:
-            assert calls == [text]
+        if canonical:
+            assert str(ground) == text
+
+    @given(
+        st.tuples(
+            st.sampled_from(["F", "G", "AB_1"]),
+            st.lists(st.sampled_from(["A", "B", "?x", "?y"]), max_size=3),
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["F", "G", "AB_1"]),
+                st.lists(st.sampled_from(["A", "B", "C"]), max_size=3),
+                st.sampled_from(["", " "]),
+            ),
+            max_size=12,
+        ),
+    )
+    @example(("F", ["?x", "?x"]), [("F", ["A", "A"], ""), ("F", ["A", "B"], ""), ("F", [], "")])
+    @example(("G", []), [("G", [], ""), ("G", [], " "), ("G", ["A"], "")])
+    def test_type_keys_are_the_unify_and_str_results(self, asked, types):
+        # The types a pattern matches and their keys, for canonical and
+        # spaced spellings of types of every name and arity, are those that
+        # unify and str of the parsed type give.
+        pattern = Pattern(asked[0], tuple(asked[1]))
+        texts = [
+            f"{name}{gap}({gap}{f'{gap},{gap}'.join(args)}{gap})" if args else f"{gap}{name}{gap}"
+            for name, args, gap in types
+        ]
+        keys = {text: cli._type_key(pattern, text) for text in texts}
+        grounds = {text: parse_pattern_text(text) for text in texts}
+        assert {text for text in texts if keys[text]} == {
+            text for text in texts if unify(pattern, grounds[text]) is not None
+        }
+        assert {text: key for text, key in keys.items() if key} == {
+            text: str(ground)
+            for text, ground in grounds.items()
+            if unify(pattern, ground) is not None
+        }
 
     def test_rows_exclude_header_and_comment_lines(self, tmp_path, capsys):
         # Grid lines before and after the header and a blank line between
@@ -1849,6 +2071,42 @@ class TestTracedAcquireEntryPoint:
         got = _run(capsys, "acquire", "--state", str(state), "--observations", str(obs))
         assert got == (0, "folded 2 observations into 1 classes\n", "")
         assert [len(result) for result in results] == [2]
+
+
+class TestTracedQueryEntryPoint:
+    """What ``bench/traced.py`` relies on in ``query``: it wraps
+    ``cli._load_projection_csv`` by name, ``query`` calls it with the path
+    and ``locate``, and the types' masses are ``result[1]``."""
+
+    CSV = (
+        "# origin=0\n# mesh=1\n# cells=3\ntoken_id,type,kind,cell,time,value\n"
+        "0,F(X),mass,1,0,0.5\n0,F(X),mass,2,1,0.25\n1,G(X),mass,1,0,1\n"
+    )
+
+    def test_takes_path_and_locate_and_returns_grid_and_masses(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(self.CSV)
+        result = cli._load_projection_csv(
+            path=str(path), locate=lambda grid: (Pattern("F", ("?x",)), 2)
+        )
+        assert isinstance(result, tuple) and len(result) == 2
+        grid, masses = result
+        assert isinstance(grid, TimeGrid) and grid == TimeGrid(0.0, 1.0, 3)
+        assert type(masses) is dict and masses == {"F(X)": [0.25]}
+
+    def test_query_calls_it_through_the_cli_namespace(self, tmp_path, capsys, monkeypatch):
+        load, results = cli._load_projection_csv, []
+
+        def recorded(path, locate):
+            results.append(load(path, locate))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "_load_projection_csv", recorded)
+        path = tmp_path / "p.csv"
+        path.write_text(self.CSV)
+        got = _run(capsys, "query", "--csv", str(path), "--fact", "F(?x)", "--time", "0")
+        assert got == (0, "F(X) 0.5\n", "")
+        assert [result[1] for result in results] == [{"F(X)": [0.5]}]
 
 
 class TestAcquireThroughSymlink:
