@@ -175,10 +175,9 @@ def _write_projection_csv(
     out has the value ``0``.  Each row is the token's head,
     ``token_id,type,kind,``, then its cell's template, ``cell,time,%.12g``
     and a newline.  The templates are built once per grid and the head once
-    per token, with the type quoted as ``csv.writer`` quotes it (once per
-    distinct type) and each ``%`` doubled; one ``%`` over the values of a
-    token's span then formats all of its rows.  ``%.12g`` gives the same
-    text as ``format(v, ".12g")``.
+    per token, with the type quoted as ``csv.writer`` quotes it and each
+    ``%`` doubled; one ``%`` over the values of a token's span then formats
+    all of its rows.  ``%.12g`` gives the same text as ``format(v, ".12g")``.
     """
     for key, value in metadata.items():
         value = str(value).replace("\n", "\\n").replace("\r", "\\r")
@@ -193,7 +192,6 @@ def _write_projection_csv(
         ((e.tid, str(e.event_type), "density", e.density) for e in store.events),
         ((f.tid, str(f.fact_type), "mass", f.mass) for f in store.facts),
     )
-    quoted: dict[str, str] = {}
     for tid, token_type, kind, curve in curves:
         # +0.0 is the one float whose bits are all zero, so the written cells
         # run from the cell of the span's first non-zero byte to that of its
@@ -202,10 +200,7 @@ def _write_projection_csv(
         skip = (len(live) - len(live.lstrip(b"\0"))) // 8
         start = curve.first - 1 + skip if live else 0
         span = curve.values[skip : (len(live) + 7) // 8] or (0.0,)
-        field = quoted.get(token_type)
-        if field is None:
-            field = quoted[token_type] = _csv_field(token_type).replace("%", "%%")
-        head = f"{tid},{field},{kind},"
+        head = f"{tid},{_csv_field(token_type).replace('%', '%%')},{kind},"
         handle.write((head + head.join(cells[start : start + len(span)])) % tuple(span))
 
 
@@ -230,6 +225,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     grid = coarse.refined(factor)
     store = TokenStore()
     load_basic_facts(store, specs, grid)
+    del specs  # nothing after the load reads the parsed lines
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         project(theory, store, grid)

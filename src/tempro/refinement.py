@@ -24,7 +24,9 @@ closure.
 A fact is open from its first cell through its close cell.  The theory's
 dependency relation must have no cycle among the fact types open at one
 cell; the check runs at each cell where a fact opens, and a cycle raises
-:class:`CyclicOpenTokens` naming that cell and the cycle.
+:class:`CyclicOpenTokens` naming that cell and the cycle.  A relation with
+no cycle has none among any set of its types, so the check runs only when
+the relation has a cycle.
 """
 from __future__ import annotations
 
@@ -35,7 +37,14 @@ from itertools import chain, groupby, repeat
 
 from . import _Record
 from .core import StepSeries, TimeGrid
-from .theory import CausalTheory, Exponential, Survivor, TypeKey, dependency_graph
+from .theory import (
+    CausalTheory,
+    DependencyGraph,
+    Exponential,
+    Survivor,
+    TypeKey,
+    dependency_graph,
+)
 from .tokens import EventToken, TokenStore, user_density
 
 
@@ -232,15 +241,17 @@ def _linear_span(
     return out, clamped, False
 
 
-def _check_open_types(theory: CausalTheory, opened: list[tuple[int, int | None, TypeKey]]) -> None:
+def _check_open_types(
+    graph: DependencyGraph, opened: list[tuple[int, int | None, TypeKey]]
+) -> None:
     """Raise :class:`CyclicOpenTokens` at the first cell where a fact opens
-    and the open fact types form a dependency cycle.
+    and the open fact types form a cycle of the dependency relation
+    ``graph``.
 
     ``opened`` holds ``(first cell, close cell, type)`` per fact in tid
     order.  A fact closing at cell ``c`` is still open at ``c``.  Closures
     only shrink the open set, so only a cell where a type joins it can fail.
     """
-    graph = dependency_graph(theory)
     closes = sorted((close, key) for _, close, key in opened if close is not None)
     counts: dict[TypeKey, int] = {}
     done = 0
@@ -271,14 +282,20 @@ def refine(
     is idempotent.  A derived event's curve spans its window's cells, and a
     fact's its first cell through its close cell, or through ``omega`` if it
     never closes.  :class:`CyclicOpenTokens` is raised after every curve and
-    the stats are in place.
+    the stats are in place; the open fact types are recorded and checked
+    only when the theory's dependency relation has a cycle.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     omega = grid.omega
     delta = grid.delta
     stats = SweepStats(cells=omega)
-    opened: list[tuple[int, int | None, TypeKey]] = []
+    graph = dependency_graph(theory)
+    # (first cell, close cell, type) per fact with cells, or None when no
+    # set of open types can form a cycle.
+    opened: list[tuple[int, int | None, TypeKey]] | None = (
+        [] if graph.find_cycle() is not None else None
+    )
     lin_weights: dict[float, list[float]] = {}  # by slope, on this grid
     tokens = list(store)  # a token refers only to smaller tids, so each is in this list
     # The first and last cell of each event's window, by tid; 0 until an
@@ -349,8 +366,10 @@ def refine(
             if closed:
                 token.close_cell = first - 1 + len(span)
                 stats.closures += 1
-            opened.append((first, token.close_cell, token.fact_type.key))
+            if opened is not None:
+                opened.append((first, token.close_cell, token.fact_type.key))
         token.mass = StepSeries(grid, span, first if span else 1)
     store.sweep_stats = stats
-    _check_open_types(theory, opened)
+    if opened is not None:
+        _check_open_types(graph, opened)
     return store

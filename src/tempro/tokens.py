@@ -66,6 +66,10 @@ class RuleDerived(_FrozenRecord):
 
 Derivation = UserSupplied | BuiltIn | RuleDerived
 
+# Every event that :func:`add_basic_event` adds shares this one marker: it
+# has no fields, so a copy per event would only cost memory.
+_USER_SUPPLIED = UserSupplied()
+
 
 class EventToken(_Record):
     __slots__ = ("tid", "event_type", "est", "lst", "kappa", "derivation", "density")
@@ -142,8 +146,11 @@ class TokenStore:
     derivation than the token's own ``derivation``.
 
     The indexes hold tokens in creation order: by type, and facts also by
-    ``(name, arity, argument position, value)``, so the projector can find the
-    facts agreeing with an antecedent's bound arguments without a type scan.
+    argument, as a dict per ``(name, arity, argument position)`` from each
+    value to the facts holding it there.  So the projector can find the
+    facts agreeing with an antecedent's bound arguments without a type scan,
+    and a fact's argument costs an entry in its position's dict, not a key
+    of its own.
     """
 
     def __init__(self) -> None:
@@ -152,7 +159,7 @@ class TokenStore:
         self._tokens: list[Token] = []
         self._events_by_key: dict[TypeKey, list[EventToken]] = {}
         self._facts_by_key: dict[TypeKey, list[FactToken]] = {}
-        self._facts_by_arg: dict[tuple[str, int, int, str], list[FactToken]] = {}
+        self._facts_by_arg: dict[tuple[str, int, int], dict[str, list[FactToken]]] = {}
         self.derivation_keys: set[tuple] = set()
         self.always: FactToken | None = None
         self.sweep_stats = None  # set by refinement.refine
@@ -223,7 +230,8 @@ class TokenStore:
         self._facts_by_key.setdefault(fact_type.key, []).append(token)
         name, arity = fact_type.key
         for position, value in enumerate(fact_type.args):
-            self._facts_by_arg.setdefault((name, arity, position, value), []).append(token)
+            by_value = self._facts_by_arg.setdefault((name, arity, position), {})
+            by_value.setdefault(value, []).append(token)
         return token
 
     def ensure_always(self) -> FactToken:
@@ -260,7 +268,7 @@ class TokenStore:
         """
         name, arity = pattern.key
         bound = [
-            self._facts_by_arg.get((name, arity, position, value), [])
+            self._facts_by_arg.get((name, arity, position), {}).get(value, [])
             for position, value in enumerate(pattern.args)
             if not is_variable(value)
         ]
@@ -347,7 +355,7 @@ def add_basic_event(
             f"[{grid.origin}, {grid.end})"
         )
     density = _window_density(grid, est, lst, kappa)
-    return store.add_event(event_type, est, lst, kappa, UserSupplied(), density)
+    return store.add_event(event_type, est, lst, kappa, _USER_SUPPLIED, density)
 
 
 def user_density(event: EventToken, grid: TimeGrid) -> StepSeries:
@@ -386,11 +394,13 @@ def parse_basic_facts(text: str) -> list[BasicEventSpec]:
         event ARRIVE(TRUCK14) est 0 lst 10 kappa 1.0
 
     A line in the layout of ``_EVENT_RE`` whose window and ``kappa`` are
-    valid is read from the regex match alone.  Every other line, such as one
-    with a comment or a fault, goes to the statement reader,
-    :func:`_basic_fact`, which reads it or raises its positioned error.
+    valid is read from the regex match alone, and the events of one name
+    share one string of it.  Every other line, such as one with a comment or
+    a fault, goes to the statement reader, :func:`_basic_fact`, which reads
+    it or raises its positioned error.
     """
     specs: list[BasicEventSpec] = []
+    names: dict[str, str] = {}
     fast = _EVENT_RE.fullmatch
     for lineno, line in enumerate(split_lines(text), start=1):
         match = fast(line)
@@ -399,6 +409,7 @@ def parse_basic_facts(text: str) -> list[BasicEventSpec]:
             est, lst, kappa = float(est), float(lst), float(kappa)
             # _basic_fact's checks; a number of the regex is never nan
             if -math.inf < est <= lst < math.inf and 0.0 <= kappa <= 1.0:
+                name = names.setdefault(name, name)
                 key = Pattern(name, tuple(args.split(",")) if args else ())
                 specs.append(BasicEventSpec(key, est, lst, kappa, lineno))
                 continue

@@ -367,6 +367,29 @@ class TestProjectBytes:
         assert (code, out, err) == (0, "", "")
         assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
 
+
+def test_project_peak_memory_per_token_on_a_join(tmp_path, capsys):
+    # 1000 arrivals and loads make 6001 tokens.  The peak holds the tokens
+    # and their curves while the CSV is written, about 570 B a token.  The
+    # parsed basic events kept to the end, or a quoted text kept per type
+    # until the write ends, each add 35-40 B a token.
+    (tmp_path / "join.rules").write_text(_BYTE_JOIN_THEORY)
+    (tmp_path / "join.facts").write_text(_byte_join_facts(11, 1000))
+    argv = [
+        "project", "--theory", str(tmp_path / "join.rules"), "--facts", str(tmp_path / "join.facts"),
+        "--delta", "20", "--omega", "50", "--out", str(tmp_path / "join.csv"),
+    ]
+    assert main(argv) == 0  # warm: imports, argparse and the regex caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", "")
+    assert peak / 6001 < 600, peak / 6001
+
+
 class TestQuery:
     def test_ground_fact_value(self, dock_csv, capsys):
         code, out, _ = _run(

@@ -38,7 +38,9 @@ from tempro import (
     survivor_eval,
     within_cell_factor,
 )
-from tempro.tokens import user_density
+from tempro import refinement
+from tempro.refinement import _check_open_types
+from tempro.tokens import load_basic_facts, user_density
 
 HALF_PER_15 = -math.log(0.95) / 15.0  # 5% loss per 15 minutes
 
@@ -197,6 +199,12 @@ def _assert_same_as_oracle(build, epsilon: float) -> None:
     refine(store, theory, grid, epsilon)
     _, _, want = build()
     _oracle_refine(want, theory, grid, epsilon)
+    _assert_same_curves(store, want)
+
+
+def _assert_same_curves(store: TokenStore, want: TokenStore) -> None:
+    """The curves, closures and sweep stats of two refined stores agree bit
+    for bit, sign of zero included."""
     assert len(store.events) == len(want.events) and len(store.facts) == len(want.facts)
     for got, exp in zip(store.events, want.events):
         assert _cells(got.density).tobytes() == _cells(exp.density).tobytes(), f"density of {got.tid}"
@@ -257,6 +265,56 @@ def _random_layered_setup(rng: random.Random, negative_zero: bool = False):
     grid = TimeGrid(0.0, delta, int(horizon / delta))
     epsilon = rng.choice([0.0, 1e-4, 1e-3])
     return theory, grid, events, epsilon
+
+
+def _small_rule_set(rng: random.Random, cyclic: bool):
+    """Two to five rules over the fact types A, B and C, each with a trigger
+    event of its own, plus one basic event per trigger.
+
+    The forward rules' antecedent types come before their consequents in a
+    random order of the types, so they alone make no dependency cycle.  With
+    ``cyclic`` one more rule closes a cycle: it reverses a forward rule or
+    derives a type from itself.
+    """
+    types = rng.sample("ABC", 3)
+    lines = []
+    for t in types:
+        if rng.random() < 0.5:
+            lines.append(f"persist {t}(?x) exp {round(rng.uniform(0.05, 2.0), 3)}")
+        else:
+            lines.append(f"persist {t}(?x) lin {round(rng.uniform(0.02, 0.5), 3)}")
+    rules = [("ALWAYS", types[0])]
+    for _ in range(rng.randint(1, 3)):
+        hi = rng.randint(1, 2)
+        rules.append((types[rng.randint(0, hi - 1)], types[hi]))
+    if cyclic:
+        ant, con = rng.choice(rules[1:])
+        rules.append((con, ant) if rng.random() < 0.7 else (con, con))
+    rng.shuffle(rules)
+    events = []
+    for k, (ant, con) in enumerate(rules):
+        head = ant if ant == "ALWAYS" else f"{ant}(?x)"
+        lines.append(f"project {head}, E{k}(?x) => {con}(?x) @ {round(rng.uniform(0.2, 1.0), 3)!r}")
+        start = rng.uniform(0.0, 12.0)
+        events.append((f"E{k}", start, start + rng.uniform(0.0, 4.0)))
+    theory = parse_theory("\n".join(lines) + "\n")
+    grid = TimeGrid(0.0, rng.choice([0.5, 1.0]), 40)
+    return theory, grid, events, rng.choice([0.0, 1e-4, 1e-3, 0.05])
+
+
+def _unconditional_open_type_check(store: TokenStore, theory, grid: TimeGrid):
+    """The open-type check made over every fact with cells, whatever the
+    theory, from a refined store; the ``(cell, cycle)`` it raises, or None."""
+    opened = []
+    for fact in store.facts:
+        first = max(1, grid.time_to_cell(fact.est))
+        if not fact.is_builtin and first <= grid.omega:
+            opened.append((first, fact.close_cell, fact.fact_type.key))
+    try:
+        _check_open_types(dependency_graph(theory), opened)
+    except CyclicOpenTokens as exc:
+        return exc.cell, exc.cycle
+    return None
 
 
 def _layered_store(theory, grid: TimeGrid, events) -> TokenStore:
@@ -904,6 +962,59 @@ class TestCycleDetection:
             _oracle_refine(store, theory, grid, 1e-4)
         assert got.value.cell == want.value.cell == close + raise_offset
         assert got.value.cycle == want.value.cycle
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_check_on_cyclic_theories_only_same_as_unconditional(self, seed, cyclic):
+        # refine records and checks the open types only when the dependency
+        # relation has a cycle; it raises as the check made over every fact
+        # and the per-cell oracle do, and otherwise leaves the same curves.
+        theory, grid, events, epsilon = _small_rule_set(random.Random(seed), cyclic)
+        assert (dependency_graph(theory).find_cycle() is not None) == cyclic
+        store = _layered_store(theory, grid, events)
+        try:
+            refine(store, theory, grid, epsilon)
+            got = None
+        except CyclicOpenTokens as exc:
+            got = (exc.cell, exc.cycle)
+        assert got == _unconditional_open_type_check(store, theory, grid)
+        want = _layered_store(theory, grid, events)
+        try:
+            _oracle_refine(want, theory, grid, epsilon)
+        except CyclicOpenTokens as exc:
+            assert got == (exc.cell, exc.cycle)
+            return
+        assert got is None
+        _assert_same_curves(store, want)
+
+    def test_acyclic_theories_make_no_open_type_check(
+        self, monkeypatch, dock_rules_text, dock_facts_text
+    ):
+        calls = []
+        monkeypatch.setattr(refinement, "_check_open_types", lambda *args: calls.append(args))
+        dock = parse_theory(dock_rules_text)
+        grid = TimeGrid(0.0, 2.0, 1440)
+        store = TokenStore()
+        load_basic_facts(store, dock_facts_text, grid)
+        project(dock, store, grid)
+        refine(store, dock, grid)
+        join = parse_theory(
+            "persist ATDOCK(?t) exp 0.0034195529591700387\npersist LOADED(?t) lin 0.004\n"
+            "project ALWAYS, ARRIVE(?t) => ATDOCK(?t) @ 1.0\n"
+            "project ATDOCK(?t), LOAD(?t) => LOADED(?t) @ 0.9\n"
+        )
+        grid = TimeGrid(0.0, 20.0, 50)
+        store = TokenStore()
+        for k in range(20):
+            add_basic_event(store, Pattern("ARRIVE", (f"T{k}",)), 10.0 * k, 10.0 * k + 40.0, 1.0, grid)
+            add_basic_event(store, Pattern("LOAD", (f"T{k}",)), 10.0 * k + 9.0, 10.0 * k + 49.0, 0.8, grid)
+        project(join, store, grid)
+        refine(store, join, grid)
+        assert len(store.facts_of_type(("LOADED", 1))) == 20
+        assert calls == []
+        grid = TimeGrid(0.0, 1.0, 20)
+        theory, store = self._cyclic_store(grid)
+        refine(store, theory, grid)  # the counter does not raise
+        assert len(calls) == 1
 
 
 class TestOrderEquivalence:
