@@ -5,50 +5,9 @@ true, and persistence rules that say how belief in a fact decays) plus
 observed basic events with uncertain timing, tempro computes a probability
 curve over discrete time for every predicted fact and event, and can refine
 the persistence rates online from observed lifetimes.
-
-Importing the package loads none of its modules: each exported name loads
-its home module the first time it is read, so ``python -m tempro query``
-does not pay for the simulator or the refiner.
 """
 
-# Each exported name, by the module that defines it.
-_EXPORTS = {
-    name: module
-    for module, names in {
-        "acquisition": "AcquisitionClass AcquisitionStore UnknownClassError load_state "
-                       "parse_observations rate save_state save_state_file",
-        "core": "GridError StepSeries TimeGrid auto_mesh_factor series_integral",
-        "projection": "project",
-        "refinement": "CyclicOpenTokens SweepStats convolve_direct refine survivor_eval "
-                      "within_cell_factor",
-        "simulator": "ConvergenceRow ExponentialLifetime FixedLifetime PoissonArrivals Scenario "
-                     "ScheduledArrivals SimulationOutput UniformLifetime generate "
-                     "parse_scenario run_convergence",
-        "theory": "ALWAYS CausalTheory DependencyGraph Exponential Linear ParseError Pattern "
-                  "PersistenceRule ProjectionRule dependency_graph parse_pattern_text "
-                  "parse_theory unify",
-        "tokens": "BasicEventSpec EventToken FactToken RuleDerived TokenStore UserSupplied "
-                  "add_basic_event load_basic_facts parse_basic_facts",
-    }.items()
-    for name in names.split()
-}
-
-__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    """Load ``name``'s home module and bind ``name`` here (PEP 562)."""
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # ``from .<module> import <name>``, which ``-X importtime`` reports.
-    value = globals()[name] = getattr(__import__(module, globals(), None, [name], 1), name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
 
 
 class _Record:
@@ -95,3 +54,45 @@ class _FrozenRecord(_Record):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
+# After the records, which every module imports from here.
+from .acquisition import (
+    AcquisitionClass, AcquisitionStore, UnknownClassError, load_state, parse_observations, rate,
+    save_state, save_state_file,
+)
+from .core import GridError, StepSeries, TimeGrid, auto_mesh_factor, series_integral
+from .projection import project
+from .refinement import (
+    CyclicOpenTokens, SweepStats, convolve_direct, refine, survivor_eval, within_cell_factor,
+)
+from .simulator import (
+    ConvergenceRow, ExponentialLifetime, FixedLifetime, PoissonArrivals, Scenario,
+    ScheduledArrivals, SimulationOutput, UniformLifetime, generate, parse_scenario,
+    run_convergence,
+)
+from .theory import (
+    ALWAYS, CausalTheory, DependencyGraph, Exponential, Linear, ParseError, Pattern,
+    PersistenceRule, ProjectionRule, dependency_graph, parse_pattern_text, parse_theory, unify,
+)
+from .tokens import (
+    BasicEventSpec, EventToken, FactToken, RuleDerived, TokenStore, UserSupplied,
+    add_basic_event, load_basic_facts, parse_basic_facts,
+)
+
+__all__ = [
+    "AcquisitionClass", "AcquisitionStore", "UnknownClassError", "load_state",
+    "parse_observations", "rate", "save_state", "save_state_file",
+    "GridError", "StepSeries", "TimeGrid", "auto_mesh_factor", "series_integral",
+    "project",
+    "CyclicOpenTokens", "SweepStats", "convolve_direct", "refine", "survivor_eval",
+    "within_cell_factor",
+    "ConvergenceRow", "ExponentialLifetime", "FixedLifetime", "PoissonArrivals", "Scenario",
+    "ScheduledArrivals", "SimulationOutput", "UniformLifetime", "generate", "parse_scenario",
+    "run_convergence",
+    "ALWAYS", "CausalTheory", "DependencyGraph", "Exponential", "Linear", "ParseError",
+    "Pattern", "PersistenceRule", "ProjectionRule", "dependency_graph", "parse_pattern_text",
+    "parse_theory", "unify",
+    "BasicEventSpec", "EventToken", "FactToken", "RuleDerived", "TokenStore", "UserSupplied",
+    "add_basic_event", "load_basic_facts", "parse_basic_facts",
+]

@@ -226,8 +226,10 @@ Observation = namedtuple("Observation", "key arrival departure line")
 # The layout ``simulate`` writes: a ground key without blanks, numbers in
 # ASCII digits, spaces or tabs between the fields, and no comment.  Each
 # group is a whole token of the statement reader, so a line it matches reads
-# to the same key and numbers there.
-_OBSERVE_RE = re.compile(
+# to the same key and numbers there.  Each call of ``parse_observations``
+# compiles it, which ``re`` caches, so importing this module compiles
+# nothing.
+_OBSERVE_RE = (
     rf"[ \t]*observe[ \t]+{_GROUND_KEY}"
     rf"[ \t]+arrival[ \t]+({_NUMBER})[ \t]+departure[ \t]+({_NUMBER})[ \t]*"
 )
@@ -244,7 +246,7 @@ def parse_observations(text: str) -> list[Observation]:
     which reads it or raises its positioned error.
     """
     out: list[Observation] = []
-    fast = _OBSERVE_RE.fullmatch
+    fast = re.compile(_OBSERVE_RE).fullmatch
     for lineno, line in enumerate(split_lines(text), start=1):
         match = fast(line)
         if match is not None:

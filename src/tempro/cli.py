@@ -23,7 +23,11 @@ import sys
 import warnings
 from collections.abc import Callable
 
+from .acquisition import load_state, parse_observations, save_state_file
 from .core import SNAP_REL, GridError, TimeGrid, auto_mesh_factor
+from .projection import project
+from .refinement import CyclicOpenTokens, refine
+from .simulator import generate, parse_scenario, run_convergence
 from .theory import (
     _GROUND_KEY,
     ParseError,
@@ -33,46 +37,7 @@ from .theory import (
     statements,
     unify,
 )
-
-# The names each command loads when it runs, by the module that defines
-# them.  ``theory`` and ``core`` serve every command and load with this one;
-# the rest load on first read, through ``__getattr__``, so ``query`` does
-# not pay for the projector nor ``acquire`` for the refiner.
-_LAYERS = {
-    "TokenStore": "tokens",
-    "load_basic_facts": "tokens",
-    "parse_basic_facts": "tokens",
-    "project": "projection",
-    "CyclicOpenTokens": "refinement",
-    "refine": "refinement",
-    "load_state": "acquisition",
-    "parse_observations": "acquisition",
-    "save_state_file": "acquisition",
-    "generate": "simulator",
-    "parse_scenario": "simulator",
-    "run_convergence": "simulator",
-}
-
-
-def __getattr__(name: str):
-    """Load ``name``'s layer and bind ``name`` here (PEP 562)."""
-    module = _LAYERS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # ``from .<module> import <name>``, which ``-X importtime`` reports.
-    value = globals()[name] = getattr(__import__(module, globals(), None, [name], 1), name)
-    return value
-
-
-def _load(*layers: str) -> None:
-    """Bind here each name of ``_LAYERS`` that ``layers`` define, before a
-    command calls it.  A name already bound, such as a wrapper set on this
-    module, stays as it is, so the command calls what the module holds."""
-    module = sys.modules[__name__]
-    for name, layer in _LAYERS.items():
-        if layer in layers:
-            getattr(module, name)
-
+from .tokens import TokenStore, load_basic_facts, parse_basic_facts
 
 USAGE_ERROR = 1
 PARSE_ERROR = 2
@@ -205,7 +170,6 @@ def _write_projection_csv(
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    _load("tokens", "projection", "refinement")
     try:
         coarse = TimeGrid(args.origin, args.delta, args.omega)
     except GridError as exc:
@@ -282,24 +246,19 @@ def _metadata_grid(metadata: dict[str, tuple[str, int]]) -> TimeGrid:
     return TimeGrid(*values)
 
 
-# ``_GROUND_KEY`` compiled, on the first call of ``_type_key``, so importing
-# this module does not compile it.
-_ground_key: re.Pattern[str] | None = None
-
-
-def _type_key(pattern: Pattern, text: str) -> str:
+def _type_key(
+    pattern: Pattern, text: str, ground_key: Callable[[str], re.Match[str] | None]
+) -> str:
     """The canonical text of the type ``text`` if ``pattern`` matches it,
     else ``""``: ``str(ground)`` if ``unify(pattern, ground)`` matches, for
-    ``ground = parse_pattern_text(text)``.  A text in canonical ground form
-    (``_GROUND_KEY``) is read from one regex match; each group is a whole
-    token of the statement reader, so the match reads to the pattern that
-    reader gives, whose ``str`` is the text itself.  Such a type is unified
-    only if it has the pattern's name and arity.  Any other text goes to
+    ``ground = parse_pattern_text(text)``.  A text in canonical ground form,
+    which ``ground_key`` (the ``fullmatch`` of ``_GROUND_KEY`` compiled)
+    matches, is read from that one match; each group is a whole token of the
+    statement reader, so the match reads to the pattern that reader gives,
+    whose ``str`` is the text itself.  Such a type is unified only if it has
+    the pattern's name and arity.  Any other text goes to
     ``parse_pattern_text``, which reads it or raises its error."""
-    global _ground_key
-    if _ground_key is None:
-        _ground_key = re.compile(_GROUND_KEY)
-    match = _ground_key.fullmatch(text)
+    match = ground_key(text)
     if match is None:
         ground = parse_pattern_text(text)
     else:
@@ -377,6 +336,7 @@ def _load_projection_csv(
     at_cell: dict[str, bool] = {}
     matches: dict[str, str] = {}  # type text -> its _type_key
     masses: dict[str, list[float]] = {}
+    ground_key = re.compile(_GROUND_KEY).fullmatch
     limit = csv.field_size_limit()
     at = 0  # the number of the line last read
     with open(path, "r", errors="surrogateescape") as handle:
@@ -459,7 +419,7 @@ def _load_projection_csv(
                     canonical = matches.get(type_text)
                     if canonical is None:
                         try:
-                            canonical = matches[type_text] = _type_key(pattern, type_text)
+                            canonical = matches[type_text] = _type_key(pattern, type_text, ground_key)
                         except ParseError as exc:  # placed in the type text, not in the file
                             raise ValueError(exc.message) from None
                         if canonical:
@@ -516,7 +476,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_acquire(args: argparse.Namespace) -> int:
-    _load("acquisition")
     store = load_state(_read(args.state))
     observations = parse_observations(_read(args.observations))
     route = store.router()
@@ -546,7 +505,6 @@ def _seed(text: str) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _load("simulator")
     seed = None if args.seed is None else _seed(args.seed)
     text = _read(args.scenario)
     scenario = parse_scenario(text)

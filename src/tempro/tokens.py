@@ -382,7 +382,9 @@ class BasicEventSpec(_FrozenRecord):
 # without blanks, numbers in ASCII digits, spaces or tabs between the
 # fields, and no comment.  Each group is a whole token of the statement
 # reader, so a line it matches reads to the same key and numbers there.
-_EVENT_RE = re.compile(
+# Each call of ``parse_basic_facts`` compiles it, which ``re`` caches, so
+# importing this module compiles nothing.
+_EVENT_RE = (
     rf"[ \t]*event[ \t]+{_GROUND_KEY}[ \t]+est[ \t]+({_NUMBER})"
     rf"[ \t]+lst[ \t]+({_NUMBER})[ \t]+kappa[ \t]+({_NUMBER})[ \t]*"
 )
@@ -401,7 +403,7 @@ def parse_basic_facts(text: str) -> list[BasicEventSpec]:
     """
     specs: list[BasicEventSpec] = []
     names: dict[str, str] = {}
-    fast = _EVENT_RE.fullmatch
+    fast = re.compile(_EVENT_RE).fullmatch
     for lineno, line in enumerate(split_lines(text), start=1):
         match = fast(line)
         if match is not None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 
 import pytest
@@ -456,6 +457,6 @@ class TestObservationFastPath:
         text = generate(scenario).observations_text
         lines = text.splitlines()
         assert len(lines) == 200
-        assert all(_OBSERVE_RE.fullmatch(line) for line in lines)
+        assert all(re.fullmatch(_OBSERVE_RE, line) for line in lines)
         assert _outcome(parse_observations, text) == _outcome(_cursor_observations, text)
 

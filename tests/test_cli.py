@@ -5,6 +5,7 @@ import collections.abc
 import csv
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -1287,7 +1288,8 @@ class TestCsvOracles:
         if isinstance(ground, Pattern):
             variables = tuple(f"?v{i}" for i in range(len(ground.args)))
             patterns += [ground, Pattern(ground.name, variables)]
-        canonical = re.fullmatch(cli._GROUND_KEY, text) is not None
+        ground_key = re.compile(cli._GROUND_KEY).fullmatch
+        canonical = ground_key(text) is not None
         calls = []
 
         def recording(argument):
@@ -1299,7 +1301,7 @@ class TestCsvOracles:
         try:
             for pattern in patterns:
                 calls.clear()
-                got = outcome(lambda: cli._type_key(pattern, text))
+                got = outcome(lambda: cli._type_key(pattern, text, ground_key))
                 if isinstance(ground, str):
                     assert got == ground
                 else:
@@ -1335,7 +1337,8 @@ class TestCsvOracles:
             f"{name}{gap}({gap}{f'{gap},{gap}'.join(args)}{gap})" if args else f"{gap}{name}{gap}"
             for name, args, gap in types
         ]
-        keys = {text: cli._type_key(pattern, text) for text in texts}
+        ground_key = re.compile(cli._GROUND_KEY).fullmatch
+        keys = {text: cli._type_key(pattern, text, ground_key) for text in texts}
         grounds = {text: parse_pattern_text(text) for text in texts}
         assert {text for text in texts if keys[text]} == {
             text for text in texts if unify(pattern, grounds[text]) is not None
@@ -2062,9 +2065,6 @@ class TestTracedAcquireEntryPoint:
     ``cli.parse_observations`` by name and counts the observations with
     ``len()`` of what the wrapped call returns."""
 
-    def test_parse_observations_is_a_layer_name(self):
-        assert cli._LAYERS["parse_observations"] == "acquisition"
-
     def test_returns_a_sized_sequence_of_one_entry_per_observation_line(self):
         text = (
             "# stays\n\nobserve T(A) arrival 0 departure 1\n"
@@ -2421,27 +2421,19 @@ class TestCollector:
         assert small == large
 
 
-# The ``tempro`` modules every command imports: the package, the front end,
-# and the theory and grid that each command reads its input with.
-_BASE = {"tempro", "tempro.cli", "tempro.core", "tempro.theory"}
-
-
 class TestStartup:
-    """Each command imports only the layers it runs, and none imports numpy:
-    curves are ``array('d')``, and only the test oracles in ``refinement``
-    and ``core`` use numpy.  None imports ``dataclasses`` or ``inspect``
-    either: the package's records are plain slotted classes.  Nor does any
-    import ``logging``, since nothing logs.  (That no module imports
+    """Each command imports the package's modules and no more, and none
+    imports numpy: curves are ``array('d')``, and only the test oracles in
+    ``refinement`` and ``core`` use numpy.  None imports ``dataclasses`` or
+    ``inspect`` either: the package's records are plain slotted classes.  Nor
+    does any import ``logging``, since nothing logs.  (That no module imports
     ``typing`` is checked in ``tests/test_imports.py``, since ``site`` may
     import it before any command runs.)"""
 
-    COMMANDS = {
-        "help": _BASE,
-        "project": _BASE | {"tempro.tokens", "tempro.projection", "tempro.refinement"},
-        "query": _BASE,
-        "query-pattern": _BASE,
-        "simulate": _BASE | {"tempro.acquisition", "tempro.simulator"},
-        "acquire": _BASE | {"tempro.acquisition"},
+    COMMANDS = ["help", "project", "query", "query-pattern", "simulate", "acquire"]
+    MODULES = {
+        "tempro", "tempro.cli", "tempro.core", "tempro.theory", "tempro.tokens",
+        "tempro.projection", "tempro.refinement", "tempro.acquisition", "tempro.simulator",
     }
 
     @pytest.fixture(scope="class")
@@ -2482,10 +2474,10 @@ class TestStartup:
         for command, modules in imported.items():
             assert [m for m in modules if m in ("dataclasses", "inspect")] == [], command
 
-    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_command_imports_only_its_layers(self, imported, command):
         found = {m for m in imported[command] if m == "tempro" or m.startswith("tempro.")}
-        assert found == self.COMMANDS[command]
+        assert found == self.MODULES
 
     def test_no_command_imports_logging(self, imported):
         for command, modules in imported.items():
@@ -2493,52 +2485,69 @@ class TestStartup:
 
 
 # Run in a fresh interpreter: set a wrapper on ``cli`` for each name in
-# argv[1] (a JSON map of name to home module), run the commands in argv[2]
-# (a JSON list of argv lists), and print what the wrappers saw as JSON.  In
-# ``bound`` mode each name is read off ``cli`` first, as ``bench/traced.py``
-# does; otherwise the wrapper is set while the name's layer is unloaded.
+# argv[1], a JSON list, each wrapping what ``cli`` held, as
+# ``bench/traced.py`` does; run the commands in argv[2] (a JSON list of argv
+# lists), and print what the wrappers saw as JSON.
 _PATCH_SCRIPT = """
-import importlib, json, sys
+import json, sys
 from tempro import cli
 
-layers, runs, bound = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3] == "bound"
-loaded = sorted(set(layers.values()) & set(sys.modules))
+names, runs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 called = []
 
-def wrap(name, home):
-    original = getattr(cli, name) if bound else None
+def wrap(name):
+    original = getattr(cli, name)
     def wrapper(*args, **kwargs):
         called.append(name)
-        return (original or getattr(importlib.import_module(home), name))(*args, **kwargs)
+        return original(*args, **kwargs)
     return wrapper
 
-for name, home in layers.items():
-    setattr(cli, name, wrap(name, home))
+for name in names:
+    setattr(cli, name, wrap(name))
 codes = [cli.main(argv) for argv in runs]
-print(json.dumps({"loaded": loaded, "called": called, "codes": codes}))
+print(json.dumps({"called": called, "codes": codes}))
 """
 
 
 class TestPatchedLayers:
     """A wrapper set on ``cli`` for a layer entry point is the one its
-    command calls, whether or not the layer has loaded, as
-    ``bench/traced.py`` and ``monkeypatch.setattr(cli, ...)`` rely on."""
+    command calls, as ``bench/traced.py`` and ``monkeypatch.setattr(cli,
+    ...)`` rely on."""
 
-    LAYERS = {
-        "parse_basic_facts": "tempro.tokens",
-        "load_basic_facts": "tempro.tokens",
-        "project": "tempro.projection",
-        "refine": "tempro.refinement",
-        "load_state": "tempro.acquisition",
-        "parse_observations": "tempro.acquisition",
-        "save_state_file": "tempro.acquisition",
-        "parse_scenario": "tempro.simulator",
-        "generate": "tempro.simulator",
-        "run_convergence": "tempro.simulator",
+    LAYERS = [
+        "parse_basic_facts", "load_basic_facts", "project", "refine", "load_state",
+        "parse_observations", "save_state_file", "parse_scenario", "generate", "run_convergence",
+    ]
+
+    # The names ``bench/traced.py`` wraps on ``cli`` that another module
+    # defines, by that module, and those ``cli`` defines.
+    TRACED = {
+        "unify": "theory", "parse_theory": "theory", "parse_basic_facts": "tokens",
+        "load_basic_facts": "tokens", "project": "projection", "refine": "refinement",
+        "load_state": "acquisition", "parse_observations": "acquisition",
+        "save_state_file": "acquisition",
     }
+    OWN = {"cmd_project", "cmd_query", "cmd_acquire", "_load_projection_csv"}
 
-    @pytest.mark.parametrize("mode", ["unloaded", "bound"])
-    def test_wrapper_set_on_cli_is_called(self, tmp_path, data_dir, mode):
+    def test_cli_names_are_the_home_modules_objects(self, data_dir):
+        spec = importlib.util.spec_from_file_location(
+            "traced", data_dir.parent / "bench" / "traced.py"
+        )
+        traced = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(traced)
+        read = set()
+
+        class Recorder:  # records each name ``install`` reads off ``cli``
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(cli, name)
+
+        traced.install(Recorder(), traced.Tracer())
+        assert read == set(self.TRACED) | self.OWN
+        for name, home in self.TRACED.items():
+            assert getattr(cli, name) is getattr(importlib.import_module(f"tempro.{home}"), name)
+
+    def test_wrapper_set_on_cli_is_called(self, tmp_path, data_dir):
         state = tmp_path / "t.state"
         state.write_bytes((data_dir / "trucks.state").read_bytes())
         runs = [
@@ -2551,11 +2560,10 @@ class TestPatchedLayers:
              "--observations", str(tmp_path / "sim" / "observations.txt")],
         ]
         proc = subprocess.run(
-            [sys.executable, "-c", _PATCH_SCRIPT, json.dumps(self.LAYERS), json.dumps(runs), mode],
+            [sys.executable, "-c", _PATCH_SCRIPT, json.dumps(self.LAYERS), json.dumps(runs)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen["loaded"] == []
         assert seen["codes"] == [0, 0, 0]
         assert sorted(seen["called"]) == sorted(self.LAYERS)

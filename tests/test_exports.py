@@ -1,5 +1,5 @@
-"""The package's exported names: each loads its home module when first read,
-and ``import tempro`` alone loads none of them."""
+"""The package's exported names: each is the object its home module
+defines, and ``__all__`` lists exactly them."""
 from __future__ import annotations
 
 import importlib
@@ -30,10 +30,6 @@ EXPORTS = {
 HOMES = [(name, module) for module, names in EXPORTS.items() for name in names]
 
 
-# Prints the package's modules that ``sys.modules`` holds.
-_PRINT_LOADED = "import sys\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'tempro'))"
-
-
 def _fresh(code: str) -> str:
     """What ``code`` prints in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -53,24 +49,6 @@ def test_export_is_its_home_modules_object(name, module):
     namespace: dict = {}
     exec(f"from tempro import {name}", namespace)
     assert namespace[name] is getattr(importlib.import_module(f"tempro.{module}"), name)
-
-
-def test_bare_import_loads_no_submodule():
-    out = _fresh("import tempro\n" + _PRINT_LOADED)
-    assert out.split() == ["tempro"]
-
-
-@pytest.mark.parametrize(
-    "name,loaded",
-    [
-        ("TimeGrid", ["tempro", "tempro.core"]),
-        ("unify", ["tempro", "tempro.theory"]),
-        ("rate", ["tempro", "tempro.acquisition", "tempro.theory"]),
-    ],
-)
-def test_first_read_loads_the_home_module(name, loaded):
-    out = _fresh(f"from tempro import {name}\n" + _PRINT_LOADED)
-    assert out.split() == loaded
 
 
 def test_star_import_binds_every_export():

@@ -23,6 +23,11 @@ against, import numpy, each inside its own body.  No module imports
 function: the records are plain slotted classes, ``collections.abc`` has
 the abstract types the annotations name, and nothing logs, so none of these
 imports' cost lands on a command.
+
+Every command imports every module, so what a module does at import lands
+on every command too.  Only ``theory``, whose statement reader every
+command uses, compiles a regex then; each other module compiles its
+patterns in the function that uses them, where ``re`` caches them.
 """
 from __future__ import annotations
 
@@ -193,6 +198,56 @@ def importers_of(source: str, module: str) -> list[str]:
                          else [alias.name for alias in node.names])
         )
     )
+
+
+def _import_time_nodes(node: ast.AST):
+    """The nodes under ``node`` that run when it runs: all but those in a
+    function's body, its decorators and default values included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = child.args
+            run = [*getattr(child, "decorator_list", []), *args.defaults, *args.kw_defaults]
+            for part in filter(None, run):
+                yield part
+                yield from _import_time_nodes(part)
+        else:
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def compiles_at_import(source: str) -> list[int]:
+    """The lines of the ``re.compile`` calls that importing ``source`` runs."""
+    return sorted(
+        node.lineno
+        for node in _import_time_nodes(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "compile"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+    )
+
+
+def test_only_theory_compiles_a_regex_at_import():
+    found = {path.name for path in SRC.glob("*.py") if compiles_at_import(path.read_text())}
+    assert found == {"theory.py"}
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import re\nA = re.compile('a')\n", [2]),
+        ("import re\nclass C:\n    A = re.compile('a')\n", [3]),
+        ("import re\nif True:\n    A = [re.compile(p) for p in 'ab']\n", [3]),
+        ("import re\ndef f(a=re.compile('a')):\n    pass\n", [2]),
+        ("import re\n@g(re.compile('a'))\ndef f():\n    pass\n", [2]),
+        ("import re\nf = lambda a=re.compile('a'): a\n", [2]),
+        ("import re\ndef f():\n    return re.compile('a').fullmatch\n", []),
+        ("import re\nf = lambda: re.compile('a')\n", []),
+        ("import re\nclass C:\n    def f(self):\n        return re.compile('a')\n", []),
+        ("import re\nA = re.fullmatch('a', 'a')\nB = compile('1', '', 'eval')\n", []),
+    ],
+)
+def test_scan_finds_compiles_at_import(source, lines):
+    assert compiles_at_import(source) == lines
 
 
 def test_only_the_oracles_import_numpy():

@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import math
 import pathlib
+import re
 import struct
 
 import numpy as np
@@ -579,7 +580,7 @@ class TestBasicFactsFastPath:
 
     def test_negative_zero_kappa_stays_negative(self):
         (spec,) = parse_basic_facts("event A(X) est 0 lst 1 kappa -0.0\n")
-        assert _EVENT_RE.fullmatch("event A(X) est 0 lst 1 kappa -0.0")
+        assert re.fullmatch(_EVENT_RE, "event A(X) est 0 lst 1 kappa -0.0")
         assert math.copysign(1.0, spec.kappa) == -1.0
 
     def test_every_line_simulate_writes_takes_the_fast_path(self):
@@ -590,7 +591,7 @@ class TestBasicFactsFastPath:
         text = generate(scenario).facts_text
         lines = text.splitlines()
         assert len(lines) == 200
-        assert all(_EVENT_RE.fullmatch(line) for line in lines)
+        assert all(re.fullmatch(_EVENT_RE, line) for line in lines)
         assert _outcome(parse_basic_facts, text) == _outcome(_reader_basic_facts, text)
 
     @pytest.mark.parametrize("name", ["dock", "trucks-200", "join-1k"])
@@ -599,5 +600,5 @@ class TestBasicFactsFastPath:
         _workloads().write(name, 3, tmp_path)
         text = (tmp_path / "facts.txt").read_text()
         events = [line for line in text.splitlines() if not line.startswith("#")]
-        assert events and all(_EVENT_RE.fullmatch(line) for line in events)
+        assert events and all(re.fullmatch(_EVENT_RE, line) for line in events)
         assert _outcome(parse_basic_facts, text) == _outcome(_reader_basic_facts, text)
