@@ -62,6 +62,12 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _exact(x: float) -> str:
+    """``_fmt(x)`` if it reads back as ``x``, else ``repr(x)``, which does."""
+    text = _fmt(x)
+    return text if float(text) == x else repr(x)
+
+
 def _read(path: str) -> str:
     with open(path, "r") as handle:
         try:
@@ -204,10 +210,10 @@ def cmd_project(args: argparse.Namespace) -> int:
         "generator": "tempro project",
         "theory": args.theory,
         "facts": args.facts,
-        "origin": _fmt(args.origin),
+        "origin": _exact(grid.origin),
         "delta": _fmt(args.delta),
         "omega": args.omega,
-        "mesh": _fmt(grid.delta),
+        "mesh": _exact(grid.delta),
         "cells": grid.omega,
         "epsilon": _fmt(args.epsilon),
     }
@@ -289,8 +295,8 @@ def _header_columns(names: list[str] | None, line: int) -> list[int]:
 
 
 # The characters of a projection CSV that ``_load_projection_csv`` reads at
-# a time after the first data row, a block extended to the end of its last
-# line.  Larger blocks scan no faster and hold more memory.
+# a time, a block extended to the end of its last line.  Larger blocks scan
+# no faster and hold more memory.
 _BLOCK = 16 * 1024
 
 
@@ -315,19 +321,19 @@ def _load_projection_csv(
     mark a spreadsheet writes, is skipped; anywhere else it is a character
     of its field.
 
-    Every row, the header included, is one line.  The lines up to and
-    including the first data row are read one at a time, the rest in blocks
-    of ``_BLOCK`` characters, each extended to the end of its last line.  A
-    block that is ASCII, holds no ``"`` and no ``#`` and is no longer than
-    the CSV field limit holds no undecodable byte, comment, grid line or
-    quoted field, so each of its lines that is not blank is split at its
-    commas, which gives the fields that ``csv.reader`` gives.  The lines of
-    any other block are checked one at a time as the first ones are: a
-    ``#`` line is a comment or grid line, and a line that holds no ``"``
-    and is no longer than the field limit is split at its commas.  Any other
-    line is read by a strict ``csv.reader`` alone, so a quoted field still
-    open at the end of its line is a bad row at that line.  The fields of
-    every row go to the same checks.
+    Every row, the header included, is one line.  The file is read in
+    blocks of ``_BLOCK`` characters, each extended to the end of its last
+    line.  A block that starts after the first data row, is ASCII, holds no
+    ``"`` and no ``#`` and is no longer than the CSV field limit is clean:
+    it holds no undecodable byte, comment, grid line or quoted field, so
+    each of its lines that is not blank is split at its commas, which gives
+    the fields that ``csv.reader`` gives.  The lines of every other block,
+    the first one included, are checked one at a time: a ``#`` line is a
+    comment or grid line, and a line that holds no ``"`` and is no longer
+    than the field limit is split at its commas.  Any other line is read by
+    a strict ``csv.reader`` alone, so a quoted field still open at the end
+    of its line is a bad row at that line.  The fields of every row go to
+    the same checks.
     """
     grid_lines: dict[str, tuple[str, int]] = {}
     names = None  # the header's fields
@@ -342,33 +348,20 @@ def _load_projection_csv(
     with open(path, "r", errors="surrogateescape") as handle:
         if handle.read(1) != "\ufeff":  # the byte-order mark of a file saved as "CSV UTF-8"
             handle.seek(0)
-
-        def runs():
-            """The file's lines in runs, each with whether it is a clean
-            block: a line a run up to and including the first data row, then
-            a block a run.  A clean block's lines come without their line
-            end; the others' come as iterating the file gives them."""
-            while grid is None:
-                line = handle.readline()
-                if not line:
-                    return
-                yield (line,), False
+        try:
             while block := handle.read(_BLOCK):
                 if block[-1] != "\n":
                     block += handle.readline()
-                if (
-                    block.isascii() and '"' not in block and "#" not in block
-                    and len(block) <= limit
-                ):
+                clean = (
+                    grid is not None and block.isascii() and '"' not in block
+                    and "#" not in block and len(block) <= limit
+                )
+                if clean:
                     lines = block.split("\n")
                     if not lines[-1]:  # what follows the last line end
                         lines.pop()
-                    yield lines, True
                 else:
-                    yield io.StringIO(block), False
-
-        try:
-            for lines, clean in runs():
+                    lines = io.StringIO(block)
                 for at, line in enumerate(lines, at + 1):
                     if clean:
                         if not line or line.isspace():

@@ -289,16 +289,16 @@ def _window_density(grid: TimeGrid, est: float, lst: float, kappa: float) -> Ste
 
     The in-window discrete integral equals ``kappa``; cells outside the grid
     are dropped, so a window sticking out of the horizon keeps only the mass
-    that falls inside, and one wholly before or past it has the empty span
-    at cell 1.  A window too wide, too narrow or too far out for its
-    Gaussian to be formed in floats (a width that overflows, a standard
-    deviation that underflows to 0, or a midpoint that overflows) is a
-    ``ValueError``.
+    that falls inside, and one wholly before or past it, a point event
+    included, has the empty span at cell 1.  A window too wide, too narrow
+    or too far out for its Gaussian to be formed in floats (a width that
+    overflows, a standard deviation that underflows to 0, or a midpoint that
+    overflows) is a ``ValueError``.
     """
     if est == lst:
         cell = grid.time_to_cell(est)
         if not grid.contains_cell(cell):
-            raise ValueError(f"point event at {est} lies outside the horizon")
+            return StepSeries(grid, array("d"), 1)
         return StepSeries(grid, [kappa / grid.delta], cell)
     mu = 0.5 * (est + lst)
     sigma = (lst - est) / 6.0

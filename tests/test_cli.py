@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -585,6 +586,58 @@ class TestQuery:
         got = _run(capsys, "query", "--csv", str(path), "--fact", "F(X)", "--time=-5")
         assert got == (code, "", f"error: {err}\n")
 
+    def test_grid_metadata_reads_back_as_projected(self, tmp_path, data_dir, capsys):
+        """An origin that ``%.12g`` would round is written in full, so
+        ``query`` rebuilds ``project``'s grid and reads the cell that grid
+        puts the time in (82 here; the rounded origin gives 83)."""
+        facts = tmp_path / "truck.facts"
+        facts.write_text("event ARRIVE(TRUCK14) est 2675 lst 2685 kappa 1.0\n")
+        out = tmp_path / "truck.csv"
+        origin, time = 2674.6502189125513, 2682.850218902551
+        code, _, err = _run(
+            capsys, "project", "--theory", str(data_dir / "dock.rules"), "--facts", str(facts),
+            "--origin", repr(origin), "--delta", "0.1", "--omega", "4969", "--mesh", "0.1",
+            "--out", str(out),
+        )
+        assert code == 0, err
+        metadata, rows = _read_csv(out)
+        assert (metadata["origin"], metadata["mesh"]) == (repr(origin), "0.1")
+        cell = TimeGrid(origin, 0.1, 4969).time_to_cell(time)
+        (mass,) = [
+            row["value"] for row in rows
+            if (row["type"], row["kind"], row["cell"]) == ("ATDOCK(TRUCK14)", "mass", str(cell))
+        ]
+        got = _run(capsys, "query", "--csv", str(out), "--fact", "ATDOCK(TRUCK14)", "--time", repr(time))
+        assert (cell, got) == (82, (0, mass + "\n", ""))
+
+    def test_only_the_first_block_takes_the_line_checks(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
+        """Every block of ``project``'s CSV after the first, which holds the
+        ``#`` lines, is read on the clean path; a block read line by line is
+        one ``io.StringIO``."""
+        out = tmp_path / "dock.csv"
+        code, _, err = _run(
+            capsys, "project", "--theory", str(data_dir / "dock.rules"),
+            "--facts", str(data_dir / "dock.facts"), "--delta", "2", "--omega", "1440",
+            "--out", str(out),
+        )
+        assert code == 0, err
+        assert out.stat().st_size > 4 * cli._BLOCK
+        checked = []
+
+        def string_io(block):
+            checked.append(block)
+            return io.StringIO(block)
+
+        monkeypatch.setattr(cli, "io", types.SimpleNamespace(StringIO=string_io))
+        code, answer, err = _run(
+            capsys, "query", "--csv", str(out), "--fact", "ATDOCK(TRUCK14)", "--time", "30"
+        )
+        assert (code, err) == (0, "")
+        assert float(answer) > 0.0
+        assert len(checked) == 1 and checked[0].startswith("# ")
+
 
 def _oracle_csv(store, grid, metadata):
     """The projection CSV written row by row through ``csv.writer``."""
@@ -903,11 +956,12 @@ def _block_csv(draw):
 
 class TestCsvBlocks:
     """``query`` reading its CSV a block at a time against the reader of
-    every line on its own, with blocks of 1 to 64 characters."""
+    every line on its own, with blocks of 1 to 64 characters and of the
+    command's own ``_BLOCK``, which reads each of these files as one block."""
 
     @given(
         _block_csv(),
-        st.integers(1, 64),
+        st.integers(1, 64) | st.just(cli._BLOCK),
         st.sampled_from([None, None, 40]),
         st.sampled_from(["F(X)", "F(?x)", "H", "G(?x)", "F(A,B)"]),
         st.integers(0, 2),

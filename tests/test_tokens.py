@@ -401,7 +401,11 @@ class TestUserDensity:
         assert user.density.grid == g
         assert (user.density.values.tobytes(), user.density.first) == (built.values.tobytes(), built.first)
 
-    @pytest.mark.parametrize("est, lst", [(-20.0, -15.0), (50.0, 55.0)], ids=["before", "past"])
+    @pytest.mark.parametrize(
+        "est, lst",
+        [(-20.0, -15.0), (50.0, 55.0), (-20.0, -20.0), (50.0, 50.0)],
+        ids=["before", "past", "point-before", "point-past"],
+    )
     def test_event_outside_the_horizon_gets_the_empty_span(self, est, lst):
         g = TimeGrid(0.0, 1.0, 10)
         store = TokenStore()
