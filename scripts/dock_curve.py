@@ -12,6 +12,7 @@ import argparse
 import pathlib
 
 from tempro import TimeGrid, TokenStore, load_basic_facts, parse_theory, project, refine
+from tempro.refinement import DEFAULT_EPSILON
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -22,7 +23,7 @@ def main() -> None:
     parser.add_argument("--facts", default=str(ROOT / "data" / "dock.facts"))
     parser.add_argument("--delta", type=float, default=2.0, help="cell width (minutes)")
     parser.add_argument("--omega", type=int, default=1440, help="number of cells")
-    parser.add_argument("--epsilon", type=float, default=1e-4, help="closure threshold")
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="closure threshold")
     args = parser.parse_args()
 
     theory = parse_theory(pathlib.Path(args.theory).read_text())

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 import shutil
 import tempfile
 from collections import namedtuple
@@ -42,11 +41,10 @@ from .theory import (
     Pattern,
     TokenCursor,
     TypeKey,
-    line_cursor,
+    key_pattern,
     parse_ground_pattern,
     parse_pattern,
-    split_lines,
-    statements,
+    read_lines,
     unify,
 )
 
@@ -178,24 +176,27 @@ def save_state(store: AcquisitionStore) -> str:
 
 
 def load_state(text: str) -> AcquisitionStore:
-    classes: list[AcquisitionClass] = []
-    for cur in statements(text):
-        cur.take("class")
-        key = parse_pattern(cur)
-        family = cur.take_word(FAMILIES)
-        cur.take("insts")
-        insts = cur.take_count("insts", "an observation count")
-        cur.take("sum")
-        total = cur.take_number(
-            "a duration sum", "sum must be finite and >= 0", lambda v: 0 <= v < math.inf
-        )
-        if insts == 0 and total != 0:
-            raise cur.error(f"sum must be 0 when insts is 0, got {total}", back=1)
-        cur.take("lambda")
-        cur.take_number("a decay parameter")  # informational; recomputed
-        cur.expect_end()
-        classes.append(AcquisitionClass(key, family, insts, total))
-    return AcquisitionStore(classes)
+    return AcquisitionStore(read_lines(text, _state_class))
+
+
+def _state_class(cur: TokenCursor) -> AcquisitionClass:
+    """The class on ``cur``'s line of a state file, or the
+    :class:`ParseError` of its leftmost fault."""
+    cur.take("class")
+    key = parse_pattern(cur)
+    family = cur.take_word(FAMILIES)
+    cur.take("insts")
+    insts = cur.take_count("insts", "an observation count")
+    cur.take("sum")
+    total = cur.take_number(
+        "a duration sum", "sum must be finite and >= 0", lambda v: 0 <= v < math.inf
+    )
+    if insts == 0 and total != 0:
+        raise cur.error(f"sum must be 0 when insts is 0, got {total}", back=1)
+    cur.take("lambda")
+    cur.take_number("a decay parameter")  # informational; recomputed
+    cur.expect_end()
+    return AcquisitionClass(key, family, insts, total)
 
 
 def save_state_file(store: AcquisitionStore, path: str) -> None:
@@ -226,9 +227,7 @@ Observation = namedtuple("Observation", "key arrival departure line")
 # The layout ``simulate`` writes: a ground key without blanks, numbers in
 # ASCII digits, spaces or tabs between the fields, and no comment.  Each
 # group is a whole token of the statement reader, so a line it matches reads
-# to the same key and numbers there.  Each call of ``parse_observations``
-# compiles it, which ``re`` caches, so importing this module compiles
-# nothing.
+# to the same key and numbers there.
 _OBSERVE_RE = (
     rf"[ \t]*observe[ \t]+{_GROUND_KEY}"
     rf"[ \t]+arrival[ \t]+({_NUMBER})[ \t]+departure[ \t]+({_NUMBER})[ \t]*"
@@ -240,26 +239,21 @@ def parse_observations(text: str) -> list[Observation]:
 
         observe TRUCK(ACME) arrival 0 departure 12.5
 
-    A line in the layout of ``_OBSERVE_RE`` whose stay is valid is read
-    from the regex match alone.  Every other line, such as one with a
-    comment or a fault, goes to the statement reader, :func:`_observation`,
-    which reads it or raises its positioned error.
+    :func:`read_lines` reads a line in the layout of ``_OBSERVE_RE`` whose
+    stay is valid from the regex match alone, and every other line with
+    :func:`_observation`.
     """
-    out: list[Observation] = []
-    fast = re.compile(_OBSERVE_RE).fullmatch
-    for lineno, line in enumerate(split_lines(text), start=1):
-        match = fast(line)
-        if match is not None:
-            name, args, arrival, departure = match.groups()
-            arrival, departure = float(arrival), float(departure)
-            if -math.inf < arrival <= departure < math.inf:  # _observation's stay check
-                key = Pattern(name, tuple(args.split(",")) if args else ())
-                out.append(Observation(key, arrival, departure, lineno))
-                continue
-        cur = line_cursor(line, lineno)
-        if cur is not None:
-            out.append(_observation(cur))
-    return out
+    return read_lines(text, _observation, _OBSERVE_RE, _observed)
+
+
+def _observed(match, lineno: int) -> Observation | None:
+    """The observation of a ``_OBSERVE_RE`` match, or None when its stay
+    fails :func:`_observation`'s check."""
+    name, args, arrival, departure = match.groups()
+    arrival, departure = float(arrival), float(departure)
+    if -math.inf < arrival <= departure < math.inf:
+        return Observation(key_pattern(name, args), arrival, departure, lineno)
+    return None
 
 
 def _observation(cur: TokenCursor) -> Observation:

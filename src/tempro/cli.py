@@ -26,12 +26,13 @@ from collections.abc import Callable
 from .acquisition import load_state, parse_observations, save_state_file
 from .core import SNAP_REL, GridError, TimeGrid, auto_mesh_factor
 from .projection import project
-from .refinement import CyclicOpenTokens, refine
+from .refinement import DEFAULT_EPSILON, CyclicOpenTokens, refine
 from .simulator import generate, parse_scenario, run_convergence
 from .theory import (
     _GROUND_KEY,
     ParseError,
     Pattern,
+    key_pattern,
     parse_pattern_text,
     parse_theory,
     statements,
@@ -262,17 +263,16 @@ def _type_key(
     matches, is read from that one match; each group is a whole token of the
     statement reader, so the match reads to the pattern that reader gives,
     whose ``str`` is the text itself.  Such a type is unified only if it has
-    the pattern's name and arity.  Any other text goes to
-    ``parse_pattern_text``, which reads it or raises its error."""
+    the pattern's name.  Any other text goes to ``parse_pattern_text``,
+    which reads it or raises its error."""
     match = ground_key(text)
     if match is None:
         ground = parse_pattern_text(text)
     else:
         name, args = match.groups()
-        args = tuple(args.split(",")) if args else ()
-        if name != pattern.name or len(args) != len(pattern.args):
+        if name != pattern.name:
             return ""
-        ground = Pattern(name, args)
+        ground = key_pattern(name, args)
     if unify(pattern, ground) is None:
         return ""
     return text if match else str(ground)
@@ -540,7 +540,7 @@ def build_parser() -> _Parser:
     p_project.add_argument("--delta", type=float, required=True, help="cell width")
     p_project.add_argument("--omega", type=int, required=True, help="number of cells")
     p_project.add_argument("--origin", type=float, default=0.0, help="grid start time")
-    p_project.add_argument("--epsilon", type=float, default=1e-4, help="closure threshold")
+    p_project.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="closure threshold")
     p_project.add_argument(
         "--mesh",
         default="auto",

@@ -47,6 +47,10 @@ from .theory import (
 )
 from .tokens import EventToken, TokenStore, user_density
 
+#: The closure threshold ``refine`` and ``tempro project --epsilon`` use
+#: when none is given.
+DEFAULT_EPSILON = 1e-4
+
 
 class CyclicOpenTokens(RuntimeError):
     """The fact types open at one cell depend on each other cyclically."""
@@ -273,7 +277,7 @@ def refine(
     store: TokenStore,
     theory: CausalTheory,
     grid: TimeGrid,
-    epsilon: float = 1e-4,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> TokenStore:
     """Fill every token's curve on ``grid``, one token at a time in tid order.
 

@@ -24,7 +24,7 @@ import re
 import sys
 import warnings
 from collections.abc import Callable, Iterator
-from itertools import islice
+from itertools import count, islice
 
 from . import _FrozenRecord, _Record
 
@@ -227,6 +227,14 @@ _NAME = r"[A-Z][A-Z0-9_]*"
 _GROUND_KEY = rf"({_NAME})(?:\(({_NAME}(?:,{_NAME})*)\))?"
 _NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 
+
+def key_pattern(name: str, args: str | None) -> Pattern:
+    """The pattern of a ``_GROUND_KEY`` match, from its two groups.  Each
+    group is a whole token of the statement reader, so this is the pattern
+    that reader gives for the same text."""
+    return Pattern(name, tuple(args.split(",")) if args else ())
+
+
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _KINDS = {
     **dict.fromkeys(_LETTERS, "name"),
@@ -260,16 +268,47 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def statements(text: str) -> Iterator["TokenCursor"]:
-    """One cursor per line that holds a token, in line order.
+def read_lines(
+    text: str, slow: Callable[["TokenCursor"], object],
+    layout: str | None = None, fast: Callable[[re.Match[str], int], object] | None = None,
+) -> list:
+    """The records of the lines of ``text`` that hold a token, in line order.
 
-    This is the line loop of every format: ``#`` starts a comment that runs
-    to the end of the line, and blank or comment-only lines yield nothing.
+    This is the line loop of every format that reads one record per line.
+    A line that the regex ``layout`` matches whole goes to ``fast``, with the
+    match and the line's number, and its record is what ``fast`` returns;
+    a line that ``layout`` does not match, or whose match ``fast`` refuses
+    by returning None, goes to the statement reader ``slow`` as a
+    :func:`line_cursor`.  ``slow`` reads its record or raises its positioned
+    error, and the first fault in line order ends the loop.  ``#`` starts a
+    comment that runs to the end of the line, and blank or comment-only
+    lines give no record.  ``layout`` is compiled on each call, which ``re``
+    caches, so that no format compiles a regex at import.
     """
+    records: list = []
+    append = records.append
+    fullmatch = None if layout is None else re.compile(layout).fullmatch
     for lineno, line in enumerate(split_lines(text), start=1):
+        if fullmatch is not None:
+            match = fullmatch(line)
+            if match is not None:
+                record = fast(match, lineno)
+                if record is not None:
+                    append(record)
+                    continue
         cur = line_cursor(line, lineno)
         if cur is not None:
-            yield cur
+            append(slow(cur))
+    return records
+
+
+def statements(text: str) -> Iterator["TokenCursor"]:
+    """One cursor per line that holds a token, in line order: the cursors
+    that :func:`read_lines` hands a statement reader, each made only when it
+    is asked for, so that a reader which carries state from line to line
+    meets the faults of its lines in line order.
+    """
+    return filter(None, map(line_cursor, split_lines(text), count(1)))
 
 
 def line_cursor(line: str, lineno: int) -> "TokenCursor | None":
@@ -337,10 +376,7 @@ class TokenCursor:
 
     def take(self, text: str) -> None:
         """Consume the token ``text``, a keyword or a punctuation mark."""
-        pos = self.pos
-        if pos < len(self.texts) and self.texts[pos] == text:
-            self.pos = pos + 1
-        else:
+        if not self.accept(text):
             raise self.expected(repr(text))
 
     def take_word(self, choices: tuple[str, ...], unknown: str | None = None) -> str:
@@ -447,11 +483,12 @@ def parse_pattern_text(text: str) -> Pattern:
     lines = split_lines(text)
     if len(lines) != 1:
         raise ParseError("expected a single pattern", 1, 1)
-    for cur in statements(text):
-        pattern = parse_pattern(cur)
-        cur.expect_end()
-        return pattern
-    raise ParseError("expected a pattern name", 1, len(lines[0]) + 1)
+    cur = line_cursor(lines[0], 1)
+    if cur is None:
+        raise ParseError("expected a pattern name", 1, len(lines[0]) + 1)
+    pattern = parse_pattern(cur)
+    cur.expect_end()
+    return pattern
 
 
 def _starts_pattern(text: str | None) -> bool:

@@ -15,7 +15,6 @@ the stated occurrence probability ``kappa``.  A zero-width window puts all of
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from collections.abc import Iterator
 
@@ -30,9 +29,9 @@ from .theory import (
     TokenCursor,
     TypeKey,
     is_variable,
-    line_cursor,
+    key_pattern,
     parse_ground_pattern,
-    split_lines,
+    read_lines,
 )
 
 
@@ -124,10 +123,6 @@ class FactToken(_Record):
         self.close_cell = close_cell  # cell where refine closed the mass; None if open
 
     @property
-    def closed(self) -> bool:
-        return self.close_cell is not None
-
-    @property
     def is_builtin(self) -> bool:
         return isinstance(self.derivation, BuiltIn)
 
@@ -170,11 +165,6 @@ class TokenStore:
     def __iter__(self) -> Iterator[Token]:
         """Every token in tid order."""
         return iter(self._tokens)
-
-    def token(self, tid: int) -> Token:
-        if (token := self._find(tid)) is None:
-            raise KeyError(tid)
-        return token
 
     def _find(self, tid: int) -> Token | None:
         """The token with id ``tid``, or None; a negative id names no token."""
@@ -382,8 +372,6 @@ class BasicEventSpec(_FrozenRecord):
 # without blanks, numbers in ASCII digits, spaces or tabs between the
 # fields, and no comment.  Each group is a whole token of the statement
 # reader, so a line it matches reads to the same key and numbers there.
-# Each call of ``parse_basic_facts`` compiles it, which ``re`` caches, so
-# importing this module compiles nothing.
 _EVENT_RE = (
     rf"[ \t]*event[ \t]+{_GROUND_KEY}[ \t]+est[ \t]+({_NUMBER})"
     rf"[ \t]+lst[ \t]+({_NUMBER})[ \t]+kappa[ \t]+({_NUMBER})[ \t]*"
@@ -395,30 +383,23 @@ def parse_basic_facts(text: str) -> list[BasicEventSpec]:
 
         event ARRIVE(TRUCK14) est 0 lst 10 kappa 1.0
 
-    A line in the layout of ``_EVENT_RE`` whose window and ``kappa`` are
-    valid is read from the regex match alone, and the events of one name
-    share one string of it.  Every other line, such as one with a comment or
-    a fault, goes to the statement reader, :func:`_basic_fact`, which reads
-    it or raises its positioned error.
+    :func:`read_lines` reads a line in the layout of ``_EVENT_RE`` whose
+    window and ``kappa`` are valid from the regex match alone, and the
+    events of one name share one string of it; every other line goes to
+    :func:`_basic_fact`.
     """
-    specs: list[BasicEventSpec] = []
     names: dict[str, str] = {}
-    fast = re.compile(_EVENT_RE).fullmatch
-    for lineno, line in enumerate(split_lines(text), start=1):
-        match = fast(line)
-        if match is not None:
-            name, args, est, lst, kappa = match.groups()
-            est, lst, kappa = float(est), float(lst), float(kappa)
-            # _basic_fact's checks; a number of the regex is never nan
-            if -math.inf < est <= lst < math.inf and 0.0 <= kappa <= 1.0:
-                name = names.setdefault(name, name)
-                key = Pattern(name, tuple(args.split(",")) if args else ())
-                specs.append(BasicEventSpec(key, est, lst, kappa, lineno))
-                continue
-        cur = line_cursor(line, lineno)
-        if cur is not None:
-            specs.append(_basic_fact(cur))
-    return specs
+
+    def event(match, lineno: int) -> BasicEventSpec | None:
+        name, args, est, lst, kappa = match.groups()
+        est, lst, kappa = float(est), float(lst), float(kappa)
+        # _basic_fact's checks; a number of the regex is never nan
+        if -math.inf < est <= lst < math.inf and 0.0 <= kappa <= 1.0:
+            key = key_pattern(names.setdefault(name, name), args)
+            return BasicEventSpec(key, est, lst, kappa, lineno)
+        return None
+
+    return read_lines(text, _basic_fact, _EVENT_RE, event)
 
 
 def _basic_fact(cur: TokenCursor) -> BasicEventSpec:

@@ -1019,7 +1019,7 @@ class TestCsvOracles:
         assert '"AT(T1,D1)",mass,' in expected  # quoted multi-argument type
         assert ",ALWAYS,mass,1," in expected
         assert ",-0\n" in expected  # kappa -0 densities
-        assert any(f.closed for f in store.facts)
+        assert any(f.close_cell is not None for f in store.facts)
 
     def test_live_rows_expand_to_the_dense_oracle(self):
         grid = TimeGrid(0.0, 0.5, 40)
@@ -1046,7 +1046,7 @@ class TestCsvOracles:
         assert spans["F(A)", "mass"] == [(1, "0")]
         assert spans["E(B)", "density"] == [(1, "0")]  # an event of kappa 0
         closing = next(f for f in store.facts if str(f.fact_type) == "G(A)")
-        assert closing.closed and spans["G(A)", "mass"][-1][0] <= closing.close_cell < 40
+        assert closing.close_cell is not None and spans["G(A)", "mass"][-1][0] <= closing.close_cell < 40
 
     @given(
         st.integers(1, 12).flatmap(

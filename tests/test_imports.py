@@ -28,6 +28,10 @@ Every command imports every module, so what a module does at import lands
 on every command too.  Only ``theory``, whose statement reader every
 command uses, compiles a regex then; each other module compiles its
 patterns in the function that uses them, where ``re`` caches them.
+
+``theory`` holds the one loop over the lines of statement text,
+``read_lines``, and only it reads ``line_cursor``: a format hands its
+layout and its readers to that loop rather than growing a loop of its own.
 """
 from __future__ import annotations
 
@@ -50,8 +54,6 @@ KEPT_FOR_TESTS = {
 
 MEMBERS_KEPT_FOR_TESTS = {
     "CausalTheory.pretty": "the parser's Hypothesis round-trip test prints generated theories with it",
-    "FactToken.closed": "the refine and CLI tests and _assert_same_as_oracle read it",
-    "TokenStore.token": "the token and refinement tests look tokens up by id with it; refine reads the store's list",
 }
 
 NUMPY_USERS = {
@@ -248,6 +250,39 @@ def test_only_theory_compiles_a_regex_at_import():
 )
 def test_scan_finds_compiles_at_import(source, lines):
     assert compiles_at_import(source) == lines
+
+
+def reads_of(source: str, name: str) -> list[int]:
+    """The lines where ``source`` reads ``name``, as a plain name or as an
+    attribute such as ``theory.name``: a call, or a use as a value, such as
+    an argument of ``map``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_only_theory_reads_lines_into_cursors():
+    found = {path.name for path in SRC.glob("*.py") if reads_of(path.read_text(), "line_cursor")}
+    assert found == {"theory.py"}
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from .theory import line_cursor\ncur = line_cursor('a', 1)\n", [2]),
+        ("from . import theory\ndef f(line):\n    return theory.line_cursor(line, 1)\n", [3]),
+        ("def f(lines):\n    return [line_cursor(x, i) for i, x in enumerate(lines)]\n", [2]),
+        ("cursors = map(line_cursor, lines, count(1))\n", [1]),
+        ("from .theory import line_cursor\n", []),
+        ("def line_cursor(line, lineno):\n    pass\nline_cursor = None\n", []),
+        ("reader(line_cursors, cursor.line)\n", []),
+    ],
+)
+def test_scan_finds_reads(source, lines):
+    assert reads_of(source, "line_cursor") == lines
 
 
 def test_only_the_oracles_import_numpy():

@@ -345,7 +345,7 @@ def _oracle_ancestry(store, tid, found):
     own included, by walking the derivations back to the tokens no rule
     made; ``found`` keeps each token's set once walked."""
     if tid not in found:
-        token = store.token(tid)
+        token = list(store)[tid]
         pattern = token.event_type if isinstance(token, EventToken) else token.fact_type
         ancestry = {(pattern.name, pattern.args)}
         if isinstance(token.derivation, RuleDerived):

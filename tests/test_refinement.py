@@ -85,7 +85,7 @@ def _mass_update_lin(store: TokenStore, token, i: int, first: int) -> float:
         cutoff = 0
     else:
         cutoff = min(token.mass.grid.omega, int(math.floor(1.0 / (slope * delta))) + 1)
-    src = store.token(token.initiating_event).density.values
+    src = list(store)[token.initiating_event].density.values
     value = 0.0
     for j in range(max(first, i - cutoff), i + 1):
         weight = 1.0 - slope * (i - j) * delta
@@ -105,6 +105,7 @@ def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) ->
     last cell.
     """
     omega = grid.omega
+    tokens = list(store)
     for event in store.events:
         event.density = _series(grid, _cells(user_density(event, grid)) if event.is_user else np.zeros(omega))
     for fact in store.facts:
@@ -137,7 +138,7 @@ def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) ->
             rate, delta = survivor.rate, grid.delta
             decay = 0.0 if math.isinf(rate) else math.exp(-rate * delta)
             prev = float(fact.mass.values[i - 2]) if i >= 2 else 0.0
-            density = float(store.token(fact.initiating_event).density.values[i - 1])
+            density = float(tokens[fact.initiating_event].density.values[i - 1])
             raw = decay * prev + density * (delta * within_cell_factor(rate, delta))
         else:
             raw = _mass_update_lin(store, fact, i, first)
@@ -159,20 +160,20 @@ def _oracle_refine(store: TokenStore, theory, grid: TimeGrid, epsilon: float) ->
         stamp[tid] = i
         if tid not in spans:
             return  # user density or ALWAYS mass: prefilled
-        token = store.token(tid)
+        token = tokens[tid]
         first, last = spans[tid]
         if isinstance(token, EventToken):
             ensure(token.derivation.trigger, i)
             for ant in token.derivation.antecedents:
                 ensure(ant, i)
             if first <= i <= last:
-                value = token.kappa * store.token(token.derivation.trigger).density.values[i - 1]
+                value = token.kappa * tokens[token.derivation.trigger].density.values[i - 1]
                 for ant in token.derivation.antecedents:
-                    value *= store.token(ant).mass.values[i - 1]
+                    value *= tokens[ant].mass.values[i - 1]
                 token.density.values[i - 1] = value
         else:
             ensure(token.initiating_event, i)
-            if first <= i and not token.closed:
+            if first <= i and token.close_cell is None:
                 update_fact(token, i, first)
 
     for i in range(1, omega + 1):
@@ -210,7 +211,7 @@ def _assert_same_curves(store: TokenStore, want: TokenStore) -> None:
         assert _cells(got.density).tobytes() == _cells(exp.density).tobytes(), f"density of {got.tid}"
     for got, exp in zip(store.facts, want.facts):
         assert _cells(got.mass).tobytes() == _cells(exp.mass).tobytes(), f"mass of {got.tid}"
-        assert (got.closed, got.close_cell) == (exp.closed, exp.close_cell)
+        assert got.close_cell == exp.close_cell
     assert store.sweep_stats == want.sweep_stats
 
 
@@ -772,7 +773,6 @@ class TestClosure:
         theory, grid, store = _dock_setup(delta=2.0, omega=1440)
         refine(store, theory, grid, epsilon=1e-4)
         (dock,) = store.facts_of_type(("ATDOCK", 1))
-        assert dock.closed
         assert dock.close_cell is not None
         m = np.asarray(_cells(dock.mass))
         assert m[dock.close_cell - 1] < 1e-4
@@ -783,7 +783,7 @@ class TestClosure:
         theory, grid, store = _dock_setup(delta=2.0, omega=1440)
         refine(store, theory, grid, epsilon=0.0)
         (dock,) = store.facts_of_type(("ATDOCK", 1))
-        assert not dock.closed
+        assert dock.close_cell is None
         assert _cells(dock.mass)[-1] > 0.0
 
     def test_never_supported_fact_never_closes(self):
@@ -791,7 +791,7 @@ class TestClosure:
         theory, grid, store = _dock_setup(kappa=1e-6, omega=100)
         refine(store, theory, grid, epsilon=1e-4)
         (dock,) = store.facts_of_type(("ATDOCK", 1))
-        assert not dock.closed
+        assert dock.close_cell is None
         assert np.asarray(_cells(dock.mass)).max() < 1e-4
 
     def test_downstream_density_sees_closure(self):
@@ -808,7 +808,7 @@ class TestClosure:
         refine(store, theory, grid, epsilon=1e-4)
         (a,) = store.facts_of_type(("A", 1))
         (b_onset,) = store.events_of_type(("B", 1))
-        assert a.closed
+        assert a.close_cell is not None
         c = a.close_cell
         assert np.all(np.asarray(_cells(b_onset.density))[c:] == 0.0)
         assert np.any(np.asarray(_cells(b_onset.density))[:c] > 0.0)
@@ -845,7 +845,7 @@ class TestSpans:
             assert (event.density.first, len(event.density.values)) == (grid.time_to_cell(event.est), 1)
         for fact in store.facts[1:]:
             end = fact.close_cell if epsilon else grid.omega
-            assert fact.closed == bool(epsilon)
+            assert (fact.close_cell is not None) == bool(epsilon)
             assert fact.mass.first == grid.time_to_cell(fact.est)
             assert fact.mass.first + len(fact.mass.values) - 1 == end
 
@@ -866,7 +866,7 @@ class TestSpans:
         (f,) = store.facts_of_type(("F", 1))
         (g,) = store.facts_of_type(("G", 1))
         assert (f.mass.first, g.mass.first) == (6, 1)
-        onset = store.token(f.initiating_event).density
+        onset = list(store)[f.initiating_event].density
         assert f.mass.values[0] == onset.window(6, 6)[0] * grid.delta > 0.0
         assert g.mass.values.tobytes() == bytes(8 * grid.omega)
 
@@ -1142,7 +1142,7 @@ class TestFamilyLoops:
 
         def update(store, token, i, first):
             if math.isinf(token.persistence.slope):
-                src = store.token(token.initiating_event).density.values
+                src = list(store)[token.initiating_event].density.values
                 return 0.0 + float(src[i - 1]) * token.mass.grid.delta * 1.0
             return lin(store, token, i, first)
 

@@ -93,8 +93,9 @@ class TestTokenStore:
         e = add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, g)
         a = store.ensure_always()
         assert e.tid != a.tid
-        assert store.token(e.tid) is e
-        assert store.token(a.tid) is a
+        tokens = list(store)
+        assert tokens[e.tid] is e
+        assert tokens[a.tid] is a
         assert [t.tid for t in store.events] == [e.tid]
         assert [t.tid for t in store.facts] == [a.tid]
 
@@ -163,14 +164,6 @@ class TestTokenStore:
         with pytest.raises(ValueError, match=f"^{message}$"):
             add(store, e, f)
         assert len(store) == size
-
-    def test_token_refuses_ids_naming_no_token(self):
-        store = TokenStore()
-        add_basic_event(store, ARRIVE_T14, 0.0, 5.0, 1.0, TimeGrid(0.0, 1.0, 10))
-        store.ensure_always()
-        for tid in (-1, len(store)):
-            with pytest.raises(KeyError):
-                store.token(tid)
 
     @pytest.mark.parametrize("derivation", [UserSupplied(), RuleDerived(0, 0, ())])
     def test_fact_without_persistence_rejected(self, derivation):
